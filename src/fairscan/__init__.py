@@ -16,21 +16,21 @@ from .dataset import (
     DatasetError,
     MeasureMode,
     Observation,
-    global_rate,
     load_dataset,
     write_csv,
 )
 from .geometry import Region, bounding_box, jaccard, regions_overlap
-from .index import RegionCounts, SpatialIndex, build_index, range_count, with_labels
+from .index import RegionCounts, SpatialIndex, build_index
 from .likelihood import (
     Direction,
+    ScanResult,
     ScoredRegion,
     llr_from_counts,
     llr_vector,
     log_lik_null_max,
     scan_regions,
 )
-from .meanvar import MeanVarReport, mean_var, partitioning_variance
+from .meanvar import MeanVarReport, mean_var
 from .montecarlo import (
     AuditVerdict,
     MaxStatDistribution,
@@ -57,7 +57,7 @@ from .regions import (
     save_region_families,
     square_scan_set,
 )
-from .scanner import CompositeScanner, PartitionScanner, PlannedScanner, as_scanner
+from .scanner import CountPlan, as_scanner, range_count
 
 __version__ = "0.1.0"
 
@@ -65,7 +65,7 @@ __all__ = [
     "AuditConfig",
     "AuditReport",
     "AuditVerdict",
-    "CompositeScanner",
+    "CountPlan",
     "Dataset",
     "DatasetError",
     "Direction",
@@ -74,10 +74,9 @@ __all__ = [
     "MeasureMode",
     "Observation",
     "Partitioning",
-    "PartitionScanner",
-    "PlannedScanner",
     "Region",
     "RegionCounts",
+    "ScanResult",
     "ScoredRegion",
     "SpatialIndex",
     "as_scanner",
@@ -87,7 +86,6 @@ __all__ = [
     "critical_value",
     "export_report",
     "global_p_value",
-    "global_rate",
     "jaccard",
     "kmeans_centers",
     "llr_from_counts",
@@ -96,7 +94,6 @@ __all__ = [
     "load_region_families",
     "log_lik_null_max",
     "mean_var",
-    "partitioning_variance",
     "random_partitionings",
     "range_count",
     "regions_overlap",
@@ -109,6 +106,5 @@ __all__ = [
     "significant_regions",
     "simulate_worlds",
     "square_scan_set",
-    "with_labels",
     "write_csv",
 ]

@@ -16,7 +16,6 @@ from .pipeline import (
     audit,
     export_meanvar,
     export_report,
-    meanvar_partitionings,
     run_meanvar,
     _derive_seeds,
 )
@@ -220,6 +219,8 @@ def _audit_config(args: argparse.Namespace) -> AuditConfig:
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ValueError(

@@ -72,6 +72,11 @@ class Dataset:
         bad = (outcomes != 0) & (outcomes != 1)
         if bad.any():
             raise DatasetError("outcome values must be 0 or 1")
+        bbox = bounding_box(lons, lats)
+        if not (math.isfinite(bbox.width) and math.isfinite(bbox.height)):
+            raise DatasetError(
+                f"coordinate extent is not finite: bounding box {bbox.bounds()}"
+            )
         n = len(obs)
         p = int(outcomes.sum())
         return cls(
@@ -82,18 +87,13 @@ class Dataset:
             N=n,
             P=p,
             rho=p / n,
-            bbox=bounding_box(lons, lats),
+            bbox=bbox,
         )
 
     @property
     def points(self) -> np.ndarray:
         """Locations as an (N, 2) float array."""
         return np.column_stack((self.lons, self.lats))
-
-
-def global_rate(d: Dataset) -> float:
-    """Overall positive-outcome rate P/N of the audited dataset."""
-    return d.P / d.N
 
 
 def apply_measure_mode(

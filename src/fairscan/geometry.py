@@ -52,15 +52,19 @@ def region_contains(region: Region, xs, ys, bbox: Region):
     bounding box's max edge also includes points lying exactly on that edge.
     Accepts scalars or numpy arrays and broadcasts.
     """
+    return bounds_contain(region.bounds(), xs, ys, bbox)
+
+
+def bounds_contain(bounds, xs, ys, bbox: Region):
+    """region_contains for (xmin, ymin, xmax, ymax) bounds, which may be arrays."""
+    xmin, ymin, xmax, ymax = bounds
     xs = np.asarray(xs)
     ys = np.asarray(ys)
-    in_x = (xs >= region.xmin) & (
-        (xs < region.xmax)
-        | ((region.xmax >= bbox.xmax) & (xs >= bbox.xmax) & (xs <= region.xmax))
+    in_x = (xs >= xmin) & (
+        (xs < xmax) | ((xmax >= bbox.xmax) & (xs >= bbox.xmax) & (xs <= xmax))
     )
-    in_y = (ys >= region.ymin) & (
-        (ys < region.ymax)
-        | ((region.ymax >= bbox.ymax) & (ys >= bbox.ymax) & (ys <= region.ymax))
+    in_y = (ys >= ymin) & (
+        (ys < ymax) | ((ymax >= bbox.ymax) & (ys >= bbox.ymax) & (ys <= ymax))
     )
     return in_x & in_y
 

@@ -1,15 +1,11 @@
-"""Grid spatial index answering rectangle count queries.
+"""Grid bucketing of observation locations.
 
 Observations are bucketed once into a gx-by-gy grid over the dataset
-bounding box. Two-dimensional prefix sums over the per-cell totals answer
-cell-aligned block queries in constant time; cells straddling a query
-boundary are resolved by iterating their (contiguous, cell-sorted) point
-lists against the exact membership predicate. Query results are therefore
-independent of the grid resolution.
-
-Relabeled views share all geometry arrays: only the per-cell positive
-counts and their prefix table are rebuilt, which keeps Monte Carlo
-relabeling cheap.
+bounding box and laid out cell by cell (CSR: the point order sorted by cell
+plus per-cell offsets). The counting plan in fairscan.scanner reads counts
+of cell-aligned blocks from prefix tables over this grid and resolves only
+the points of cells a query boundary cuts, so counts do not depend on the
+grid resolution.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .geometry import Region, region_contains
+from .geometry import Region
 
 MAX_RESOLUTION = 1024
 
@@ -30,17 +26,19 @@ class RegionCounts:
     p: int
 
 
-class _GridGeometry:
-    """Label-independent part of the index, shared by relabeled views."""
+def _axis_cells(vals, lo, hi, m):
+    vals = np.asarray(vals, dtype=np.float64)
+    if hi <= lo:
+        return np.zeros(vals.shape, dtype=np.int64)
+    idx = np.floor((vals - lo) * (m / (hi - lo))).astype(np.int64)
+    return np.clip(idx, 0, m - 1)
 
-    def __init__(self, lons: np.ndarray, lats: np.ndarray, bbox: Region,
-                 gx: int, gy: int):
-        self.bbox = bbox
-        self.gx = gx
-        self.gy = gy
-        self.xs = lons
-        self.ys = lats
-        self.N = len(lons)
+
+class SpatialIndex:
+    """Fixed locations bucketed into a grid, with the observed labeling."""
+
+    def __init__(self, lons: np.ndarray, lats: np.ndarray, labels: np.ndarray,
+                 bbox: Region, gx: int, gy: int):
         for lo, hi, m, axis in ((bbox.xmin, bbox.xmax, gx, "x"),
                                 (bbox.ymin, bbox.ymax, gy, "y")):
             if hi > lo and (hi - lo) / m == 0.0:
@@ -48,143 +46,29 @@ class _GridGeometry:
                     f"grid resolution {m} on the {axis} axis underflows to "
                     "zero cell extent"
                 )
-        cx = self.cells_x(lons)
-        cy = self.cells_y(lats)
-        self.cell_id = (cx * gy + cy).astype(np.int64)
-        # CSR layout: point indices sorted by cell, plus per-cell offsets.
+        self.bbox = bbox
+        self.gx = gx
+        self.gy = gy
+        self.xs = lons
+        self.ys = lats
+        self.N = len(lons)
+        self.labels = labels
+        self.P = int(labels.sum())
+        self.cell_id = self.cells_x(lons) * gy + self.cells_y(lats)
         self.order = np.argsort(self.cell_id, kind="stable")
-        sorted_ids = self.cell_id[self.order]
-        counts = np.bincount(sorted_ids, minlength=gx * gy)
+        counts = np.bincount(self.cell_id, minlength=gx * gy)
         self.start = np.zeros(gx * gy + 1, dtype=np.int64)
         np.cumsum(counts, out=self.start[1:])
-        self.xs_sorted = lons[self.order]
-        self.ys_sorted = lats[self.order]
-        self.n_prefix = _prefix2d(counts.reshape(gx, gy))
-
-    def _axis_cells(self, vals, lo, hi, m):
-        vals = np.asarray(vals, dtype=np.float64)
-        if hi <= lo:
-            return np.zeros(vals.shape, dtype=np.int64)
-        idx = np.floor((vals - lo) * (m / (hi - lo))).astype(np.int64)
-        return np.clip(idx, 0, m - 1)
-
-    def cells_x(self, vals):
-        return self._axis_cells(vals, self.bbox.xmin, self.bbox.xmax, self.gx)
-
-    def cells_y(self, vals):
-        return self._axis_cells(vals, self.bbox.ymin, self.bbox.ymax, self.gy)
-
-    def cell_span(self, region: Region):
-        """Inclusive cell ranges that could hold points of the region.
-
-        Returns None when the region is strictly disjoint from the bounding
-        box. Monotonicity of the bucketing function guarantees coverage:
-        points inside the region can only live in the returned cell ranges.
-        """
-        b = self.bbox
-        if (region.xmax < b.xmin or region.xmin > b.xmax
-                or region.ymax < b.ymin or region.ymin > b.ymax):
-            return None
-        cx0 = int(self.cells_x(max(region.xmin, b.xmin)))
-        cx1 = int(self.cells_x(min(region.xmax, b.xmax)))
-        cy0 = int(self.cells_y(max(region.ymin, b.ymin)))
-        cy1 = int(self.cells_y(min(region.ymax, b.ymax)))
-        return cx0, cx1, cy0, cy1
-
-    def edge_cells(self, cx0, cx1, cy0, cy1):
-        """Cells of the span that touch the query boundary.
-
-        Interior cells (strictly between the edge rows/columns) are fully
-        covered by the region and are counted through the prefix tables
-        instead.
-        """
-        for cx in range(cx0, cx1 + 1):
-            if cx0 < cx < cx1:
-                rows = {cy0, cy1}
-            else:
-                rows = range(cy0, cy1 + 1)
-            for cy in rows:
-                yield cx * self.gy + cy
-
-    def block_corners(self, cx0, cx1, cy0, cy1):
-        """Flat indices into a padded prefix table for the interior block.
-
-        The block spans columns [cx0+1, cx1-1] and rows [cy0+1, cy1-1]; a
-        degenerate span (no interior) maps all four corners to 0 so the
-        inclusion-exclusion sum vanishes.
-        """
-        a, b = cx0 + 1, cx1 - 1
-        c, d = cy0 + 1, cy1 - 1
-        if a > b or c > d:
-            return 0, 0, 0, 0
-        stride = self.gy + 1
-        return (
-            (b + 1) * stride + (d + 1),
-            a * stride + (d + 1),
-            (b + 1) * stride + c,
-            a * stride + c,
-        )
-
-
-def _prefix2d(cells: np.ndarray) -> np.ndarray:
-    """Padded 2D prefix table: out[i, j] = sum of cells[:i, :j]."""
-    gx, gy = cells.shape
-    out = np.zeros((gx + 1, gy + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(cells, axis=0), axis=1, out=out[1:, 1:])
-    return out
-
-
-class SpatialIndex:
-    """Immutable spatial index over fixed locations with a binary labeling."""
-
-    def __init__(self, geometry: _GridGeometry, labels: np.ndarray):
-        self._geom = geometry
-        self.labels = labels
-        self.labels_sorted = labels[geometry.order]
-        pos_cells = np.bincount(
-            geometry.cell_id[labels != 0], minlength=geometry.gx * geometry.gy
-        )
-        self.p_prefix = _prefix2d(pos_cells.reshape(geometry.gx, geometry.gy))
-        self.P = int(labels.sum())
-
-    @property
-    def N(self) -> int:
-        return self._geom.N
-
-    @property
-    def bbox(self) -> Region:
-        return self._geom.bbox
-
-    @property
-    def gx(self) -> int:
-        return self._geom.gx
-
-    @property
-    def gy(self) -> int:
-        return self._geom.gy
-
-    @property
-    def xs(self) -> np.ndarray:
-        return self._geom.xs
-
-    @property
-    def ys(self) -> np.ndarray:
-        return self._geom.ys
 
     @property
     def rho(self) -> float:
         return self.P / self.N
 
-    def cell_counts(self) -> np.ndarray:
-        """Per-cell observation totals as a (gx, gy) array."""
-        g = self._geom
-        return np.bincount(g.cell_id, minlength=g.gx * g.gy
-                           ).reshape(g.gx, g.gy)
+    def cells_x(self, vals) -> np.ndarray:
+        return _axis_cells(vals, self.bbox.xmin, self.bbox.xmax, self.gx)
 
-    def cell_positives(self) -> np.ndarray:
-        g = self._geom
-        return np.bincount(g.cell_id[self.labels != 0],
-                           minlength=g.gx * g.gy).reshape(g.gx, g.gy)
+    def cells_y(self, vals) -> np.ndarray:
+        return _axis_cells(vals, self.bbox.ymin, self.bbox.ymax, self.gy)
 
 
 def default_resolution(n: int) -> int:
@@ -205,49 +89,5 @@ def build_index(d: Dataset, resolution: tuple[int, int] | None = None
         gx, gy = resolution
         if gx < 1 or gy < 1:
             raise ValueError(f"grid resolution must be positive, got {gx}x{gy}")
-    geom = _GridGeometry(d.lons, d.lats, d.bbox, gx, gy)
-    return SpatialIndex(geom, d.outcomes.astype(np.int8, copy=False))
-
-
-def with_labels(ix: SpatialIndex, labels: np.ndarray) -> SpatialIndex:
-    """A view of the index under a different labeling of the same points.
-
-    Geometry (cells, ordering, total-count prefix sums) is shared; only the
-    positive-count side is rebuilt.
-    """
-    labels = np.asarray(labels)
-    if labels.shape != (ix.N,):
-        raise ValueError(
-            f"labels must have shape ({ix.N},), got {labels.shape}"
-        )
-    if not (((labels == 0) | (labels == 1)).all()):
-        raise ValueError("labels must be binary")
-    return SpatialIndex(ix._geom, labels.astype(np.int8, copy=False))
-
-
-def range_count(ix: SpatialIndex, region: Region) -> RegionCounts:
-    """Count observations and positives inside a rectangle.
-
-    Matches a brute-force scan of all observations under the half-open
-    membership predicate with closed bounding-box max edges.
-    """
-    g = ix._geom
-    span = g.cell_span(region)
-    if span is None:
-        return RegionCounts(0, 0)
-    cx0, cx1, cy0, cy1 = span
-    ia, ib, ic, id_ = g.block_corners(cx0, cx1, cy0, cy1)
-    nume = g.n_prefix.ravel()
-    pos = ix.p_prefix.ravel()
-    n = int(nume[ia] - nume[ib] - nume[ic] + nume[id_])
-    p = int(pos[ia] - pos[ib] - pos[ic] + pos[id_])
-    for cid in g.edge_cells(cx0, cx1, cy0, cy1):
-        lo, hi = g.start[cid], g.start[cid + 1]
-        if lo == hi:
-            continue
-        mask = region_contains(
-            region, g.xs_sorted[lo:hi], g.ys_sorted[lo:hi], g.bbox
-        )
-        n += int(mask.sum())
-        p += int(ix.labels_sorted[lo:hi][mask].sum())
-    return RegionCounts(n, p)
+    return SpatialIndex(d.lons, d.lats, d.outcomes.astype(np.int8, copy=False),
+                        d.bbox, gx, gy)

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from collections.abc import Sequence
 
 import numpy as np
 from scipy.special import xlogy
 
 from .geometry import Region
 from .index import RegionCounts, SpatialIndex
+from .scanner import as_scanner
 
 
 class Direction(str, Enum):
@@ -46,6 +48,33 @@ class ScoredRegion:
     local_rate: float
     llr: float
     p_value: float | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class ScanResult(Sequence):
+    """Every candidate's bounds, center id, counts and score, as columns.
+
+    Indexing builds the ScoredRegion of one candidate on demand.
+    """
+
+    bounds: np.ndarray
+    center_ids: Sequence
+    n: np.ndarray
+    p: np.ndarray
+    llr: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.llr)
+
+    def __getitem__(self, i: int) -> ScoredRegion:
+        n = int(self.n[i])
+        return ScoredRegion(
+            region=Region(*self.bounds[i].tolist(),
+                          center_id=self.center_ids[i]),
+            counts=RegionCounts(n, int(self.p[i])),
+            local_rate=float(self.p[i] / self.n[i]) if n > 0 else 0.0,
+            llr=float(self.llr[i]),
+        )
 
 
 def log_lik_null_max(N: int, P: int) -> float:
@@ -116,27 +145,15 @@ def llr_from_counts(n: int, p: int, N: int, P: int,
 
 def scan_regions(ix: SpatialIndex, regions,
                  direction: Direction = Direction.TWO_SIDED
-                 ) -> tuple[list[ScoredRegion], float]:
+                 ) -> tuple[ScanResult, float]:
     """Score every candidate region against the current labeling.
 
-    ``regions`` may be a region sequence, partitionings, or a prebuilt
-    scanner (see fairscan.scanner). Returns the scores in candidate order
-    plus tau_log, the maximum score (0.0 for an empty candidate list).
+    ``regions`` may be any family fairscan.scanner.as_scanner accepts,
+    including a prebuilt plan. Returns the scores in candidate order plus
+    tau_log, the maximum score (0.0 for an empty candidate list).
     """
-    from .scanner import as_scanner
-
-    scanner = as_scanner(ix, regions)
-    n = scanner.n
-    p = scanner.positives(ix.labels)
-    llr = llr_vector(n, p, ix.N, ix.P, direction)
-    scored = [
-        ScoredRegion(
-            region=r,
-            counts=RegionCounts(int(n[i]), int(p[i])),
-            local_rate=float(p[i] / n[i]) if n[i] > 0 else 0.0,
-            llr=float(llr[i]),
-        )
-        for i, r in enumerate(scanner.regions)
-    ]
+    plan = as_scanner(ix, regions)
+    p = plan.positives(ix.labels)
+    llr = llr_vector(plan.n, p, ix.N, ix.P, direction)
     tau_log = float(llr.max()) if len(llr) else 0.0
-    return scored, tau_log
+    return ScanResult(plan.bounds, plan.center_ids, plan.n, p, llr), tau_log

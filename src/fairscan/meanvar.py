@@ -59,74 +59,44 @@ class MeanVarReport:
         }
 
 
-def _cell_rates(ix: SpatialIndex, part: Partitioning):
-    scanner = as_scanner(ix, part)
-    n = scanner.n
-    p = scanner.positives(ix.labels)
-    occupied = n > 0
-    if not occupied.any():
-        raise ValueError("partitioning has no occupied cells")
-    rates = p[occupied] / n[occupied]
-    return n, p, occupied, rates
-
-
-def partitioning_variance(ix: SpatialIndex, part: Partitioning) -> float:
-    """Population variance of the positive rate over non-empty cells."""
-    _, _, _, rates = _cell_rates(ix, part)
-    return float(np.var(rates))
-
-
-def top_contributions(ix: SpatialIndex, part: Partitioning, k: int
-                      ) -> list[Contribution]:
-    """The k cells deviating most from the partitioning's mean rate.
-
-    Contribution is the squared deviation from the unweighted mean of the
-    non-empty cell rates. Ties keep cell order.
-    """
-    n, p, occupied, rates = _cell_rates(ix, part)
-    mean_rate = rates.mean()
-    idx = np.flatnonzero(occupied)
-    contrib = (rates - mean_rate) ** 2
-    order = np.argsort(-contrib, kind="stable")[:k]
-    return [
-        Contribution(
-            region=part.regions[int(idx[j])],
-            counts=RegionCounts(int(n[idx[j]]), int(p[idx[j]])),
-            local_rate=float(rates[j]),
-            contribution=float(contrib[j]),
-        )
-        for j in order
-    ]
-
-
 def mean_var(ix: SpatialIndex, parts: Sequence[Partitioning],
              top_k: int = 50) -> MeanVarReport:
     """MeanVar over a collection of partitionings, with a contributor ranking.
 
     The report carries each partitioning's variance, their mean, and the
-    top_k cells across all partitionings ranked by contribution.
+    top_k cells across all partitionings ranked by contribution: a cell's
+    squared deviation from the unweighted mean of its partitioning's
+    non-empty cell rates. Ties keep cell order.
     """
     if not parts:
         raise ValueError("need at least one partitioning")
+    plan = as_scanner(ix, parts)
+    positives = plan.positives(ix.labels)
     per_part = []
     contributors: list[Contribution] = []
+    lo = 0
     for part in parts:
-        n, p, occupied, rates = _cell_rates(ix, part)
+        hi = lo + len(part)
+        n, p = plan.n[lo:hi], positives[lo:hi]
+        occupied = n > 0
+        if not occupied.any():
+            raise ValueError("partitioning has no occupied cells")
+        rates = p[occupied] / n[occupied]
         per_part.append((dict(part.provenance), float(np.var(rates))))
-        mean_rate = rates.mean()
         idx = np.flatnonzero(occupied)
-        contrib = (rates - mean_rate) ** 2
+        contrib = (rates - rates.mean()) ** 2
         # Only a partitioning's own top-k can reach the global top-k.
         order = np.argsort(-contrib, kind="stable")[:top_k]
         contributors.extend(
             Contribution(
-                region=part.regions[int(idx[j])],
+                region=plan.region(lo + int(idx[j])),
                 counts=RegionCounts(int(n[idx[j]]), int(p[idx[j]])),
                 local_rate=float(rates[j]),
                 contribution=float(contrib[j]),
             )
             for j in order
         )
+        lo = hi
     contributors.sort(key=lambda c: -c.contribution)
     return MeanVarReport(
         mean_var=float(np.mean([v for _, v in per_part])),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .likelihood import Direction, ScoredRegion, llr_vector
+from .likelihood import Direction, ScanResult, ScoredRegion, llr_vector
 from .index import SpatialIndex
 from .scanner import as_scanner
 
@@ -85,9 +85,9 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
             f"rho must be strictly between 0 and 1, got {rho}; a degenerate "
             "rate makes every simulated world identical"
         )
-    scanner = as_scanner(ix, regions)
+    plan = as_scanner(ix, regions)
     n_obs = ix.N
-    n_vec = scanner.n
+    n_vec = plan.n
     seeds = _world_seeds(seed, num_worlds)
     values = np.zeros(num_worlds, dtype=np.float64)
 
@@ -96,7 +96,7 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
             rng = np.random.default_rng(seeds[i])
             labels = (rng.random(n_obs) < rho).astype(np.int8)
             p_world = int(labels.sum())
-            p_vec = scanner.positives(labels)
+            p_vec = plan.positives(labels)
             llr = llr_vector(n_vec, p_vec, n_obs, p_world, direction)
             values[i] = llr.max() if len(llr) else 0.0
 
@@ -149,7 +149,7 @@ def critical_value(dist: MaxStatDistribution, alpha: float) -> float:
     return float(dist.values[m - 1])
 
 
-def significant_regions(scored: list[ScoredRegion], cutoff: float,
+def significant_regions(scored: ScanResult, cutoff: float,
                         dist: MaxStatDistribution | None = None
                         ) -> list[ScoredRegion]:
     """Non-empty regions scoring strictly above the cutoff, best first.
@@ -158,8 +158,9 @@ def significant_regions(scored: list[ScoredRegion], cutoff: float,
     given, each surviving region is annotated with the p-value its own
     score would earn as a global max.
     """
-    keep = [s for s in scored if s.counts.n > 0 and s.llr > cutoff]
-    keep.sort(key=lambda s: -s.llr)
+    keep = np.flatnonzero((scored.n > 0) & (scored.llr > cutoff))
+    keep = keep[np.argsort(-scored.llr[keep], kind="stable")]
+    out = [scored[i] for i in keep]
     if dist is not None:
-        keep = [replace(s, p_value=global_p_value(s.llr, dist)) for s in keep]
-    return keep
+        out = [replace(s, p_value=global_p_value(s.llr, dist)) for s in out]
+    return out

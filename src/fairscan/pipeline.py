@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import Dataset, MeasureMode, load_dataset
 from .geometry import Region, regions_overlap
-from .index import SpatialIndex, build_index
+from .index import build_index
 from .likelihood import Direction, ScoredRegion, scan_regions
 from .meanvar import MeanVarReport, mean_var
 from .montecarlo import (
@@ -32,14 +32,13 @@ from .montecarlo import (
 from .regions import (
     DEFAULT_MAX_SPLITS,
     DEFAULT_MIN_SPLITS,
-    Partitioning,
     kmeans_centers,
     load_region_families,
     random_partitionings,
     regular_grid,
     square_scan_set,
 )
-from .scanner import CompositeScanner, as_scanner
+from .scanner import as_scanner
 
 
 @dataclass
@@ -187,32 +186,21 @@ def _derive_seeds(seed: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
-def build_family(d: Dataset, ix: SpatialIndex, cfg: AuditConfig):
-    """Materialize the configured region family against this dataset.
-
-    Returns (scanner, partitionings); partitionings is empty for square or
-    plain-region families.
-    """
+def build_family(d: Dataset, cfg: AuditConfig) -> list:
+    """Materialize the configured region family against this dataset."""
     spec = cfg.family_spec()
     region_seed, _ = _derive_seeds(cfg.seed)
     if spec["kind"] == "grid":
-        parts = [regular_grid(d.bbox, *cfg.grid)]
-        return as_scanner(ix, parts), parts
+        return [regular_grid(d.bbox, *cfg.grid)]
     if spec["kind"] == "random_partitionings":
-        parts = random_partitionings(
+        return random_partitionings(
             d.bbox, cfg.random_parts, cfg.splits[0], cfg.splits[1],
             seed=region_seed,
         )
-        return as_scanner(ix, parts), parts
     if spec["kind"] == "squares":
         centers = kmeans_centers(d, cfg.squares_centers, seed=region_seed)
-        squares = square_scan_set(centers, cfg.sides)
-        return as_scanner(ix, squares), []
-    families = load_region_families(cfg.regions_file)
-    scanners = [as_scanner(ix, fam if isinstance(fam, Partitioning) else fam)
-                for fam in families]
-    parts = [fam for fam in families if isinstance(fam, Partitioning)]
-    return CompositeScanner(scanners), parts
+        return square_scan_set(centers, cfg.sides)
+    return load_region_families(cfg.regions_file)
 
 
 def _degenerate_distribution(cfg: AuditConfig) -> MaxStatDistribution:
@@ -237,18 +225,20 @@ def run_audit(d: Dataset, cfg: AuditConfig,
     timings["index_s"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    scanner, _ = build_family(d, ix, cfg)
+    plan = as_scanner(ix, build_family(d, cfg))
     timings["regions_s"] = time.perf_counter() - t1
+    if len(plan.n) == 0:
+        raise ValueError("the region family holds no candidate regions")
 
     t2 = time.perf_counter()
-    scored, tau_log = scan_regions(ix, scanner, cfg.direction)
+    scored, tau_log = scan_regions(ix, plan, cfg.direction)
     timings["scan_s"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()
     _, sim_seed = _derive_seeds(cfg.seed)
     if 0.0 < d.rho < 1.0:
         dist = simulate_worlds(
-            ix, scanner, d.rho, cfg.num_worlds - 1, seed=sim_seed,
+            ix, plan, d.rho, cfg.num_worlds - 1, seed=sim_seed,
             direction=cfg.direction, threads=threads,
         )
     else:
@@ -374,24 +364,11 @@ def export_meanvar(report: MeanVarReport, config: dict, out_dir: str) -> str:
     return path
 
 
-def meanvar_partitionings(d: Dataset, cfg: AuditConfig) -> list[Partitioning]:
-    """The partitioning family for a MeanVar run (grid or random only)."""
-    spec = cfg.family_spec()
-    region_seed, _ = _derive_seeds(cfg.seed)
-    if spec["kind"] == "grid":
-        return [regular_grid(d.bbox, *cfg.grid)]
-    if spec["kind"] == "random_partitionings":
-        return random_partitionings(
-            d.bbox, cfg.random_parts, cfg.splits[0], cfg.splits[1],
-            seed=region_seed,
-        )
-    raise ValueError(
-        "MeanVar needs a partitioning family (grid or random partitionings)"
-    )
-
-
 def run_meanvar(d: Dataset, cfg: AuditConfig, top_k: int = 50
                 ) -> MeanVarReport:
+    if cfg.family_spec()["kind"] not in ("grid", "random_partitionings"):
+        raise ValueError(
+            "MeanVar needs a partitioning family (grid or random partitionings)"
+        )
     ix = build_index(d, cfg.resolution)
-    parts = meanvar_partitionings(d, cfg)
-    return mean_var(ix, parts, top_k=top_k)
+    return mean_var(ix, build_family(d, cfg), top_k=top_k)

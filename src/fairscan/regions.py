@@ -22,34 +22,38 @@ class Partitioning:
     """A grid of disjoint rectangles covering a bounding box.
 
     xbounds/ybounds are the sorted cell boundaries including both outer
-    edges; regions holds the (len(xbounds)-1) * (len(ybounds)-1) cells in
-    row-major order (y outer, x inner), matching cell index iy*ncols + ix.
+    edges. Its (len(xbounds)-1) * (len(ybounds)-1) cells are numbered in
+    row-major order (y outer, x inner): cell iy*ncols + ix.
     """
 
-    regions: tuple[Region, ...]
     xbounds: np.ndarray
     ybounds: np.ndarray
     provenance: Mapping[str, object] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for axis in ("xbounds", "ybounds"):
+            b = np.asarray(getattr(self, axis), dtype=np.float64)
+            if b.ndim != 1 or len(b) < 2:
+                raise ValueError(f"partitioning {axis} needs at least 2 bounds")
+            if not (b[:-1] <= b[1:]).all():
+                raise ValueError(
+                    f"partitioning {axis} must be sorted ascending, without NaN"
+                )
+            object.__setattr__(self, axis, b)
+        object.__setattr__(self, "provenance", dict(self.provenance))
+
     def __len__(self) -> int:
-        return len(self.regions)
+        return (len(self.xbounds) - 1) * (len(self.ybounds) - 1)
 
-
-def _grid_partitioning(xbounds: np.ndarray, ybounds: np.ndarray,
-                       provenance: Mapping[str, object]) -> Partitioning:
-    cells = []
-    for iy in range(len(ybounds) - 1):
-        for ix in range(len(xbounds) - 1):
-            cells.append(Region(
-                float(xbounds[ix]), float(ybounds[iy]),
-                float(xbounds[ix + 1]), float(ybounds[iy + 1]),
-            ))
-    return Partitioning(
-        regions=tuple(cells),
-        xbounds=np.asarray(xbounds, dtype=np.float64),
-        ybounds=np.asarray(ybounds, dtype=np.float64),
-        provenance=dict(provenance),
-    )
+    def cell_bounds(self) -> np.ndarray:
+        """(cells, 4) array of each cell's xmin, ymin, xmax, ymax."""
+        xb, yb = self.xbounds, self.ybounds
+        out = np.empty((len(yb) - 1, len(xb) - 1, 4), dtype=np.float64)
+        out[..., 0] = xb[:-1]
+        out[..., 1] = yb[:-1, None]
+        out[..., 2] = xb[1:]
+        out[..., 3] = yb[1:, None]
+        return out.reshape(-1, 4)
 
 
 def regular_grid(bbox: Region, mx: int, my: int) -> Partitioning:
@@ -62,7 +66,7 @@ def regular_grid(bbox: Region, mx: int, my: int) -> Partitioning:
         raise ValueError("bbox has zero height; a grid with my > 1 is degenerate")
     xb = np.linspace(bbox.xmin, bbox.xmax, mx + 1)
     yb = np.linspace(bbox.ymin, bbox.ymax, my + 1)
-    return _grid_partitioning(xb, yb, {"kind": "regular", "mx": mx, "my": my})
+    return Partitioning(xb, yb, {"kind": "regular", "mx": mx, "my": my})
 
 
 def random_partitionings(bbox: Region, count: int,
@@ -95,7 +99,7 @@ def random_partitionings(bbox: Region, count: int,
         ysplits = np.sort(rng.uniform(bbox.ymin, bbox.ymax, size=v))
         xb = np.concatenate(([bbox.xmin], xsplits, [bbox.xmax]))
         yb = np.concatenate(([bbox.ymin], ysplits, [bbox.ymax]))
-        parts.append(_grid_partitioning(
+        parts.append(Partitioning(
             xb, yb,
             {"kind": "random", "seed": seed, "index": i, "h": h, "v": v},
         ))
@@ -205,7 +209,7 @@ def save_region_families(path: str, families: Iterable) -> None:
                 "provenance": dict(fam.provenance),
                 "xbounds": [float(v) for v in fam.xbounds],
                 "ybounds": [float(v) for v in fam.ybounds],
-                "regions": [list(r.bounds()) for r in fam.regions],
+                "regions": fam.cell_bounds().tolist(),
             })
         else:
             doc_families.append({
@@ -223,27 +227,59 @@ def save_region_families(path: str, families: Iterable) -> None:
         fh.write("\n")
 
 
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _list(obj: Mapping, key: str, where: str) -> list:
+    value = obj.get(key)
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: {key} must be a list, got {value!r}")
+    return value
+
+
+def _load_family(fam, where: str):
+    if not isinstance(fam, dict) or "kind" not in fam:
+        raise ValueError(f"{where}: expected an object with a 'kind'")
+    if fam["kind"] == "partitioning":
+        provenance = fam.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise ValueError(f"{where}: provenance must be an object")
+        xb, yb = ([_number(v, f"{where}: {axis}")
+                   for v in _list(fam, axis, where)]
+                  for axis in ("xbounds", "ybounds"))
+        try:
+            return Partitioning(xb, yb, provenance)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    if fam["kind"] == "regions":
+        out = []
+        for i, r in enumerate(_list(fam, "regions", where)):
+            at = f"{where} region {i}"
+            if not isinstance(r, dict):
+                raise ValueError(f"{at}: expected an object")
+            center_id = r.get("center_id")
+            if center_id is not None and not isinstance(center_id, str):
+                raise ValueError(f"{at}: center_id must be a string or null")
+            bounds = [_number(r.get(k), f"{at}: {k}")
+                      for k in ("xmin", "ymin", "xmax", "ymax")]
+            try:
+                out.append(Region(*bounds, center_id=center_id))
+            except ValueError as exc:
+                raise ValueError(f"{at}: {exc}") from None
+        return out
+    raise ValueError(f"unknown region family kind: {fam['kind']!r}")
+
+
 def load_region_families(path: str) -> list:
-    """Inverse of save_region_families."""
+    """Inverse of save_region_families; malformed files raise ValueError."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("region file must hold a JSON object")
     if doc.get("schema") != 1:
         raise ValueError(f"unsupported region file schema: {doc.get('schema')!r}")
-    out = []
-    for fam in doc["families"]:
-        if fam["kind"] == "partitioning":
-            part = _grid_partitioning(
-                np.asarray(fam["xbounds"], dtype=np.float64),
-                np.asarray(fam["ybounds"], dtype=np.float64),
-                fam.get("provenance", {}),
-            )
-            out.append(part)
-        elif fam["kind"] == "regions":
-            out.append([
-                Region(r["xmin"], r["ymin"], r["xmax"], r["ymax"],
-                       center_id=r.get("center_id"))
-                for r in fam["regions"]
-            ])
-        else:
-            raise ValueError(f"unknown region family kind: {fam['kind']!r}")
-    return out
+    return [_load_family(fam, f"region family {i}")
+            for i, fam in enumerate(_list(doc, "families", "region file"))]

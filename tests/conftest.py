@@ -19,6 +19,11 @@ def make_dataset(lons, lats, outcomes, labels=None) -> Dataset:
     return Dataset.from_observations(obs)
 
 
+def cell_regions(part) -> list[Region]:
+    """A partitioning's cells as Regions, in cell order."""
+    return [Region(*b) for b in part.cell_bounds().tolist()]
+
+
 def random_dataset(rng, n: int, rect: Region | None = None,
                    duplicates: bool = False) -> Dataset:
     """Uniform points with Bernoulli(1/2) outcomes, optionally duplicated."""

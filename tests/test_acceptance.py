@@ -33,7 +33,7 @@ from fairscan.synth import (
     gen_uniform_split,
 )
 
-from conftest import make_dataset, random_dataset
+from conftest import cell_regions, make_dataset, random_dataset
 from oracles import oracle_llr, oracle_region_counts, random_valid_tuple
 
 
@@ -194,8 +194,8 @@ def test_criterion_8_invariant_suites(tmp_path):
 
     # Partitioning disjoint-cover conservation.
     for part in random_partitionings(d.bbox, 10, 2, 9, seed=99):
-        total_n = sum(range_count(ix, c).n for c in part.regions)
-        total_p = sum(range_count(ix, c).p for c in part.regions)
+        total_n = sum(range_count(ix, c).n for c in cell_regions(part))
+        total_p = sum(range_count(ix, c).p for c in cell_regions(part))
         assert (total_n, total_p) == (d.N, d.P)
 
     # End-to-end seeded determinism: byte-identical exports, and

@@ -236,6 +236,15 @@ class TestAuditConfigFile:
         assert "wrlds" in err
 
 
+    def test_config_must_be_object(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1, 2]")
+        code, _, err = run(capsys, "audit", "--config", str(cfg_path))
+        assert code == 1
+        assert err.startswith("error: config file must hold a JSON object")
+        assert "Traceback" not in err
+
+
 class TestMeanVar:
     def test_meanvar_line(self, capsys, unfair_csv):
         code, lines, _ = run(capsys, "meanvar", "--data", unfair_csv,
@@ -320,6 +329,58 @@ class TestRegions:
                            "--out", str(tmp_path / "x.json"))
         assert code == 1
         assert "--data or --bbox" in err
+
+
+BAD_REGION_FILES = {
+    "top-level list": [1, 2],
+    "family without kind": {"schema": 1, "families": [{"regions": []}]},
+    "families not a list": {"schema": 1, "families": {"kind": "regions"}},
+    "rectangle missing ymin": {"schema": 1, "families": [{
+        "kind": "regions",
+        "regions": [{"xmin": 0.0, "xmax": 1.0, "ymax": 1.0}]}]},
+    "rectangle not an object": {"schema": 1, "families": [{
+        "kind": "regions", "regions": [[0.0, 0.0, 1.0, 1.0]]}]},
+    "string bounds": {"schema": 1, "families": [{
+        "kind": "regions",
+        "regions": [{"xmin": "0", "ymin": 0, "xmax": 1, "ymax": 1}]}]},
+    "NaN rectangle bound": {"schema": 1, "families": [{
+        "kind": "regions",
+        "regions": [{"xmin": float("nan"), "ymin": 0, "xmax": 1,
+                     "ymax": 1}]}]},
+    "inverted rectangle": {"schema": 1, "families": [{
+        "kind": "regions",
+        "regions": [{"xmin": 1, "ymin": 0, "xmax": 0, "ymax": 1}]}]},
+    "list center_id": {"schema": 1, "families": [{
+        "kind": "regions",
+        "regions": [{"xmin": 0, "ymin": 0, "xmax": 1, "ymax": 1,
+                     "center_id": ["c0"]}]}]},
+    "partitioning without ybounds": {"schema": 1, "families": [{
+        "kind": "partitioning", "xbounds": [0.0, 1.0]}]},
+    "string partitioning bound": {"schema": 1, "families": [{
+        "kind": "partitioning", "xbounds": [0.0, "1"],
+        "ybounds": [0.0, 1.0]}]},
+    "unsorted partitioning bounds": {"schema": 1, "families": [{
+        "kind": "partitioning", "xbounds": [0.0, 1.0, 0.5],
+        "ybounds": [0.0, 1.0]}]},
+    "NaN partitioning bound": {"schema": 1, "families": [{
+        "kind": "partitioning", "xbounds": [0.0, float("nan"), 1.0],
+        "ybounds": [0.0, 1.0]}]},
+    "one partitioning bound": {"schema": 1, "families": [{
+        "kind": "partitioning", "xbounds": [0.0], "ybounds": [0.0, 1.0]}]},
+}
+
+
+class TestBadRegionFiles:
+    @pytest.mark.parametrize("name", sorted(BAD_REGION_FILES))
+    def test_error_not_traceback(self, capsys, unfair_csv, tmp_path, name):
+        path = tmp_path / "regions.json"
+        path.write_text(json.dumps(BAD_REGION_FILES[name]))
+        code, _, err = run(capsys, "audit", "--data", unfair_csv,
+                           "--regions-file", str(path), "--worlds", "99",
+                           "--alpha", "0.05")
+        assert code == 1
+        assert re.match(r"error: region (file|family)", err), err
+        assert "Traceback" not in err
 
 
 class TestHelp:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fairscan import Dataset, DatasetError, MeasureMode, global_rate, load_dataset, write_csv
+from fairscan import Dataset, DatasetError, MeasureMode, load_dataset, write_csv
 from fairscan.dataset import Observation, apply_measure_mode, read_rows
 
 from conftest import make_dataset
@@ -120,7 +120,7 @@ class TestLoadDataset:
                        "d,3,0,1,0\ne,4,0,0,0\n")
         d = load_dataset(p, MeasureMode.EQUAL_OPPORTUNITY)
         assert d.N == 3 and d.P == 2
-        assert global_rate(d) == pytest.approx(2 / 3)
+        assert d.rho == pytest.approx(2 / 3)
 
     def test_empty_after_filter(self, tmp_path):
         p = write_text(tmp_path / "d.csv",
@@ -156,9 +156,13 @@ class TestDatasetInvariants:
         with pytest.raises(DatasetError):
             Dataset.from_observations([])
 
+    def test_overflowing_extent_rejected(self):
+        with pytest.raises(DatasetError, match="extent is not finite"):
+            make_dataset([-1e308, 1e308], [0.0, 0.5], [1, 0])
+
     def test_global_rate_zero(self):
         d = make_dataset([0, 1, 2, 3], [0, 0, 0, 0], [0, 0, 0, 0])
-        assert global_rate(d) == 0.0
+        assert d.rho == 0.0
 
     def test_points_shape(self):
         d = make_dataset([0.0, 1.0], [2.0, 3.0], [0, 1])

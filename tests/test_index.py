@@ -3,12 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fairscan import build_index, range_count, with_labels
+from fairscan import CountPlan, build_index, range_count
 from fairscan.geometry import Region
 from fairscan.index import default_resolution
 from fairscan.regions import regular_grid
 
-from conftest import make_dataset, random_dataset, random_region
+from conftest import cell_regions, make_dataset, random_dataset, random_region
 from oracles import oracle_region_counts
 
 
@@ -22,15 +22,18 @@ class TestBuild:
     def test_single_cell_grid(self):
         d = make_dataset(np.arange(10) / 10.0, np.zeros(10), np.ones(10))
         ix = build_index(d, (1, 1))
-        assert ix.cell_counts().sum() == 10
-        assert ix.cell_counts().shape == (1, 1)
+        assert (ix.gx, ix.gy) == (1, 1)
+        assert ix.start.tolist() == [0, 10]
 
     def test_cell_conservation(self):
         rng = np.random.default_rng(0)
         d = random_dataset(rng, 500, duplicates=True)
         ix = build_index(d, (16, 16))
-        assert ix.cell_counts().sum() == d.N
-        assert ix.cell_positives().sum() == d.P
+        assert ((ix.cell_id >= 0) & (ix.cell_id < 16 * 16)).all()
+        assert np.diff(ix.start).sum() == d.N
+        assert np.bincount(ix.cell_id[d.outcomes != 0],
+                           minlength=16 * 16).sum() == d.P
+        assert (np.diff(ix.cell_id[ix.order]) >= 0).all()
 
     def test_default_resolution(self):
         assert default_resolution(100) == 10
@@ -110,64 +113,68 @@ class TestRangeCount:
         d = random_dataset(rng, 250, duplicates=True)
         ix = build_index(d, (9, 9))
         part = regular_grid(d.bbox, 7, 5)
-        counts = [range_count(ix, cell) for cell in part.regions]
+        counts = [range_count(ix, cell) for cell in cell_regions(part)]
         assert sum(c.n for c in counts) == d.N
         assert sum(c.p for c in counts) == d.P
 
 
 class TestWithLabels:
+    """Counting the same regions under labelings other than the observed one."""
+
     def test_identity_relabel(self):
         rng = np.random.default_rng(7)
         d = random_dataset(rng, 150)
         ix = build_index(d, (8, 8))
-        same = with_labels(ix, d.outcomes.copy())
-        for _ in range(40):
-            r = random_region(rng, d.bbox)
-            a, b = range_count(ix, r), range_count(same, r)
-            assert (a.n, a.p) == (b.n, b.p)
+        regions = [random_region(rng, d.bbox) for _ in range(40)]
+        plan = CountPlan(ix, regions)
+        p = plan.positives(d.outcomes.copy())
+        for i, r in enumerate(regions):
+            rc = range_count(ix, r)
+            assert (plan.n[i], p[i]) == (rc.n, rc.p)
 
     def test_zero_relabel(self):
         rng = np.random.default_rng(8)
         d = random_dataset(rng, 150)
         ix = build_index(d, (8, 8))
-        zeroed = with_labels(ix, np.zeros(d.N, dtype=np.int8))
-        assert zeroed.P == 0
-        for _ in range(40):
-            r = random_region(rng, d.bbox)
-            a, b = range_count(ix, r), range_count(zeroed, r)
-            assert a.n == b.n and b.p == 0
+        regions = [random_region(rng, d.bbox) for _ in range(40)]
+        plan = CountPlan(ix, regions)
+        zeroed = plan.positives(np.zeros(d.N, dtype=np.int8))
+        for i, r in enumerate(regions):
+            assert plan.n[i] == range_count(ix, r).n and zeroed[i] == 0
 
     def test_random_relabel_matches_bruteforce(self):
         rng = np.random.default_rng(9)
         d = random_dataset(rng, 200, duplicates=True)
         ix = build_index(d, (11, 4))
         labels = rng.integers(0, 2, size=d.N)
-        view = with_labels(ix, labels)
-        assert view.P == int(labels.sum())
-        for _ in range(100):
-            r = random_region(rng, d.bbox, snap_points=(d.lons, d.lats))
-            got = range_count(view, r)
-            n, p = oracle_region_counts(r, d.lons, d.lats, labels, d.bbox)
-            assert (got.n, got.p) == (n, p)
+        regions = [random_region(rng, d.bbox, snap_points=(d.lons, d.lats))
+                   for _ in range(100)]
+        plan = CountPlan(ix, regions)
+        p = plan.positives(labels)
+        for i, r in enumerate(regions):
+            n, want_p = oracle_region_counts(r, d.lons, d.lats, labels,
+                                             d.bbox)
+            assert (plan.n[i], p[i]) == (n, want_p)
 
     def test_original_index_unchanged(self):
         rng = np.random.default_rng(10)
         d = random_dataset(rng, 80)
         ix = build_index(d)
-        p_before = ix.P
-        with_labels(ix, np.zeros(d.N, dtype=np.int8))
+        p_before, labels_before = ix.P, ix.labels.copy()
+        CountPlan(ix, [d.bbox]).positives(np.zeros(d.N, dtype=np.int8))
         assert ix.P == p_before
+        assert np.array_equal(ix.labels, labels_before)
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(11)
         d = random_dataset(rng, 30)
         ix = build_index(d)
         with pytest.raises(ValueError, match="shape"):
-            with_labels(ix, np.zeros(29, dtype=np.int8))
+            CountPlan(ix, [d.bbox]).positives(np.zeros(29, dtype=np.int8))
 
     def test_non_binary_rejected(self):
         rng = np.random.default_rng(12)
         d = random_dataset(rng, 30)
         ix = build_index(d)
         with pytest.raises(ValueError, match="binary"):
-            with_labels(ix, np.full(30, 2))
+            CountPlan(ix, [d.bbox]).positives(np.full(30, 2))

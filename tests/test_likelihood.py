@@ -14,7 +14,7 @@ from fairscan.likelihood import (
     log_lik_null_max,
 )
 from fairscan.geometry import Region
-from fairscan.index import range_count
+from fairscan.scanner import range_count
 from fairscan.regions import regular_grid
 from fairscan import synth
 
@@ -241,4 +241,4 @@ class TestScanRegions:
 
     def test_empty_candidate_list(self, split400_index):
         scored, tau = scan_regions(split400_index, [])
-        assert scored == [] and tau == 0.0
+        assert len(scored) == 0 and tau == 0.0

@@ -5,16 +5,21 @@ import statistics
 import numpy as np
 import pytest
 
-from fairscan import build_index
-from fairscan.index import with_labels
-from fairscan.meanvar import (
-    mean_var,
-    partitioning_variance,
-    top_contributions,
-)
+from fairscan import build_index, range_count
+from fairscan.meanvar import mean_var
 from fairscan.regions import random_partitionings, regular_grid
 
-from conftest import make_dataset, random_dataset
+from conftest import cell_regions, make_dataset, random_dataset
+
+
+def partitioning_variance(ix, part):
+    """One partitioning's variance, as mean_var reports it."""
+    return mean_var(ix, [part]).per_partitioning[0][1]
+
+
+def top_contributions(ix, part, k):
+    """One partitioning's k strongest cells, as mean_var ranks them."""
+    return list(mean_var(ix, [part], top_k=k).top_contributors)
 
 
 def split_dataset(n_left, p_left, n_right, p_right):
@@ -64,8 +69,7 @@ class TestPartitioningVariance:
         # Columns [0,0.5) and [1.5,2] hold the points.
         got = partitioning_variance(ix, part)
         rates = []
-        from fairscan import range_count
-        for cell in part.regions:
+        for cell in cell_regions(part):
             rc = range_count(ix, cell)
             if rc.n:
                 rates.append(rc.p / rc.n)
@@ -76,10 +80,9 @@ class TestPartitioningVariance:
         rng = np.random.default_rng(62)
         d = random_dataset(rng, 400, duplicates=True)
         ix = build_index(d)
-        from fairscan import range_count
         for part in random_partitionings(d.bbox, 5, 2, 6, seed=63):
             rates = []
-            for cell in part.regions:
+            for cell in cell_regions(part):
                 rc = range_count(ix, cell)
                 if rc.n:
                     rates.append(rc.p / rc.n)
@@ -96,8 +99,6 @@ class TestPartitioningVariance:
         part = regular_grid(d.bbox, 4, 4)
         base = partitioning_variance(ix, part)
 
-        from fairscan.scanner import PartitionScanner
-        sc = PartitionScanner(ix, [part])
         # Shuffle labels inside each cell.
         xs, ys = d.lons, d.lats
         xb = np.asarray(part.xbounds)
@@ -108,7 +109,7 @@ class TestPartitioningVariance:
         for c in np.unique(cell_of):
             mask = np.flatnonzero(cell_of == c)
             labels[mask] = labels[rng.permutation(mask)]
-        view = with_labels(ix, labels)
+        view = build_index(make_dataset(xs, ys, labels))
         assert partitioning_variance(view, part) == base
 
 

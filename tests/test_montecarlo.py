@@ -5,8 +5,7 @@ import pytest
 
 from fairscan import build_index
 from fairscan.geometry import Region
-from fairscan.index import RegionCounts
-from fairscan.likelihood import Direction, ScoredRegion
+from fairscan.likelihood import Direction, ScanResult
 from fairscan.montecarlo import (
     MaxStatDistribution,
     critical_value,
@@ -162,35 +161,38 @@ class TestCriticalValue:
             assert global_p_value(cut - 1e-9, d) > alpha
 
 
-def scored(llr, n=10, p=5, cx=0.0):
-    return ScoredRegion(
-        region=Region(cx, 0.0, cx + 1.0, 1.0),
-        counts=RegionCounts(n, p),
-        local_rate=p / n if n else 0.0,
-        llr=llr,
-    )
+def scored(*items):
+    """A ScanResult of (llr, n, p, cx) candidates, unit squares at x=cx."""
+    llr, n, p, cx = (np.array(col) for col in zip(*items))
+    bounds = np.column_stack((cx, np.zeros(len(cx)), cx + 1.0,
+                              np.ones(len(cx)))).astype(np.float64)
+    return ScanResult(bounds, [None] * len(cx), n, p,
+                      llr.astype(np.float64))
+
+
+def item(llr, n=10, p=5, cx=0.0):
+    return (llr, n, p, cx)
 
 
 class TestSignificantRegions:
     def test_strictly_above_cutoff(self):
-        items = [scored(1.0), scored(2.0), scored(3.0)]
+        items = scored(item(1.0), item(2.0), item(3.0))
         out = significant_regions(items, 2.0)
         assert [s.llr for s in out] == [3.0]
 
     def test_sorted_descending(self):
-        items = [scored(1.5, cx=0), scored(4.0, cx=2), scored(2.5, cx=4)]
+        items = scored(item(1.5, cx=0), item(4.0, cx=2), item(2.5, cx=4))
         out = significant_regions(items, 1.0)
         assert [s.llr for s in out] == [4.0, 2.5, 1.5]
 
     def test_empty_regions_excluded(self):
-        items = [scored(5.0, n=0, p=0), scored(3.0)]
+        items = scored(item(5.0, n=0, p=0), item(3.0))
         out = significant_regions(items, 1.0)
         assert [s.llr for s in out] == [3.0]
 
     def test_stable_tie_order(self):
-        a = scored(2.0, cx=0.0)
-        b = scored(2.0, cx=5.0)
-        out = significant_regions([a, b], 1.0)
+        out = significant_regions(
+            scored(item(2.0, cx=0.0), item(2.0, cx=5.0)), 1.0)
         assert out[0].region.xmin == 0.0
         assert out[1].region.xmin == 5.0
 
@@ -198,17 +200,23 @@ class TestSignificantRegions:
         values = np.asarray([5.0, 4.0, 3.0, 2.0], dtype=np.float64)
         dist = MaxStatDistribution(values=values, w=5, seed=0,
                                    direction=Direction.TWO_SIDED)
-        out = significant_regions([scored(4.5)], 0.0, dist)
+        out = significant_regions(scored(item(4.5)), 0.0, dist)
         assert out[0].p_value == pytest.approx(2 / 5)
 
     def test_no_annotation_without_dist(self):
-        out = significant_regions([scored(4.5)], 0.0)
+        out = significant_regions(scored(item(4.5)), 0.0)
         assert out[0].p_value is None
 
     def test_negative_cutoff_keeps_all_nonempty(self):
-        items = [scored(0.0), scored(1.0), scored(2.0, n=0, p=0)]
+        items = scored(item(0.0), item(1.0), item(2.0, n=0, p=0))
         out = significant_regions(items, -1.0)
         assert len(out) == 2
+
+    def test_evidence_fields(self):
+        out = significant_regions(scored(item(3.0, n=8, p=6, cx=2.0)), 0.0)
+        assert out[0].region == Region(2.0, 0.0, 3.0, 1.0)
+        assert (out[0].counts.n, out[0].counts.p) == (8, 6)
+        assert out[0].local_rate == 0.75
 
 
 class TestDistributionSerialization:

@@ -16,9 +16,9 @@ from fairscan.montecarlo import (
 from fairscan.pipeline import (
     AuditConfig,
     audit,
+    build_family,
     export_meanvar,
     export_report,
-    meanvar_partitionings,
     run_audit,
     run_meanvar,
     select_non_overlapping,
@@ -323,10 +323,28 @@ class TestExports:
         assert docs[0] == docs[1]
 
 
+class TestEmptyCandidateSet:
+    @pytest.mark.parametrize("families", [[], [[]]])
+    def test_empty_regions_file(self, tmp_path, families):
+        path = str(tmp_path / "regions.json")
+        save_region_families(path, families)
+        d = gen_uniform_split(200, seed=96)
+        cfg = AuditConfig(regions_file=path, num_worlds=100, alpha=0.05)
+        with pytest.raises(ValueError, match="no candidate regions"):
+            run_audit(d, cfg)
+
+    def test_squares_without_sides(self):
+        d = gen_uniform_split(200, seed=97)
+        cfg = AuditConfig(squares_centers=3, sides=(), num_worlds=100,
+                          alpha=0.05)
+        with pytest.raises(ValueError, match="no candidate regions"):
+            run_audit(d, cfg)
+
+
 class TestMeanVarPipeline:
     def test_partitionings_match_family(self):
         d = gen_uniform_split(400, seed=91)
-        parts = meanvar_partitionings(d, fast_cfg(seed=9))
+        parts = build_family(d, fast_cfg(seed=9))
         assert len(parts) == 10
 
     def test_run_meanvar_grid(self):

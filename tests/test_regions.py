@@ -18,7 +18,7 @@ from fairscan.regions import (
     square_scan_set,
 )
 
-from conftest import random_dataset
+from conftest import cell_regions, random_dataset
 
 UNIT = Region(0.0, 0.0, 1.0, 1.0)
 
@@ -30,21 +30,23 @@ class TestRegularGrid:
         assert part.xbounds.tolist() == [0.0, 0.5, 1.0]
         assert part.ybounds.tolist() == [0.0, 0.5, 1.0]
         # Row-major: iy * ncols + ix.
-        assert part.regions[0] == Region(0.0, 0.0, 0.5, 0.5)
-        assert part.regions[1] == Region(0.5, 0.0, 1.0, 0.5)
-        assert part.regions[2] == Region(0.0, 0.5, 0.5, 1.0)
-        assert part.regions[3] == Region(0.5, 0.5, 1.0, 1.0)
+        cells = cell_regions(part)
+        assert cells[0] == Region(0.0, 0.0, 0.5, 0.5)
+        assert cells[1] == Region(0.5, 0.0, 1.0, 0.5)
+        assert cells[2] == Region(0.0, 0.5, 0.5, 1.0)
+        assert cells[3] == Region(0.5, 0.5, 1.0, 1.0)
 
     def test_large_grid_count(self):
         assert len(regular_grid(UNIT, 100, 50)) == 5000
 
     def test_1x1_is_bbox(self):
         part = regular_grid(UNIT, 1, 1)
-        assert part.regions == (UNIT,)
+        assert cell_regions(part) == [UNIT]
 
     def test_cells_tile_without_overlap(self):
         part = regular_grid(UNIT, 3, 4)
-        cells = part.regions
+        cells = cell_regions(part)
+        assert len(cells) == len(part) == 12
         assert abs(sum(c.area for c in cells) - UNIT.area) < 1e-12
         for i in range(len(cells)):
             for j in range(i + 1, len(cells)):
@@ -74,7 +76,7 @@ class TestPartitioningCounts:
             total_n = 0
             total_p = 0
             from fairscan import range_count
-            for cell in part.regions:
+            for cell in cell_regions(part):
                 rc = range_count(ix, cell)
                 total_n += rc.n
                 total_p += rc.p
@@ -219,6 +221,27 @@ class TestSquareScanSet:
             square_scan_set(np.array([[0.0, 0.0]]), side_lengths=(-1.0,))
 
 
+class TestPartitioningBounds:
+    def test_unsorted_rejected(self):
+        with pytest.raises(ValueError, match="sorted"):
+            Partitioning([0.0, 1.0, 0.5], [0.0, 1.0])
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            Partitioning([0.0, 1.0], [0.0, float("nan"), 1.0])
+
+    def test_fewer_than_two_bounds_rejected(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            Partitioning([0.0], [0.0, 1.0])
+
+    def test_cell_bounds_row_major(self):
+        part = Partitioning([0.0, 1.0, 3.0], [0.0, 2.0, 5.0])
+        assert part.cell_bounds().tolist() == [
+            [0.0, 0.0, 1.0, 2.0], [1.0, 0.0, 3.0, 2.0],
+            [0.0, 2.0, 1.0, 5.0], [1.0, 2.0, 3.0, 5.0],
+        ]
+
+
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
         parts = random_partitionings(UNIT, 3, 2, 5, seed=14)
@@ -231,7 +254,7 @@ class TestSaveLoad:
             assert isinstance(back, Partitioning)
             assert back.xbounds.tolist() == orig.xbounds.tolist()
             assert back.ybounds.tolist() == orig.ybounds.tolist()
-            assert back.regions == orig.regions
+            assert np.array_equal(back.cell_bounds(), orig.cell_bounds())
         assert list(loaded[3]) == list(squares)
         assert loaded[3][0].center_id == "c0"
 

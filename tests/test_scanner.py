@@ -5,16 +5,10 @@ import pytest
 
 from fairscan import build_index, range_count
 from fairscan.geometry import Region
-from fairscan.regions import Partitioning, random_partitionings, regular_grid
-from fairscan.regions import _grid_partitioning
-from fairscan.scanner import (
-    CompositeScanner,
-    PartitionScanner,
-    PlannedScanner,
-    as_scanner,
-)
+from fairscan.regions import random_partitionings, regular_grid
+from fairscan.scanner import CountPlan, as_scanner
 
-from conftest import random_dataset, random_region
+from conftest import cell_regions, make_dataset, random_dataset, random_region
 
 
 @pytest.fixture(scope="module")
@@ -33,16 +27,17 @@ def random_labelings(n, count=4, seed=0):
 
 
 class TestPlannedScanner:
+    """The rectangle path: prefix-table corners plus boundary-cell members."""
+
     def test_counts_match_range_count(self, data_and_index):
         d, ix = data_and_index
         rng = np.random.default_rng(21)
         regions = [random_region(rng, d.bbox, snap_points=(d.lons, d.lats))
                    for _ in range(60)]
-        sc = PlannedScanner(ix, regions)
+        sc = CountPlan(ix, regions)
         assert len(sc.n) == 60
         for labels in random_labelings(d.N, seed=1):
-            from fairscan.index import with_labels
-            view = with_labels(ix, labels)
+            view = build_index(make_dataset(d.lons, d.lats, labels), (12, 9))
             p = sc.positives(labels)
             for i, r in enumerate(regions):
                 rc = range_count(view, r)
@@ -51,40 +46,60 @@ class TestPlannedScanner:
 
     def test_region_far_outside_bbox(self, data_and_index):
         d, ix = data_and_index
-        sc = PlannedScanner(ix, [Region(50.0, 50.0, 60.0, 60.0)])
+        sc = CountPlan(ix, [Region(50.0, 50.0, 60.0, 60.0)])
         assert sc.n[0] == 0
         assert sc.positives(d.outcomes)[0] == 0
 
     def test_empty_region_list(self, data_and_index):
         d, ix = data_and_index
-        sc = PlannedScanner(ix, [])
+        sc = CountPlan(ix, [])
         assert len(sc.n) == 0
         assert len(sc.positives(d.outcomes)) == 0
+        assert sc.bounds.shape == (0, 4)
 
     def test_overhanging_square(self, data_and_index):
         d, ix = data_and_index
         big = Region(d.bbox.xmin - 1, d.bbox.ymin - 1,
                      d.bbox.xmax + 1, d.bbox.ymax + 1)
-        sc = PlannedScanner(ix, [big])
+        sc = CountPlan(ix, [big])
         assert sc.n[0] == d.N
         assert sc.positives(d.outcomes)[0] == d.P
 
+    def test_large_rectangles_span_build_batches(self, monkeypatch,
+                                                 data_and_index):
+        # A tiny batch forces the boundary-member build through many
+        # batches, including rectangles larger than one batch.
+        import fairscan.scanner as scanner
+        d, ix = data_and_index
+        rng = np.random.default_rng(22)
+        regions = [random_region(rng, d.bbox, snap_points=(d.lons, d.lats))
+                   for _ in range(40)]
+        whole = CountPlan(ix, regions)
+        monkeypatch.setattr(scanner, "_EDGE_BATCH", 7)
+        batched = CountPlan(ix, regions)
+        assert np.array_equal(whole.n, batched.n)
+        for labels in random_labelings(d.N, seed=3):
+            assert np.array_equal(whole.positives(labels),
+                                  batched.positives(labels))
+
 
 class TestPartitionScanner:
+    """The cell-assignment path for partitionings covering the bbox."""
+
     def test_agrees_with_range_count_per_cell(self, data_and_index):
         d, ix = data_and_index
         parts = random_partitionings(d.bbox, 5, 2, 6, seed=77)
-        sc = PartitionScanner(ix, parts)
-        assert len(sc.regions) == sum(len(p) for p in parts)
+        sc = CountPlan(ix, parts)
+        assert len(sc.n) == sum(len(p) for p in parts)
         p = sc.positives(d.outcomes)
-        for i, r in enumerate(sc.regions):
-            rc = range_count(ix, r)
+        for i in range(len(sc.n)):
+            rc = range_count(ix, sc.region(i))
             assert (sc.n[i], p[i]) == (rc.n, rc.p)
 
     def test_conservation_per_partitioning(self, data_and_index):
         d, ix = data_and_index
         parts = random_partitionings(d.bbox, 4, 3, 8, seed=5)
-        sc = PartitionScanner(ix, parts)
+        sc = CountPlan(ix, parts)
         pos = sc.positives(d.outcomes)
         offset = 0
         for part in parts:
@@ -96,30 +111,22 @@ class TestPartitionScanner:
     def test_agrees_with_planned_scanner(self, data_and_index):
         d, ix = data_and_index
         parts = random_partitionings(d.bbox, 3, 2, 5, seed=13)
-        fast = PartitionScanner(ix, parts)
-        slow = PlannedScanner(ix, [c for p in parts for c in p.regions])
+        fast = CountPlan(ix, parts)
+        slow = CountPlan(ix, [c for p in parts for c in cell_regions(p)])
         assert np.array_equal(fast.n, slow.n)
+        assert np.array_equal(fast.bounds, slow.bounds)
         for labels in random_labelings(d.N, seed=2):
             assert np.array_equal(fast.positives(labels),
                                   slow.positives(labels))
 
     def test_point_exactly_on_inner_bound(self):
-        from conftest import make_dataset
         # Points sitting on the midline must land in the upper cell.
         d = make_dataset([0.0, 0.5, 1.0], [0.0, 0.0, 0.0], [1, 1, 0])
         ix = build_index(d, (4, 1))
         part = regular_grid(d.bbox, 2, 1)
-        sc = PartitionScanner(ix, [part])
+        sc = CountPlan(ix, [part])
         assert sc.n.tolist() == [1, 2]
         assert sc.positives(d.outcomes).tolist() == [1, 1]
-
-    def test_noncovering_partitioning_rejected(self, data_and_index):
-        d, ix = data_and_index
-        half = Region(d.bbox.xmin, d.bbox.ymin,
-                      (d.bbox.xmin + d.bbox.xmax) / 2, d.bbox.ymax)
-        bad = regular_grid(half, 2, 2)
-        with pytest.raises(ValueError, match="cover"):
-            PartitionScanner(ix, [bad])
 
 
 class TestComposite:
@@ -127,39 +134,61 @@ class TestComposite:
         d, ix = data_and_index
         part = regular_grid(d.bbox, 2, 2)
         squares = [Region(0.1, 0.1, 0.4, 0.4), Region(0.5, 0.5, 0.9, 0.9)]
-        comp = CompositeScanner([
-            PartitionScanner(ix, [part]),
-            PlannedScanner(ix, squares),
-        ])
-        assert comp.regions == list(part.regions) + squares
+        comp = CountPlan(ix, [part, squares])
+        regions = [comp.region(i) for i in range(len(comp.n))]
+        assert regions == cell_regions(part) + squares
         p = comp.positives(d.outcomes)
-        assert len(p) == len(comp.regions) == len(comp.n)
-        for i, r in enumerate(comp.regions):
+        assert len(p) == len(regions) == len(comp.n)
+        for i, r in enumerate(regions):
             rc = range_count(ix, r)
             assert (comp.n[i], p[i]) == (rc.n, rc.p)
+
+    def test_interleaved_families_keep_order(self, data_and_index):
+        d, ix = data_and_index
+        grid = regular_grid(d.bbox, 3, 2)
+        half = Region(d.bbox.xmin, d.bbox.ymin,
+                      (d.bbox.xmin + d.bbox.xmax) / 2, d.bbox.ymax)
+        uncovered = regular_grid(half, 2, 2)
+        square = Region(0.2, 0.2, 0.6, 0.7, center_id="c0")
+        family = [square, grid, [square], uncovered, grid]
+        plan = CountPlan(ix, family)
+        want = ([square] + cell_regions(grid) + [square]
+                + cell_regions(uncovered) + cell_regions(grid))
+        assert [plan.region(i) for i in range(len(plan.n))] == want
+        assert plan.center_ids[0] == "c0" and plan.center_ids[1] is None
+        for labels in random_labelings(d.N, seed=4):
+            view = build_index(make_dataset(d.lons, d.lats, labels), (12, 9))
+            p = plan.positives(labels)
+            for i, r in enumerate(want):
+                rc = range_count(view, r)
+                assert (plan.n[i], p[i]) == (rc.n, rc.p)
 
 
 class TestAsScanner:
     def test_passthrough(self, data_and_index):
         d, ix = data_and_index
-        sc = PlannedScanner(ix, [d.bbox])
+        sc = CountPlan(ix, [d.bbox])
         assert as_scanner(ix, sc) is sc
 
     def test_single_partitioning(self, data_and_index):
         d, ix = data_and_index
         sc = as_scanner(ix, regular_grid(d.bbox, 3, 3))
-        assert isinstance(sc, PartitionScanner)
-        assert len(sc.regions) == 9
+        assert isinstance(sc, CountPlan)
+        assert len(sc.n) == 9
+        assert sc.n.sum() == d.N
 
     def test_partitioning_list(self, data_and_index):
         d, ix = data_and_index
-        sc = as_scanner(ix, random_partitionings(d.bbox, 2, 2, 3, seed=1))
-        assert isinstance(sc, PartitionScanner)
+        parts = random_partitionings(d.bbox, 2, 2, 3, seed=1)
+        sc = as_scanner(ix, parts)
+        assert isinstance(sc, CountPlan)
+        assert len(sc.n) == sum(len(p) for p in parts)
 
     def test_plain_regions(self, data_and_index):
         d, ix = data_and_index
         sc = as_scanner(ix, [Region(0, 0, 0.5, 0.5)])
-        assert isinstance(sc, PlannedScanner)
+        assert isinstance(sc, CountPlan)
+        assert sc.n[0] == range_count(ix, Region(0, 0, 0.5, 0.5)).n
 
     def test_noncovering_partitioning_falls_back(self, data_and_index):
         d, ix = data_and_index
@@ -167,8 +196,8 @@ class TestAsScanner:
                       (d.bbox.xmin + d.bbox.xmax) / 2, d.bbox.ymax)
         bad = regular_grid(half, 2, 2)
         sc = as_scanner(ix, [bad])
-        assert isinstance(sc, PlannedScanner)
+        assert isinstance(sc, CountPlan)
         p = sc.positives(d.outcomes)
-        for i, r in enumerate(sc.regions):
+        for i, r in enumerate(cell_regions(bad)):
             rc = range_count(ix, r)
             assert (sc.n[i], p[i]) == (rc.n, rc.p)
