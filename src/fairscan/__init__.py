@@ -15,7 +15,6 @@ from .dataset import (
     Dataset,
     DatasetError,
     MeasureMode,
-    Observation,
     load_dataset,
     write_csv,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "MaxStatDistribution",
     "MeanVarReport",
     "MeasureMode",
-    "Observation",
     "Partitioning",
     "Region",
     "RegionCounts",

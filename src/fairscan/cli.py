@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .dataset import DatasetError, MeasureMode, load_dataset, read_rows, write_csv
+from .dataset import MeasureMode, load_dataset, read_columns, write_csv
 from .geometry import Region
 from .likelihood import Direction
 from .pipeline import (
@@ -323,8 +323,7 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
         # both would tie each label to its own coordinate draw.
         loc_seed, label_seed = _derive_seeds(args.seed)
         if args.locations is not None:
-            rows = read_rows(args.locations)
-            pts = np.array([[o.lon, o.lat] for o in rows])
+            pts = np.column_stack(read_columns(args.locations)[1:3])
             if args.n is not None:
                 if args.n > len(pts):
                     raise ValueError(
@@ -379,8 +378,10 @@ def cmd_regions(args: argparse.Namespace) -> int:
         raise ValueError("--regions-file makes no sense for the regions command")
     if not families:
         raise ValueError("no region family requested")
-    save_region_families(args.out, families)
     total = sum(len(f) for f in families)
+    if not total:
+        raise ValueError("the region family holds no candidate regions")
+    save_region_families(args.out, families)
     print(f"wrote {args.out} families={len(families)} regions={total}")
     return 0
 
@@ -390,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # DatasetError, JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,9 @@
-"""Observation ingestion and outcome-measure filtering.
+"""Dataset ingestion and outcome-measure filtering.
 
-A dataset is an ordered collection of observations, each carrying a planar
-location (decimal degrees treated as plain x/y), the binary outcome under
-audit, and optionally the binary ground-truth label needed by the
-label-conditioned measures.
+A dataset is one array per column, one entry per observation: ``ids``,
+planar locations ``lons``/``lats`` (decimal degrees treated as plain x/y),
+the audited binary ``outcomes`` and the ground-truth ``labels`` that the
+label-conditioned measures need (-1 where missing).
 """
 
 from __future__ import annotations
@@ -12,11 +12,13 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from itertools import islice, repeat
 
 import numpy as np
 
 from .geometry import Region, bounding_box
+
+_ID = np.dtypes.StringDType()  # variable-width strings, no object per row
 
 
 class DatasetError(ValueError):
@@ -38,57 +40,46 @@ class MeasureMode(str, Enum):
 
 
 @dataclass(frozen=True)
-class Observation:
-    id: str
-    lon: float
-    lat: float
-    outcome: int
-    label: int | None = None
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Immutable audited dataset with cached coordinate/outcome arrays."""
+    """Immutable audited dataset: one column per field, one entry per row."""
 
-    observations: tuple[Observation, ...]
+    ids: np.ndarray
     lons: np.ndarray
     lats: np.ndarray
     outcomes: np.ndarray
+    labels: np.ndarray
     N: int
     P: int
     rho: float
     bbox: Region
 
     @classmethod
-    def from_observations(cls, observations: Iterable[Observation]) -> "Dataset":
-        obs = tuple(observations)
-        if not obs:
+    def from_arrays(cls, ids, lons, lats, outcomes, labels=None) -> "Dataset":
+        """Validate and copy the columns; ``labels=None`` means all missing."""
+        ids = np.array(ids, dtype=_ID)
+        lons, lats = np.array(lons, np.float64), np.array(lats, np.float64)
+        outcomes = np.array(outcomes)
+        labels = np.full(ids.shape, -1) if labels is None else np.array(labels)
+        if ids.ndim != 1 or any(c.shape != ids.shape
+                                for c in (lons, lats, outcomes, labels)):
+            raise DatasetError("dataset columns must be 1-D and of equal length")
+        if not len(ids):
             raise DatasetError("dataset is empty")
-        lons = np.array([o.lon for o in obs], dtype=np.float64)
-        lats = np.array([o.lat for o in obs], dtype=np.float64)
-        outcomes = np.array([o.outcome for o in obs], dtype=np.int8)
         if not (np.isfinite(lons).all() and np.isfinite(lats).all()):
             raise DatasetError("non-finite coordinate in dataset")
-        bad = (outcomes != 0) & (outcomes != 1)
-        if bad.any():
+        if not np.isin(outcomes, (0, 1)).all():
             raise DatasetError("outcome values must be 0 or 1")
+        if not np.isin(labels, (-1, 0, 1)).all():
+            raise DatasetError("label values must be 0, 1 or -1 (missing)")
         bbox = bounding_box(lons, lats)
         if not (math.isfinite(bbox.width) and math.isfinite(bbox.height)):
             raise DatasetError(
                 f"coordinate extent is not finite: bounding box {bbox.bounds()}"
             )
-        n = len(obs)
-        p = int(outcomes.sum())
-        return cls(
-            observations=obs,
-            lons=lons,
-            lats=lats,
-            outcomes=outcomes,
-            N=n,
-            P=p,
-            rho=p / n,
-            bbox=bbox,
-        )
+        outcomes, labels = outcomes.astype(np.int8), labels.astype(np.int8)
+        n, p = len(ids), int(outcomes.sum())
+        return cls(ids, lons, lats, outcomes, labels, N=n, P=p, rho=p / n,
+                   bbox=bbox)
 
     @property
     def points(self) -> np.ndarray:
@@ -96,56 +87,88 @@ class Dataset:
         return np.column_stack((self.lons, self.lats))
 
 
-def apply_measure_mode(
-    rows: Sequence[Observation], mode: MeasureMode
-) -> list[Observation]:
-    """Filter rows down to the slice the measure mode audits.
+def apply_measure_mode(ids, labels, mode: MeasureMode) -> np.ndarray:
+    """Boolean mask of the rows the measure mode audits.
 
-    statistical_parity keeps everything. The label-conditioned modes raise
-    if any row is missing its ground-truth label, because silently dropping
-    such rows would bias the conditional rate.
+    statistical_parity keeps every row. The label-conditioned modes raise
+    if any row lacks its ground-truth label (-1), because silently dropping
+    such rows would bias the conditional rate. Raises if no row is kept.
     """
     mode = MeasureMode(mode)
     if mode is MeasureMode.STATISTICAL_PARITY:
-        return list(rows)
-    wanted = 1 if mode is MeasureMode.EQUAL_OPPORTUNITY else 0
-    for i, row in enumerate(rows):
-        if row.label is None:
-            raise DatasetError(
-                f"measure mode {mode.value} needs a label on every row, "
-                f"but row {i} (id={row.id!r}) has none"
-            )
-    return [row for row in rows if row.label == wanted]
+        keep = np.ones(len(labels), dtype=bool)
+    elif (missing := np.flatnonzero(labels < 0)).size:
+        raise DatasetError(
+            f"measure mode {mode.value} needs a label on every row, "
+            f"but row {missing[0]} (id={ids[missing[0]]!r}) has none"
+        )
+    else:
+        keep = labels == (1 if mode is MeasureMode.EQUAL_OPPORTUNITY else 0)
+    if not keep.any():
+        raise DatasetError(
+            f"no rows remain after applying measure mode {mode.value}"
+        )
+    return keep
 
 
 _BASE_HEADER = ["id", "lon", "lat", "outcome"]
+_CHUNK_ROWS = 65_536  # rows parsed per batch; bounds the transient row lists
+_CODES = {"0": 0, "1": 1, "": -1}  # stripped outcome/label text; others read 2
+# The row checks in the order a bad row reports them, after its field count.
+_CHECKS = ((4, "label"), (1, "lon"), (2, "lat"), (3, "outcome"))
 
 
-def _parse_binary(raw: str, column: str, lineno: int) -> int:
-    if raw == "0":
-        return 0
-    if raw == "1":
-        return 1
-    raise DatasetError(f"line {lineno}: {column} must be 0 or 1, got {raw!r}")
+def _codes(column) -> np.ndarray:
+    return np.fromiter(map(_CODES.get, map(str.strip, column), repeat(2)),
+                       dtype=np.int8)
 
 
-def _parse_coord(raw: str, column: str, lineno: int) -> float:
+def _parse_chunk(rows: list[list[str]], width: int):
+    """Columns of non-blank rows, or None if any row fails a check."""
+    if any(len(r) != width for r in rows):
+        return None
+    cols = [[r[i] for r in rows] for i in range(width)]  # faster than zip(*rows)
     try:
-        value = float(raw)
+        lons = np.fromiter(map(float, cols[1]), dtype=np.float64)
+        lats = np.fromiter(map(float, cols[2]), dtype=np.float64)
     except ValueError:
-        raise DatasetError(
-            f"line {lineno}: {column} is not a number: {raw!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise DatasetError(f"line {lineno}: {column} must be finite, got {raw!r}")
-    return value
+        return None
+    outcomes = _codes(cols[3])
+    labels = _codes(cols[4]) if width == 5 else np.full(len(rows), -1, np.int8)
+    if not (np.isfinite(lons).all() and np.isfinite(lats).all()
+            and ((outcomes == 0) | (outcomes == 1)).all()
+            and (labels <= 1).all()):
+        return None
+    return np.array(cols[0], dtype=_ID), lons, lats, outcomes, labels
 
 
-def read_rows(path: str) -> list[Observation]:
-    """Parse a CSV of observations, validating every row.
+def _first_error(chunk: list[list[str]], lineno: int, width: int) -> str:
+    """The message for the first bad row of a chunk starting at line lineno."""
+    for lineno, raw in enumerate(chunk, start=lineno):
+        if not raw:
+            continue
+        if len(raw) != width:
+            return f"line {lineno}: expected {width} fields, got {len(raw)}"
+        for i, column in _CHECKS:
+            value = raw[i].strip() if i < width else ""
+            if column in ("lon", "lat"):
+                try:
+                    number = float(value)
+                except ValueError:
+                    return f"line {lineno}: {column} is not a number: {value!r}"
+                if not math.isfinite(number):
+                    return f"line {lineno}: {column} must be finite, got {value!r}"
+            elif value not in ("0", "1") and (value or column == "outcome"):
+                return f"line {lineno}: {column} must be 0 or 1, got {value!r}"
+    raise AssertionError("chunk rejected but every row passes")
+
+
+def read_columns(path: str) -> list[np.ndarray]:
+    """Parse a CSV into its ids, lons, lats, outcomes and labels columns.
 
     Expected header: ``id,lon,lat,outcome`` with an optional trailing
-    ``label`` column. Errors name the offending line (header is line 1).
+    ``label`` column. Errors name the offending line (header is line 1,
+    blank lines are skipped but counted).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -159,28 +182,17 @@ def read_rows(path: str) -> list[Observation]:
                 "line 1: header must be id,lon,lat,outcome or "
                 f"id,lon,lat,outcome,label, got {','.join(header)!r}"
             )
-        has_label = len(header) == 5
-        rows: list[Observation] = []
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw:
-                continue  # ignore blank lines
-            if len(raw) != len(header):
-                raise DatasetError(
-                    f"line {lineno}: expected {len(header)} fields, got {len(raw)}"
-                )
-            label: int | None = None
-            if has_label and raw[4].strip() != "":
-                label = _parse_binary(raw[4].strip(), "label", lineno)
-            rows.append(
-                Observation(
-                    id=raw[0],
-                    lon=_parse_coord(raw[1].strip(), "lon", lineno),
-                    lat=_parse_coord(raw[2].strip(), "lat", lineno),
-                    outcome=_parse_binary(raw[3].strip(), "outcome", lineno),
-                    label=label,
-                )
-            )
-    return rows
+        width = len(header)
+        chunks = [_parse_chunk([], width)]  # typed columns for no rows
+        lineno = 2
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            columns = _parse_chunk([r for r in chunk if r], width)
+            if columns is None:
+                raise DatasetError(_first_error(chunk, lineno, width))
+            chunks.append(columns)
+            lineno += len(chunk)
+            del chunk  # free this chunk's strings before reading the next
+    return [np.concatenate(c) for c in zip(*chunks)]
 
 
 def load_dataset(
@@ -191,22 +203,21 @@ def load_dataset(
     N, P, rho, and the bounding box all describe the rows retained after
     the measure-mode filter, not the raw file.
     """
-    rows = apply_measure_mode(read_rows(path), mode)
-    if not rows:
-        raise DatasetError(
-            f"no rows remain after applying measure mode {MeasureMode(mode).value}"
-        )
-    return Dataset.from_observations(rows)
+    columns = read_columns(path)
+    keep = apply_measure_mode(columns[0], columns[4], mode)
+    if not keep.all():
+        columns = [c[keep] for c in columns]
+    return Dataset.from_arrays(*columns)
 
 
 def write_csv(d: Dataset, path: str) -> None:
     """Emit a dataset in the standard CSV schema (label column only if present)."""
-    has_label = any(o.label is not None for o in d.observations)
+    has_label = bool((d.labels >= 0).any())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_BASE_HEADER + (["label"] if has_label else []))
-        for o in d.observations:
-            row = [o.id, repr(o.lon), repr(o.lat), str(o.outcome)]
-            if has_label:
-                row.append("" if o.label is None else str(o.label))
-            writer.writerow(row)
+        columns = [d.ids, map(repr, d.lons.tolist()), map(repr, d.lats.tolist()),
+                   d.outcomes.tolist()]
+        if has_label:
+            columns.append(["" if v < 0 else v for v in d.labels.tolist()])
+        writer.writerows(zip(*columns))

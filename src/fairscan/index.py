@@ -1,6 +1,6 @@
 """Grid bucketing of observation locations.
 
-Observations are bucketed once into a gx-by-gy grid over the dataset
+Locations are bucketed once into a gx-by-gy grid over the dataset
 bounding box and laid out cell by cell (CSR: the point order sorted by cell
 plus per-cell offsets). The counting plan in fairscan.scanner reads counts
 of cell-aligned blocks from prefix tables over this grid and resolves only
@@ -79,8 +79,8 @@ def build_index(d: Dataset, resolution: tuple[int, int] | None = None
                 ) -> SpatialIndex:
     """Index a dataset's locations and outcomes.
 
-    resolution is (gx, gy); the default uses ceil(sqrt(N)) cells per axis,
-    capped at 1024.
+    resolution is (gx, gy), at most 1024**2 cells in all; the default uses
+    ceil(sqrt(N)) cells per axis, capped at 1024.
     """
     if resolution is None:
         m = default_resolution(d.N)
@@ -89,5 +89,7 @@ def build_index(d: Dataset, resolution: tuple[int, int] | None = None
         gx, gy = resolution
         if gx < 1 or gy < 1:
             raise ValueError(f"grid resolution must be positive, got {gx}x{gy}")
-    return SpatialIndex(d.lons, d.lats, d.outcomes.astype(np.int8, copy=False),
-                        d.bbox, gx, gy)
+        if gx * gy > MAX_RESOLUTION ** 2:
+            raise ValueError(f"grid resolution {gx}x{gy} exceeds "
+                             f"{MAX_RESOLUTION ** 2} cells")
+    return SpatialIndex(d.lons, d.lats, d.outcomes, d.bbox, gx, gy)

@@ -70,6 +70,8 @@ def mean_var(ix: SpatialIndex, parts: Sequence[Partitioning],
     """
     if not parts:
         raise ValueError("need at least one partitioning")
+    if top_k < 1:
+        raise ValueError(f"top_k must be positive, got {top_k}")
     plan = as_scanner(ix, parts)
     positives = plan.positives(ix.labels)
     per_part = []

@@ -63,11 +63,6 @@ class AuditVerdict:
     critical_llr: float
 
 
-def _world_seeds(seed: int, num_worlds: int) -> list[np.random.SeedSequence]:
-    # Stream per world index: results do not depend on execution order.
-    return np.random.SeedSequence(seed).spawn(num_worlds)
-
-
 def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
                     seed: int, direction: Direction = Direction.TWO_SIDED,
                     threads: int | None = 1) -> MaxStatDistribution:
@@ -88,7 +83,8 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
     plan = as_scanner(ix, regions)
     n_obs = ix.N
     n_vec = plan.n
-    seeds = _world_seeds(seed, num_worlds)
+    # Stream per world index: results do not depend on execution order.
+    seeds = np.random.SeedSequence(seed).spawn(num_worlds)
     values = np.zeros(num_worlds, dtype=np.float64)
 
     def run_range(lo: int, hi: int) -> None:

@@ -203,18 +203,6 @@ def build_family(d: Dataset, cfg: AuditConfig) -> list:
     return load_region_families(cfg.regions_file)
 
 
-def _degenerate_distribution(cfg: AuditConfig) -> MaxStatDistribution:
-    # All-positive or all-negative data: every fair world reproduces the
-    # data exactly, so every simulated max is 0 and simulation is skipped.
-    _, sim_seed = _derive_seeds(cfg.seed)
-    return MaxStatDistribution(
-        values=np.zeros(cfg.num_worlds - 1, dtype=np.float64),
-        w=cfg.num_worlds,
-        seed=sim_seed,
-        direction=Direction(cfg.direction),
-    )
-
-
 def run_audit(d: Dataset, cfg: AuditConfig,
               threads: int | None = 1) -> AuditReport:
     """Audit an in-memory dataset. ``audit`` is the file-loading wrapper."""
@@ -242,7 +230,10 @@ def run_audit(d: Dataset, cfg: AuditConfig,
             direction=cfg.direction, threads=threads,
         )
     else:
-        dist = _degenerate_distribution(cfg)
+        # All-positive or all-negative data: every fair world reproduces the
+        # data exactly, so every simulated max is 0 and simulation is skipped.
+        dist = MaxStatDistribution(np.zeros(cfg.num_worlds - 1), cfg.num_worlds,
+                                   sim_seed, Direction(cfg.direction))
     timings["simulate_s"] = time.perf_counter() - t3
 
     p_value = global_p_value(tau_log, dist)

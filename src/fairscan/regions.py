@@ -159,12 +159,8 @@ def kmeans_centers(data, k: int, seed: int = 0, max_iters: int = 100,
         if empty.any():
             # Re-seed each empty cluster on the point farthest from its
             # current center; deterministic via argmax.
-            far_order = np.argsort(-dist2[np.arange(npts), assign],
-                                   kind="stable")
-            taken = 0
-            for cj in np.flatnonzero(empty):
-                centers[cj] = pts[far_order[taken]]
-                taken += 1
+            far_order = np.argsort(-dist2[np.arange(npts), assign], kind="stable")
+            centers[empty] = pts[far_order[:empty.sum()]]
             # Recompute assignment against repaired centers next loop.
             nonempty = ~empty
             centers[nonempty] = sums[nonempty] / sizes[nonempty, None]

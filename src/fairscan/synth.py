@@ -4,19 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Dataset, Observation
+from .dataset import Dataset
 from .geometry import Region, region_contains
 
 DEFAULT_RECT = Region(0.0, 0.0, 1.0, 1.0)
 
 
-def _dataset_from_arrays(xs, ys, outcomes, prefix: str = "s") -> Dataset:
-    obs = tuple(
-        Observation(id=f"{prefix}{i}", lon=float(xs[i]), lat=float(ys[i]),
-                    outcome=int(outcomes[i]))
-        for i in range(len(xs))
-    )
-    return Dataset.from_observations(obs)
+def _ids(n: int) -> list[str]:
+    return [f"s{i}" for i in range(n)]
 
 
 def gen_uniform_split(n: int, rect: Region = DEFAULT_RECT, seed: int = 0
@@ -47,7 +42,7 @@ def gen_uniform_split(n: int, rect: Region = DEFAULT_RECT, seed: int = 0
     xs = np.concatenate((xs_left, xs_right))
     ys = np.concatenate((ys_left, ys_right))
     outcomes = np.concatenate((out_left, out_right))
-    return _dataset_from_arrays(xs, ys, outcomes)
+    return Dataset.from_arrays(_ids(n), xs, ys, outcomes)
 
 
 def gen_fair_bernoulli(locations, rho: float, seed: int = 0) -> Dataset:
@@ -63,7 +58,7 @@ def gen_fair_bernoulli(locations, rho: float, seed: int = 0) -> Dataset:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     rng = np.random.default_rng(seed)
     outcomes = (rng.random(len(pts)) < rho).astype(np.int8)
-    return _dataset_from_arrays(pts[:, 0], pts[:, 1], outcomes)
+    return Dataset.from_arrays(_ids(len(pts)), pts[:, 0], pts[:, 1], outcomes)
 
 
 def gen_planted(n: int, rect: Region, plant: Region, rho_bg: float,
@@ -88,7 +83,7 @@ def gen_planted(n: int, rect: Region, plant: Region, rho_bg: float,
     inside = region_contains(plant, xs, ys, rect)
     rates = np.where(inside, rho_in, rho_bg)
     outcomes = (rng.random(n) < rates).astype(np.int8)
-    return _dataset_from_arrays(xs, ys, outcomes)
+    return Dataset.from_arrays(_ids(n), xs, ys, outcomes)
 
 
 def gen_clustered_locations(n: int, rect: Region, clusters: int = 25,

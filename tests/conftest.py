@@ -4,19 +4,12 @@ import numpy as np
 import pytest
 
 from fairscan import Dataset, build_index, synth
-from fairscan.dataset import Observation
 from fairscan.geometry import Region
 
 
 def make_dataset(lons, lats, outcomes, labels=None) -> Dataset:
-    obs = []
-    for i in range(len(lons)):
-        obs.append(Observation(
-            id=f"t{i}", lon=float(lons[i]), lat=float(lats[i]),
-            outcome=int(outcomes[i]),
-            label=None if labels is None else int(labels[i]),
-        ))
-    return Dataset.from_observations(obs)
+    ids = [f"t{i}" for i in range(len(lons))]
+    return Dataset.from_arrays(ids, lons, lats, outcomes, labels)
 
 
 def cell_regions(part) -> list[Region]:

@@ -100,3 +100,61 @@ def random_valid_tuple(rng, max_n: int = 10_000) -> tuple[int, int, int, int]:
     hi = min(n, P)
     p = int(rng.integers(lo, hi + 1))
     return n, p, N, P
+
+
+def oracle_read_csv(path: str):
+    """Row-by-row reference CSV parser: (ids, lons, lats, outcomes, labels).
+
+    Validates each row in field order (field count, label, lon, lat,
+    outcome) and raises ValueError with the first bad row's message; the
+    header is line 1 and blank lines are skipped but counted. A missing
+    label reads as -1.
+    """
+    import csv
+
+    base = ["id", "lon", "lat", "outcome"]
+
+    def binary(raw, column, lineno):
+        if raw in ("0", "1"):
+            return int(raw)
+        raise ValueError(f"line {lineno}: {column} must be 0 or 1, got {raw!r}")
+
+    def coord(raw, column, lineno):
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: {column} is not a number: {raw!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(
+                f"line {lineno}: {column} must be finite, got {raw!r}")
+        return value
+
+    columns = ([], [], [], [], [])
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError("empty file: missing header") from None
+        header = [h.strip() for h in header]
+        if header != base and header != base + ["label"]:
+            raise ValueError(
+                "line 1: header must be id,lon,lat,outcome or "
+                f"id,lon,lat,outcome,label, got {','.join(header)!r}")
+        for lineno, raw in enumerate(reader, start=2):
+            if not raw:
+                continue
+            if len(raw) != len(header):
+                raise ValueError(
+                    f"line {lineno}: expected {len(header)} fields, "
+                    f"got {len(raw)}")
+            label = -1
+            if len(header) == 5 and raw[4].strip() != "":
+                label = binary(raw[4].strip(), "label", lineno)
+            row = (raw[0], coord(raw[1].strip(), "lon", lineno),
+                   coord(raw[2].strip(), "lat", lineno),
+                   binary(raw[3].strip(), "outcome", lineno), label)
+            for column, value in zip(columns, row):
+                column.append(value)
+    return columns

@@ -275,6 +275,16 @@ class TestMeanVar:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_nonpositive_top_k(self, capsys, unfair_csv, tmp_path, top_k):
+        out = tmp_path / "mv"
+        code, _, err = run(capsys, "meanvar", "--data", unfair_csv,
+                           "--grid", "2x2", "--top-k", top_k, "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: top_k must be positive")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestRegions:
     def test_bbox_grid_file(self, capsys, tmp_path):
@@ -317,6 +327,15 @@ class TestRegions:
         assert code == 0
         fams = load_region_families(out)
         assert len(fams[0]) == 21
+
+    def test_zero_regions_rejected(self, capsys, fair_csv, tmp_path):
+        out = tmp_path / "sq.json"
+        code, _, err = run(capsys, "regions", "--data", fair_csv,
+                           "--squares", "--sides", "0.1:2:0", "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: the region family holds no candidate")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_no_family(self, capsys, tmp_path):
         code, _, err = run(capsys, "regions", "--bbox", "0,0,1,1",

@@ -34,6 +34,9 @@ FILES = [
     "mixed/nulldist.json",
     "meanvar/meanvar.json",
     "regions.json",
+    "data.csv",
+    "fair.csv",
+    "planted.csv",
 ]
 
 
@@ -67,6 +70,10 @@ def produce(workdir: Path) -> None:
              *AUDIT, "--out", "mixed")
         _run("meanvar", "--data", "data.csv", "--random-partitionings", "5",
              "--top-k", "10", "--out", "meanvar")
+        _run("gen-synth", "--kind", "fair", "--locations", "data.csv",
+             "--n", "300", "--seed", "1", "--out", "fair.csv")
+        _run("gen-synth", "--kind", "planted", "--n", "300",
+             "--plant", "0.2,0.2,0.5,0.5", "--seed", "2", "--out", "planted.csv")
         for name in ("random", "mixed"):
             _drop_timings(Path(name) / "report.json")
     finally:
@@ -98,5 +105,4 @@ def test_references_show_evidence():
 if __name__ == "__main__":
     REFERENCE.mkdir(parents=True, exist_ok=True)
     produce(REFERENCE)
-    (REFERENCE / "data.csv").unlink()
     sys.exit(0)

@@ -45,6 +45,13 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_index(d, (0, 4))
 
+    def test_too_many_cells_rejected(self):
+        # Memory follows gx*gy, so the cell count is capped at 1024**2.
+        d = make_dataset([0.0, 1.0], [0.0, 1.0], [0, 1])
+        with pytest.raises(ValueError, match="exceeds 1048576 cells"):
+            build_index(d, (2048, 2048))
+        assert build_index(d, (2**20, 1)).start.shape == (2**20 + 1,)
+
     def test_underflow_resolution_rejected(self):
         # Cell extent rounds to zero: the index cannot bucket such a grid.
         d = make_dataset([0.0, 1e-320], [0.0, 1.0], [0, 1])

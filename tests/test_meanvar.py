@@ -201,6 +201,12 @@ class TestMeanVar:
         with pytest.raises(ValueError):
             mean_var(ix, [])
 
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_nonpositive_top_k_rejected(self, top_k):
+        d = random_dataset(np.random.default_rng(75), 50)
+        with pytest.raises(ValueError, match="top_k must be positive"):
+            mean_var(build_index(d), [regular_grid(d.bbox, 2, 2)], top_k=top_k)
+
     def test_json_report_ranks(self):
         rng = np.random.default_rng(73)
         d = random_dataset(rng, 220)
