@@ -145,8 +145,13 @@ def kmeans_centers(data, k: int, seed: int = 0, max_iters: int = 100,
 
     inertia_trace: list[float] = []
     assign = None
+    # Squared distances reuse two (npts, k) buffers: no (npts, k, 2)
+    # temporary per iteration, so peak memory is the same on every run.
+    dist2, dy2 = np.empty((2, npts, k))
     for _ in range(max_iters):
-        dist2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        np.square(np.subtract(pts[:, :1], centers[:, 0], out=dist2), out=dist2)
+        np.square(np.subtract(pts[:, 1:], centers[:, 1], out=dy2), out=dy2)
+        dist2 += dy2
         new_assign = dist2.argmin(axis=1)
         inertia_trace.append(float(dist2[np.arange(npts), new_assign].sum()))
         if assign is not None and np.array_equal(new_assign, assign):
