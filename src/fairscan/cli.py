@@ -132,9 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="keep only the K strongest evidence regions")
     pa.add_argument("--out", metavar="DIR",
                     help="write report.json, regions.geojson, nulldist.json")
-    pa.add_argument("--threads", type=int, metavar="T",
-                    help="worker threads for the simulation (default: all "
-                         "CPUs); results do not depend on T")
     pa.add_argument("--fail-on-unfair", action="store_true",
                     help="exit with status 2 when the verdict is UNFAIR")
     pa.set_defaults(func=cmd_audit)
@@ -274,7 +271,7 @@ def _audit_config(args: argparse.Namespace) -> AuditConfig:
 def cmd_audit(args: argparse.Namespace) -> int:
     cfg = _audit_config(args)
     print("CONFIG " + json.dumps(cfg.echo(), sort_keys=True))
-    report = audit(cfg, threads=args.threads)
+    report = audit(cfg)
     v = report.verdict
     if v.fair:
         print(f"FAIR p={v.p_value:.6g}")

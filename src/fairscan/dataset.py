@@ -173,25 +173,27 @@ def read_columns(path: str) -> list[np.ndarray]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError("empty file: missing header") from None
-        header = [h.strip() for h in header]
-        if header != _BASE_HEADER and header != _BASE_HEADER + ["label"]:
-            raise DatasetError(
-                "line 1: header must be id,lon,lat,outcome or "
-                f"id,lon,lat,outcome,label, got {','.join(header)!r}"
-            )
-        width = len(header)
-        chunks = [_parse_chunk([], width)]  # typed columns for no rows
-        lineno = 2
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
-            columns = _parse_chunk([r for r in chunk if r], width)
-            if columns is None:
-                raise DatasetError(_first_error(chunk, lineno, width))
-            chunks.append(columns)
-            lineno += len(chunk)
-            del chunk  # free this chunk's strings before reading the next
+            header = next(reader, None)
+            if header is None:
+                raise DatasetError("empty file: missing header")
+            header = [h.strip() for h in header]
+            if header != _BASE_HEADER and header != _BASE_HEADER + ["label"]:
+                raise DatasetError(
+                    "line 1: header must be id,lon,lat,outcome or "
+                    f"id,lon,lat,outcome,label, got {','.join(header)!r}"
+                )
+            width = len(header)
+            chunks = [_parse_chunk([], width)]  # typed columns for no rows
+            lineno = 2
+            while chunk := list(islice(reader, _CHUNK_ROWS)):
+                columns = _parse_chunk([r for r in chunk if r], width)
+                if columns is None:
+                    raise DatasetError(_first_error(chunk, lineno, width))
+                chunks.append(columns)
+                lineno += len(chunk)
+                del chunk  # free this chunk's strings before reading the next
+        except csv.Error as exc:  # e.g. a field over the csv field limit
+            raise DatasetError(f"line {reader.line_num}: {exc}") from None
     return [np.concatenate(c) for c in zip(*chunks)]
 
 

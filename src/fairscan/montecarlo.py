@@ -11,8 +11,6 @@ significance cutoff that controls the family-wise error across candidates.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,14 +62,13 @@ class AuditVerdict:
 
 
 def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
-                    seed: int, direction: Direction = Direction.TWO_SIDED,
-                    threads: int | None = 1) -> MaxStatDistribution:
+                    seed: int, direction: Direction = Direction.TWO_SIDED
+                    ) -> MaxStatDistribution:
     """Draw fair worlds at the real locations and record each one's max score.
 
     Every world redraws all N labels as Bernoulli(rho) and is scanned over
     exactly the same candidate regions as the real world, using its own
-    positive total. ``threads`` caps the worker threads (None means one per
-    CPU); the output is identical for any thread count.
+    positive total.
     """
     if num_worlds < 1:
         raise ValueError(f"num_worlds must be >= 1, got {num_worlds}")
@@ -82,32 +79,28 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
         )
     plan = as_scanner(ix, regions)
     n_obs = ix.N
-    n_vec = plan.n
+    # Only the smallest and largest positive count among candidates of one
+    # size can hold a world's max. For fixed n each one-sided score is
+    # monotone in p and the two-sided score is convex in p, strictly enough
+    # that integer counts differ by far more than rounding; llr_vector
+    # scores each lane on its own, so the max is bit-identical to scoring
+    # every candidate.
+    by_size = np.argsort(plan.n, kind="stable")
+    n_sorted = plan.n[by_size]
+    starts = np.flatnonzero(np.diff(n_sorted, prepend=-1))
+    sizes = np.tile(n_sorted[starts], 2)
     # Stream per world index: results do not depend on execution order.
     seeds = np.random.SeedSequence(seed).spawn(num_worlds)
     values = np.zeros(num_worlds, dtype=np.float64)
-
-    def run_range(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            rng = np.random.default_rng(seeds[i])
-            labels = (rng.random(n_obs) < rho).astype(np.int8)
-            p_world = int(labels.sum())
-            p_vec = plan.positives(labels)
-            llr = llr_vector(n_vec, p_vec, n_obs, p_world, direction)
-            values[i] = llr.max() if len(llr) else 0.0
-
-    workers = threads if threads is not None else (os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    workers = min(workers, num_worlds)
-    if workers == 1:
-        run_range(0, num_worlds)
-    else:
-        step = math.ceil(num_worlds / workers)
-        bounds = [(lo, min(lo + step, num_worlds))
-                  for lo in range(0, num_worlds, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: run_range(*b), bounds))
+    for i, world_seed in enumerate(seeds):
+        rng = np.random.default_rng(world_seed)
+        labels = (rng.random(n_obs) < rho).astype(np.int8)
+        p_sorted = plan.positives(labels)[by_size]
+        extremes = np.concatenate((np.maximum.reduceat(p_sorted, starts),
+                                   np.minimum.reduceat(p_sorted, starts)))
+        llr = llr_vector(sizes, extremes, n_obs, np.count_nonzero(labels),
+                         direction)
+        values[i] = llr.max() if len(llr) else 0.0
 
     order = np.argsort(-values, kind="stable")
     return MaxStatDistribution(

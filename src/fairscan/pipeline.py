@@ -203,8 +203,7 @@ def build_family(d: Dataset, cfg: AuditConfig) -> list:
     return load_region_families(cfg.regions_file)
 
 
-def run_audit(d: Dataset, cfg: AuditConfig,
-              threads: int | None = 1) -> AuditReport:
+def run_audit(d: Dataset, cfg: AuditConfig) -> AuditReport:
     """Audit an in-memory dataset. ``audit`` is the file-loading wrapper."""
     cfg.validate()
     timings: dict[str, float] = {}
@@ -227,7 +226,7 @@ def run_audit(d: Dataset, cfg: AuditConfig,
     if 0.0 < d.rho < 1.0:
         dist = simulate_worlds(
             ix, plan, d.rho, cfg.num_worlds - 1, seed=sim_seed,
-            direction=cfg.direction, threads=threads,
+            direction=cfg.direction,
         )
     else:
         # All-positive or all-negative data: every fair world reproduces the
@@ -266,14 +265,14 @@ def run_audit(d: Dataset, cfg: AuditConfig,
     )
 
 
-def audit(cfg: AuditConfig, threads: int | None = 1) -> AuditReport:
+def audit(cfg: AuditConfig) -> AuditReport:
     """Load the configured dataset and audit it."""
     if cfg.data is None:
         raise ValueError("config has no dataset path")
     t0 = time.perf_counter()
     d = load_dataset(cfg.data, cfg.mode)
     load_s = time.perf_counter() - t0
-    report = run_audit(d, cfg, threads=threads)
+    report = run_audit(d, cfg)
     report.timings["load_s"] = load_s
     report.timings["total_s"] += load_s
     return report

@@ -2,20 +2,21 @@
 
 Simulated worlds relabel fixed locations, so each candidate region's member
 set never changes and counting positives is one fixed linear map from a
-labeling to per-candidate totals. CountPlan digests the geometry once; each
-new labeling then costs a few vectorized passes.
+labeling to per-candidate totals. CountPlan digests the geometry once into
+one sparse (R, N) member matrix, so a new labeling costs one sparse
+product.
 
-Cells of partitionings that cover the bounding box are counted from one
-(N, K) cell-assignment array, one column per partitioning with the column's
-cell ids offset past the earlier partitionings' cells, so a labeling costs
-one bincount. Every other rectangle is counted from the index's prefix
-tables at the corners of its cell-aligned interior, plus a CSR list of its
-members among the points of the cells its boundary cuts.
+A row of the matrix holds, for a cell of a partitioning that covers the
+bounding box, all of the cell's members. For any other rectangle it holds
+only the rectangle's members among the points of the index-grid cells its
+boundary cuts; its cell-aligned interior is counted from a prefix table of
+per-cell positives, read at four corners.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from .geometry import Region, bounds_contain
 from .index import RegionCounts, SpatialIndex
@@ -56,97 +57,90 @@ def _cell_of(ix: SpatialIndex, part: Partitioning) -> np.ndarray:
     """
     ax = np.searchsorted(part.xbounds[1:-1], ix.xs, side="right")
     ay = np.searchsorted(part.ybounds[1:-1], ix.ys, side="right")
-    return ay * (len(part.xbounds) - 1) + ax
+    ay *= len(part.xbounds) - 1
+    ay += ax
+    return ay
 
 
-class _Rectangles:
-    """Counts for arbitrary rectangles through the index grid."""
+def _rectangle_terms(ix: SpatialIndex, bounds: np.ndarray):
+    """Prefix-table corners and boundary-cell members of rectangles.
 
-    def __init__(self, ix: SpatialIndex, bounds: np.ndarray):
-        self._cell_id = ix.cell_id
-        self._shape = (ix.gx, ix.gy)
-        xmin, ymin, xmax, ymax = bounds.T
-        b = ix.bbox
-        # Cell spans that could hold points of each rectangle. Monotone
-        # bucketing guarantees coverage; rectangles strictly disjoint from
-        # the bounding box get no span.
-        hit = ~((xmax < b.xmin) | (xmin > b.xmax)
-                | (ymax < b.ymin) | (ymin > b.ymax))
-        cx0 = ix.cells_x(np.maximum(xmin, b.xmin))
-        cx1 = ix.cells_x(np.minimum(xmax, b.xmax))
-        cy0 = ix.cells_y(np.maximum(ymin, b.ymin))
-        cy1 = ix.cells_y(np.minimum(ymax, b.ymax))
-        # Padded prefix-table corners of the interior block, the columns
-        # (cx0, cx1) by rows (cy0, cy1) exclusive. A span without interior
-        # maps all four corners to 0, so the block sum vanishes.
-        stride = ix.gy + 1
-        empty = ~hit | (cx1 - cx0 < 2) | (cy1 - cy0 < 2)
-        self._corners = np.where(empty, 0, np.stack((
-            cx1 * stride + cy1,
-            (cx0 + 1) * stride + cy1,
-            cx1 * stride + cy0 + 1,
-            (cx0 + 1) * stride + cy0 + 1,
-        )))
-        self._members, self._offsets = self._edge_members(
-            ix, bounds, np.where(hit, cx1 - cx0 + 1, 0), cx0, cx1, cy0, cy1)
+    Returns the (4, m) corner indices into the padded prefix table of the
+    index grid and the CSR list (members, offsets) of each rectangle's
+    members among the points of the cells its boundary cuts.
+    """
+    xmin, ymin, xmax, ymax = bounds.T
+    b = ix.bbox
+    # Cell spans that could hold points of each rectangle. Monotone
+    # bucketing guarantees coverage; rectangles strictly disjoint from
+    # the bounding box get no span.
+    hit = ~((xmax < b.xmin) | (xmin > b.xmax)
+            | (ymax < b.ymin) | (ymin > b.ymax))
+    cx0 = ix.cells_x(np.maximum(xmin, b.xmin))
+    cx1 = ix.cells_x(np.minimum(xmax, b.xmax))
+    cy0 = ix.cells_y(np.maximum(ymin, b.ymin))
+    cy1 = ix.cells_y(np.minimum(ymax, b.ymax))
+    # Padded prefix-table corners of the interior block, the columns
+    # (cx0, cx1) by rows (cy0, cy1) exclusive. A span without interior
+    # maps all four corners to 0, so the block sum vanishes.
+    stride = ix.gy + 1
+    empty = ~hit | (cx1 - cx0 < 2) | (cy1 - cy0 < 2)
+    corners = np.where(empty, 0, np.stack((
+        cx1 * stride + cy1,
+        (cx0 + 1) * stride + cy1,
+        cx1 * stride + cy0 + 1,
+        (cx0 + 1) * stride + cy0 + 1,
+    )))
+    members, offsets = _edge_members(
+        ix, bounds, np.where(hit, cx1 - cx0 + 1, 0), cx0, cx1, cy0, cy1)
+    return corners, members, offsets
 
-    @staticmethod
-    def _edge_members(ix, bounds, ncols, cx0, cx1, cy0, cy1):
-        """CSR list of each rectangle's members in its boundary cells.
 
-        Cells are sorted by (column, row), so a column's rows cy0..cy1 are
-        one contiguous run of the cell-sorted points. The span's first and
-        last columns contribute that whole run, inner columns the runs of
-        their first and last row only.
-        """
-        m = len(bounds)
-        rect = np.repeat(np.arange(m), ncols)
-        col = _ranges(cx0, cx0 + ncols)
-        lo_cell = col * ix.gy + cy0[rect]
-        hi_cell = col * ix.gy + cy1[rect]
-        outer = (col == cx0[rect]) | (col == cx1[rect])
-        start = ix.start
-        first_lo = start[lo_cell]
-        first_hi = np.where(outer, start[hi_cell + 1], start[lo_cell + 1])
-        skip = outer | (hi_cell == lo_cell)
-        last_lo = np.where(skip, 0, start[hi_cell])
-        last_hi = np.where(skip, 0, start[hi_cell + 1])
-        run_lo = np.column_stack((first_lo, last_lo)).ravel()
-        run_hi = np.column_stack((first_hi, last_hi)).ravel()
-        run_rect = np.repeat(rect, 2)
-        per_rect = np.bincount(run_rect, weights=run_hi - run_lo,
-                               minlength=m).astype(np.int64)
-        run_end = np.cumsum(np.bincount(run_rect, minlength=m))
-        batch = np.cumsum(per_rect) // _EDGE_BATCH
-        cuts = np.concatenate(([0], np.flatnonzero(np.diff(batch)) + 1, [m]))
-        members, counts = [], []
-        for r0, r1 in zip(cuts[:-1], cuts[1:]):
-            if r0 == r1:
-                continue
-            runs = slice(run_end[r0 - 1] if r0 else 0, run_end[r1 - 1])
-            pos = _ranges(run_lo[runs], run_hi[runs])
-            owner = np.repeat(run_rect[runs], run_hi[runs] - run_lo[runs])
-            ids = ix.order[pos]
-            keep = bounds_contain(bounds[owner].T, ix.xs[ids], ix.ys[ids],
-                                  ix.bbox)
-            members.append(ids[keep])
-            counts.append(np.bincount(owner[keep] - r0, minlength=r1 - r0))
-        offsets = np.zeros(m + 1, dtype=np.int64)
-        if counts:
-            np.cumsum(np.concatenate(counts), out=offsets[1:])
-        return (np.concatenate(members) if members
-                else np.zeros(0, dtype=np.int64)), offsets
+def _edge_members(ix, bounds, ncols, cx0, cx1, cy0, cy1):
+    """CSR list of each rectangle's members in its boundary cells.
 
-    def positives(self, labels: np.ndarray) -> np.ndarray:
-        pos_cells = np.bincount(self._cell_id[labels != 0],
-                                minlength=self._shape[0] * self._shape[1])
-        flat = _prefix2d(pos_cells.reshape(self._shape)).ravel()
-        ia, ib, ic, id_ = self._corners
-        block = flat[ia] - flat[ib] - flat[ic] + flat[id_]
-        # Segment sums via cumsum: robust to empty segments, exact in int64.
-        csum = np.zeros(len(self._members) + 1, dtype=np.int64)
-        np.cumsum(labels[self._members], out=csum[1:])
-        return block + csum[self._offsets[1:]] - csum[self._offsets[:-1]]
+    Cells are sorted by (column, row), so a column's rows cy0..cy1 are
+    one contiguous run of the cell-sorted points. The span's first and
+    last columns contribute that whole run, inner columns the runs of
+    their first and last row only.
+    """
+    m = len(bounds)
+    rect = np.repeat(np.arange(m), ncols)
+    col = _ranges(cx0, cx0 + ncols)
+    lo_cell = col * ix.gy + cy0[rect]
+    hi_cell = col * ix.gy + cy1[rect]
+    outer = (col == cx0[rect]) | (col == cx1[rect])
+    start = ix.start
+    first_lo = start[lo_cell]
+    first_hi = np.where(outer, start[hi_cell + 1], start[lo_cell + 1])
+    skip = outer | (hi_cell == lo_cell)
+    last_lo = np.where(skip, 0, start[hi_cell])
+    last_hi = np.where(skip, 0, start[hi_cell + 1])
+    run_lo = np.column_stack((first_lo, last_lo)).ravel()
+    run_hi = np.column_stack((first_hi, last_hi)).ravel()
+    run_rect = np.repeat(rect, 2)
+    per_rect = np.bincount(run_rect, weights=run_hi - run_lo,
+                           minlength=m).astype(np.int64)
+    run_end = np.cumsum(np.bincount(run_rect, minlength=m))
+    batch = np.cumsum(per_rect) // _EDGE_BATCH
+    cuts = np.concatenate(([0], np.flatnonzero(np.diff(batch)) + 1, [m]))
+    members, counts = [], []
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):
+        if r0 == r1:
+            continue
+        runs = slice(run_end[r0 - 1] if r0 else 0, run_end[r1 - 1])
+        pos = _ranges(run_lo[runs], run_hi[runs])
+        owner = np.repeat(run_rect[runs], run_hi[runs] - run_lo[runs])
+        ids = ix.order[pos]
+        keep = bounds_contain(bounds[owner].T, ix.xs[ids], ix.ys[ids],
+                              ix.bbox)
+        members.append(ids[keep])
+        counts.append(np.bincount(owner[keep] - r0, minlength=r1 - r0))
+    offsets = np.zeros(m + 1, dtype=np.int64)
+    if counts:
+        np.cumsum(np.concatenate(counts), out=offsets[1:])
+    return (np.concatenate(members) if members
+            else np.zeros(0, dtype=np.int64)), offsets
 
 
 class CountPlan:
@@ -160,18 +154,16 @@ class CountPlan:
     """
 
     def __init__(self, ix: SpatialIndex, family):
-        bounds, center_ids, via_cells, columns = [], [], [], []
-        ncells = 0
+        bounds, center_ids, via_cells, covering = [], [], [], []
         for item in _flatten(family):
             if isinstance(item, Partitioning):
                 cells = item.cell_bounds()
+                is_covering = _covers(item, ix.bbox)
+                if is_covering:
+                    covering.append((len(via_cells), item))
                 bounds.append(cells)
                 center_ids.extend([None] * len(cells))
-                covering = _covers(item, ix.bbox)
-                if covering:
-                    columns.append(ncells + _cell_of(ix, item))
-                    ncells += len(cells)
-                via_cells.extend([covering] * len(cells))
+                via_cells.extend([is_covering] * len(cells))
             else:
                 bounds.append(np.array([item.bounds()], dtype=np.float64))
                 center_ids.append(item.center_id)
@@ -179,38 +171,51 @@ class CountPlan:
         self.bounds = (np.concatenate(bounds) if bounds
                        else np.zeros((0, 4), dtype=np.float64))
         self.center_ids = center_ids
-        via_cells = np.array(via_cells, dtype=bool)
-        self._cell_slots = np.flatnonzero(via_cells)
-        self._rect_slots = np.flatnonzero(~via_cells)
-        self._ncells = ncells
-        self._n_obs = ix.N
-        self._assign = np.column_stack(columns) if columns else None
-        del columns     # the per-partitioning copies of the assignment
-        self._rects = (_Rectangles(ix, self.bounds[self._rect_slots])
-                       if len(self._rect_slots) else None)
+        rect_rows = np.flatnonzero(~np.array(via_cells, dtype=bool))
+        corners, members, offsets = _rectangle_terms(
+            ix, self.bounds[rect_rows])
+        self._corners = None
+        if len(rect_rows):
+            self._corners = np.zeros((4, len(self.bounds)), dtype=np.int64)
+            self._corners[:, rect_rows] = corners
+        self._cell_id = ix.cell_id
+        self._grid = (ix.gx, ix.gy)
+        # Member matrix entries as int32 (row, column) pairs, written in
+        # place: every point once per covering partitioning, then the
+        # rectangles' boundary-cell members.
+        n_cells = len(covering) * ix.N
+        rows = np.empty(n_cells + len(members), dtype=np.int32)
+        cols = np.empty_like(rows)
+        cell_rows = rows[:n_cells].reshape(len(covering), ix.N)
+        for k, (first, part) in enumerate(covering):
+            np.add(_cell_of(ix, part), first, out=cell_rows[k])
+        cols[:n_cells].reshape(len(covering), ix.N)[:] = np.arange(ix.N)
+        rows[n_cells:] = np.repeat(rect_rows, np.diff(offsets))
+        cols[n_cells:] = members
+        # Each row sums at most N labels, which int32 holds exactly; a
+        # narrower dtype would wrap, since it sets the product's dtype.
+        self._members = sparse.csr_array(
+            (np.ones(len(rows), dtype=np.int32), (rows, cols)),
+            shape=(len(self.bounds), ix.N))
         self.n = self.positives(np.ones(ix.N, dtype=np.int8))
 
     def positives(self, labels: np.ndarray) -> np.ndarray:
         """Positives inside each candidate under a 0/1 labeling of the points."""
-        if labels.shape != (self._n_obs,):
+        n_obs = self._members.shape[1]
+        if labels.shape != (n_obs,):
             raise ValueError(
-                f"labels must have shape ({self._n_obs},), got {labels.shape}"
+                f"labels must have shape ({n_obs},), got {labels.shape}"
             )
         if len(labels) and (labels.min() < 0 or labels.max() > 1):
             raise ValueError("labels must be binary")
-        out = np.zeros(len(self.bounds), dtype=np.int64)
-        if self._assign is not None:
-            rows = self._assign[np.flatnonzero(labels)]
-            cells = np.bincount(rows.ravel(), minlength=self._ncells)
-            if self._rects is None:
-                return cells
-            out[self._cell_slots] = cells
-        if self._rects is not None:
-            rects = self._rects.positives(labels)
-            if self._assign is None:
-                return rects
-            out[self._rect_slots] = rects
-        return out
+        counts = (self._members @ labels).astype(np.int64)
+        if self._corners is not None:
+            pos_cells = np.bincount(self._cell_id[labels != 0],
+                                    minlength=self._grid[0] * self._grid[1])
+            flat = _prefix2d(pos_cells.reshape(self._grid)).ravel()
+            ia, ib, ic, id_ = self._corners
+            counts += flat[ia] - flat[ib] - flat[ic] + flat[id_]
+        return counts
 
     def region(self, i: int) -> Region:
         return Region(*self.bounds[i].tolist(), center_id=self.center_ids[i])

@@ -5,7 +5,7 @@ import pytest
 
 from fairscan import build_index
 from fairscan.geometry import Region
-from fairscan.likelihood import Direction, ScanResult
+from fairscan.likelihood import Direction, ScanResult, llr_vector
 from fairscan.montecarlo import (
     MaxStatDistribution,
     critical_value,
@@ -14,6 +14,7 @@ from fairscan.montecarlo import (
     simulate_worlds,
 )
 from fairscan.regions import random_partitionings, regular_grid
+from fairscan.scanner import as_scanner
 from fairscan.synth import gen_fair_bernoulli, gen_uniform_split
 
 from conftest import random_dataset
@@ -54,13 +55,27 @@ class TestSimulateWorlds:
         b = simulate_worlds(ix, parts, 0.5, 30, seed=4)
         assert not np.array_equal(a.values, b.values)
 
-    def test_thread_count_does_not_change_output(self, small_world):
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_max_matches_scoring_every_candidate(self, small_world, direction):
+        # simulate_worlds scores only each size's extreme counts; its maxima
+        # must equal, bit for bit, the max over every candidate's score.
         d, ix, parts = small_world
-        one = simulate_worlds(ix, parts, 0.5, 25, seed=5, threads=1)
-        two = simulate_worlds(ix, parts, 0.5, 25, seed=5, threads=2)
-        auto = simulate_worlds(ix, parts, 0.5, 25, seed=5, threads=None)
-        assert np.array_equal(one.values, two.values)
-        assert np.array_equal(one.values, auto.values)
+        family = [regular_grid(d.bbox, 8, 8), parts,
+                  Region(5.0, 5.0, 6.0, 6.0), d.bbox,
+                  [Region(x, y, x + 0.3, y + 0.3)
+                   for x in np.linspace(0.0, 0.7, 8)
+                   for y in np.linspace(0.0, 0.7, 8)]]
+        plan = as_scanner(ix, family)
+        assert (plan.n == 0).any() and (plan.n == d.N).any()
+        assert len(np.unique(plan.n)) < len(plan.n) // 4
+        dist = simulate_worlds(ix, plan, 0.3, 80, seed=11, direction=direction)
+        want = []
+        for world in np.random.SeedSequence(11).spawn(80):
+            labels = (np.random.default_rng(world).random(d.N)
+                      < 0.3).astype(np.int8)
+            want.append(llr_vector(plan.n, plan.positives(labels), d.N,
+                                   int(labels.sum()), direction).max())
+        assert np.array_equal(dist.values, np.sort(want)[::-1])
 
     def test_direction_recorded(self, small_world):
         d, ix, parts = small_world
@@ -74,12 +89,10 @@ class TestSimulateWorlds:
             with pytest.raises(ValueError):
                 simulate_worlds(ix, parts, rho, 10, seed=0)
 
-    def test_bad_world_and_thread_counts(self, small_world):
+    def test_bad_world_count(self, small_world):
         d, ix, parts = small_world
         with pytest.raises(ValueError):
             simulate_worlds(ix, parts, 0.5, 0, seed=0)
-        with pytest.raises(ValueError):
-            simulate_worlds(ix, parts, 0.5, 10, seed=0, threads=0)
 
     def test_fair_data_rarely_beats_simulated_max(self):
         # The real tau of a fair world should look typical under the

@@ -173,15 +173,14 @@ class TestRunAudit:
         assert np.all(report.dist.values == 0.0)
         assert len(report.dist.values) == 99
 
-    def test_determinism_and_thread_invariance(self):
+    def test_determinism(self):
         d = gen_uniform_split(1000, seed=86)
         cfg = fast_cfg(seed=3)
         a = run_audit(d, cfg).to_json_dict()
         b = run_audit(d, fast_cfg(seed=3)).to_json_dict()
-        c = run_audit(d, fast_cfg(seed=3), threads=2).to_json_dict()
-        for doc in (a, b, c):
+        for doc in (a, b):
             doc.pop("timings")
-        assert a == b == c
+        assert a == b
 
     def test_seed_changes_simulation(self):
         d = gen_uniform_split(1000, seed=87)

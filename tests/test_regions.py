@@ -170,6 +170,23 @@ class TestKMeans:
         assert len(trace) >= 1
         assert np.all(np.diff(trace) <= 1e-9)
 
+    def test_empty_cluster_is_reseeded(self):
+        # From these 34 points k-means++ leaves one of its 4 starting
+        # centers without points after the first assignment, so the
+        # re-seed branch runs once.
+        groups = [((2, 3), 10), ((0, 2), 5), ((3, 4), 3), ((4, 3), 2),
+                  ((2, 0), 4), ((3, 0), 4), ((1, 3), 2), ((0, 3), 2),
+                  ((1, 2), 2)]
+        pts = np.array([xy for xy, count in groups for _ in range(count)],
+                       dtype=np.float64)
+        c, trace = kmeans_centers(pts, 4, seed=0, return_inertia=True)
+        assert np.allclose(c, [[4 / 11, 26 / 11], [4.0, 3.0],
+                               [29 / 13, 42 / 13], [2.5, 0.0]],
+                           rtol=0, atol=1e-12)
+        assert np.allclose(trace, [82.0, 3434 / 81, 20.07315761161915,
+                                   12.442020202020203, 1674 / 143],
+                           rtol=1e-12, atol=0)
+
     def test_duplicates_act_as_weights(self):
         pts = np.array([[0.0, 0.0]] * 9 + [[10.0, 10.0]])
         c = kmeans_centers(pts, 1, seed=0)

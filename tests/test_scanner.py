@@ -9,6 +9,7 @@ from fairscan.regions import random_partitionings, regular_grid
 from fairscan.scanner import CountPlan, as_scanner
 
 from conftest import cell_regions, make_dataset, random_dataset, random_region
+from oracles import oracle_region_counts
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +85,7 @@ class TestPlannedScanner:
 
 
 class TestPartitionScanner:
-    """The cell-assignment path for partitionings covering the bbox."""
+    """Cells of partitionings covering the bbox: one full member row each."""
 
     def test_agrees_with_range_count_per_cell(self, data_and_index):
         d, ix = data_and_index
@@ -162,6 +163,24 @@ class TestComposite:
             for i, r in enumerate(want):
                 rc = range_count(view, r)
                 assert (plan.n[i], p[i]) == (rc.n, rc.p)
+
+    def test_counts_past_narrow_integer_range(self):
+        # 70,000 points on a 1x1 index grid: the covering cell's row and the
+        # rectangle's boundary-member row each sum more than 32,767 labels.
+        rng = np.random.default_rng(23)
+        d = random_dataset(rng, 70_000)
+        ix = build_index(d, (1, 1))
+        labels = (rng.random(d.N) < 0.9).astype(np.int8)
+        cell = regular_grid(d.bbox, 1, 1)
+        rect = Region(0.1, 0.0, 0.9, 1.0)
+        plan = CountPlan(ix, [cell, rect])
+        p = plan.positives(labels)
+        assert p.dtype == np.int64
+        for i, region in enumerate(cell_regions(cell) + [rect]):
+            n_i, p_i = oracle_region_counts(region, d.lons, d.lats, labels,
+                                            d.bbox)
+            assert p_i > 32_767
+            assert (plan.n[i], p[i]) == (n_i, p_i)
 
 
 class TestAsScanner:
