@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -62,11 +63,15 @@ def _parse_splits(text: str) -> tuple[int, int]:
 def _parse_sides(text: str) -> tuple[float, ...]:
     try:
         lo, hi, count = text.split(":")
-        return tuple(np.linspace(float(lo), float(hi), int(count)))
+        lo, hi = float(lo), float(hi)
+        if math.isfinite(lo) and math.isfinite(hi):
+            return tuple(np.linspace(lo, hi, int(count)))
     except ValueError:
-        raise ValueError(
-            f"--sides expects LO:HI:COUNT, e.g. 0.1:2.0:20, got {text!r}"
-        ) from None
+        pass
+    raise ValueError(
+        "--sides expects LO:HI:COUNT with finite LO and HI, e.g. 0.1:2.0:20, "
+        f"got {text!r}"
+    )
 
 
 def _parse_rect(text: str) -> Region:
@@ -390,6 +395,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:  # DatasetError, JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a region family too large to allocate
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 1
 
 

@@ -142,24 +142,32 @@ def _parse_chunk(rows: list[list[str]], width: int):
     return np.array(cols[0], dtype=_ID), lons, lats, outcomes, labels
 
 
+def _row_problem(raw: list[str], width: int) -> str | None:
+    """What is wrong with one non-blank row, or None if it passes."""
+    if len(raw) != width:
+        return f"expected {width} fields, got {len(raw)}"
+    for i, column in _CHECKS:
+        value = raw[i].strip() if i < width else ""
+        if column in ("lon", "lat"):
+            try:
+                number = float(value)
+            except ValueError:
+                return f"{column} is not a number: {value!r}"
+            if not math.isfinite(number):
+                return f"{column} must be finite, got {value!r}"
+        elif value not in ("0", "1") and (value or column == "outcome"):
+            return f"{column} must be 0 or 1, got {value!r}"
+    return None
+
+
 def _first_error(chunk: list[list[str]], lineno: int, width: int) -> str:
-    """The message for the first bad row of a chunk starting at line lineno."""
-    for lineno, raw in enumerate(chunk, start=lineno):
-        if not raw:
-            continue
-        if len(raw) != width:
-            return f"line {lineno}: expected {width} fields, got {len(raw)}"
-        for i, column in _CHECKS:
-            value = raw[i].strip() if i < width else ""
-            if column in ("lon", "lat"):
-                try:
-                    number = float(value)
-                except ValueError:
-                    return f"line {lineno}: {column} is not a number: {value!r}"
-                if not math.isfinite(number):
-                    return f"line {lineno}: {column} must be finite, got {value!r}"
-            elif value not in ("0", "1") and (value or column == "outcome"):
-                return f"line {lineno}: {column} must be 0 or 1, got {value!r}"
+    """The message for the first bad row of a chunk starting on line lineno."""
+    for raw in chunk:
+        if raw and (problem := _row_problem(raw, width)):
+            return f"line {lineno}: {problem}"
+        # A line break inside a quoted field continues the same record.
+        lineno += 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n")
+                          for f in raw)
     raise AssertionError("chunk rejected but every row passes")
 
 
@@ -167,8 +175,8 @@ def read_columns(path: str) -> list[np.ndarray]:
     """Parse a CSV into its ids, lons, lats, outcomes and labels columns.
 
     Expected header: ``id,lon,lat,outcome`` with an optional trailing
-    ``label`` column. Errors name the offending line (header is line 1,
-    blank lines are skipped but counted).
+    ``label`` column. Errors name the physical line on which the offending
+    record starts (header is line 1, blank lines are skipped but counted).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -184,13 +192,13 @@ def read_columns(path: str) -> list[np.ndarray]:
                 )
             width = len(header)
             chunks = [_parse_chunk([], width)]  # typed columns for no rows
-            lineno = 2
+            lineno = reader.line_num + 1
             while chunk := list(islice(reader, _CHUNK_ROWS)):
                 columns = _parse_chunk([r for r in chunk if r], width)
                 if columns is None:
                     raise DatasetError(_first_error(chunk, lineno, width))
                 chunks.append(columns)
-                lineno += len(chunk)
+                lineno = reader.line_num + 1
                 del chunk  # free this chunk's strings before reading the next
         except csv.Error as exc:  # e.g. a field over the csv field limit
             raise DatasetError(f"line {reader.line_num}: {exc}") from None

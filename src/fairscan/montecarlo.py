@@ -84,9 +84,9 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
     # monotone in p and the two-sided score is convex in p, strictly enough
     # that integer counts differ by far more than rounding; llr_vector
     # scores each lane on its own, so the max is bit-identical to scoring
-    # every candidate.
-    by_size = np.argsort(plan.n, kind="stable")
-    n_sorted = plan.n[by_size]
+    # every candidate. The plan counts in ascending size, so each size is
+    # one run of its counts.
+    n_sorted = plan.n[plan.order]
     starts = np.flatnonzero(np.diff(n_sorted, prepend=-1))
     sizes = np.tile(n_sorted[starts], 2)
     # Stream per world index: results do not depend on execution order.
@@ -95,9 +95,9 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
     for i, world_seed in enumerate(seeds):
         rng = np.random.default_rng(world_seed)
         labels = (rng.random(n_obs) < rho).astype(np.int8)
-        p_sorted = plan.positives(labels)[by_size]
-        extremes = np.concatenate((np.maximum.reduceat(p_sorted, starts),
-                                   np.minimum.reduceat(p_sorted, starts)))
+        counts = plan.count_by_size(labels)
+        extremes = np.concatenate((np.maximum.reduceat(counts, starts),
+                                   np.minimum.reduceat(counts, starts)))
         llr = llr_vector(sizes, extremes, n_obs, np.count_nonzero(labels),
                          direction)
         values[i] = llr.max() if len(llr) else 0.0

@@ -212,8 +212,11 @@ def run_audit(d: Dataset, cfg: AuditConfig) -> AuditReport:
     timings["index_s"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    plan = as_scanner(ix, build_family(d, cfg))
+    family = build_family(d, cfg)
     timings["regions_s"] = time.perf_counter() - t1
+    t1 = time.perf_counter()
+    plan = as_scanner(ix, family)
+    timings["plan_s"] = time.perf_counter() - t1
     if len(plan.n) == 0:
         raise ValueError("the region family holds no candidate regions")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -188,8 +189,8 @@ def square_scan_set(centers, side_lengths: Sequence[float] | None = None
         side_lengths = DEFAULT_SIDE_LENGTHS
     sides = [float(s) for s in side_lengths]
     for s in sides:
-        if s <= 0:
-            raise ValueError(f"side lengths must be positive, got {s}")
+        if not (math.isfinite(s) and s > 0):
+            raise ValueError(f"side lengths must be finite and positive, got {s}")
     out = []
     for i, (cx, cy) in enumerate(np.asarray(centers, dtype=np.float64)):
         cid = f"c{i}"

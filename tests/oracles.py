@@ -106,9 +106,9 @@ def oracle_read_csv(path: str):
     """Row-by-row reference CSV parser: (ids, lons, lats, outcomes, labels).
 
     Validates each row in field order (field count, label, lon, lat,
-    outcome) and raises ValueError with the first bad row's message; the
-    header is line 1 and blank lines are skipped but counted. A missing
-    label reads as -1.
+    outcome) and raises ValueError with the first bad row's message, naming
+    the physical line the row starts on; the header is line 1 and blank
+    lines are skipped but counted. A missing label reads as -1.
     """
     import csv
 
@@ -142,7 +142,13 @@ def oracle_read_csv(path: str):
             raise ValueError(
                 "line 1: header must be id,lon,lat,outcome or "
                 f"id,lon,lat,outcome,label, got {','.join(header)!r}")
-        for lineno, raw in enumerate(reader, start=2):
+        while True:
+            # A record may span lines (a quoted field holding a line
+            # break); it is named by the line it starts on.
+            lineno = reader.line_num + 1
+            raw = next(reader, None)
+            if raw is None:
+                break
             if not raw:
                 continue
             if len(raw) != len(header):

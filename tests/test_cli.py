@@ -184,6 +184,41 @@ class TestAudit:
         assert err.startswith("error: line 2: field larger than field limit")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("exc", [
+        MemoryError("Unable to allocate 298. GiB for an array"), MemoryError()])
+    def test_family_too_large_to_allocate(self, capsys, monkeypatch,
+                                          unfair_csv, exc):
+        def too_large(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr("fairscan.pipeline.regular_grid", too_large)
+        code, _, err = run(capsys, "audit", "--data", unfair_csv,
+                           "--grid", "100000x100000", "--worlds", "99",
+                           "--alpha", "0.05")
+        assert code == 1
+        assert err.startswith("error: out of memory: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["audit", "regions"])
+    @pytest.mark.parametrize("sides", ["nan:1:3", "1:inf:3"])
+    def test_nonfinite_sides(self, capsys, tmp_path, unfair_csv, command,
+                             sides):
+        extra = (["--worlds", "99", "--alpha", "0.05"] if command == "audit"
+                 else ["--out", str(tmp_path / "sq.json")])
+        code, _, err = run(capsys, command, "--data", unfair_csv, "--squares",
+                           "--centers", "3", "--sides", sides, *extra)
+        assert code == 1
+        assert err.startswith("error: --sides expects LO:HI:COUNT with "
+                              f"finite LO and HI, e.g. 0.1:2.0:20, got {sides!r}")
+        assert "Traceback" not in err
+
+    def test_nonfinite_sides_in_config(self, capsys, tmp_path, unfair_csv):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"squares": true, "centers": 3, "sides": [0.5, NaN]}')
+        code, _, err = run(capsys, "audit", "--data", unfair_csv, "--config",
+                           str(config), "--worlds", "99", "--alpha", "0.05")
+        assert code == 1
+        assert err == "error: side lengths must be finite and positive, got nan\n"
+
     def test_invalid_grid_spec(self, capsys, unfair_csv):
         code, _, err = run(capsys, "audit", "--data", unfair_csv,
                            "--grid", "12", "--worlds", "99",

@@ -95,6 +95,21 @@ class TestReadRows:
             read_columns(p)
         assert str(err.value) == "line 68001: outcome must be 0 or 1, got '2'"
 
+    @pytest.mark.parametrize("chunk", [1, 65_536])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_bad_row_after_multiline_field_names_its_start_line(
+            self, tmp_path, chunk, eol):
+        # The quoted id spans lines 2-3, so the bad record starts on line 4.
+        text = eol.join(['id,lon,lat,outcome', '"a', 'b",0.1,0.2,1',
+                         'c,0.3,0.4,7', ''])
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(dataset_module, "_CHUNK_ROWS", chunk):
+            with pytest.raises(DatasetError) as err:
+                read_columns(str(p))
+        assert str(err.value) == "line 4: outcome must be 0 or 1, got '7'"
+        assert str(err.value) == str(_oracle_error(str(p)))
+
     def test_first_bad_row_wins_across_checks(self, tmp_path):
         # A field-count error after a bad coordinate in the same chunk.
         p = write_text(tmp_path / "d.csv",
@@ -104,8 +119,17 @@ class TestReadRows:
         assert str(err.value) == "line 3: lon is not a number: 'x'"
 
 
-# Field values that exercise every check, valid ones included.
-_IDS = st.text(alphabet='ab ,"\n', max_size=4)
+def _oracle_error(path):
+    try:
+        oracle_read_csv(path)
+    except ValueError as exc:
+        return exc
+    return None
+
+
+# Field values that exercise every check, valid ones included. Ids may hold
+# line breaks, which the writer quotes, so a record can span lines.
+_IDS = st.text(alphabet='ab ,"\n\r', max_size=4)
 _COORDS = st.sampled_from(["0", "1.5", "-2e3", " 0.25 ", "1_0", "oops", "",
                            "inf", "-inf", "nan", "1e999"])
 _BINARY = st.sampled_from(["0", "1", " 1 ", "2", "", "x"])

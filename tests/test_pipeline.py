@@ -149,8 +149,8 @@ class TestRunAudit:
 
     def test_timings_present(self, unfair_report):
         d, report = unfair_report
-        for key in ("index_s", "regions_s", "scan_s", "simulate_s",
-                    "total_s"):
+        for key in ("index_s", "regions_s", "plan_s", "scan_s",
+                    "simulate_s", "total_s"):
             assert report.timings[key] >= 0.0
 
     def test_whole_space_region_is_fair(self, tmp_path):

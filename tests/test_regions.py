@@ -236,6 +236,9 @@ class TestSquareScanSet:
             square_scan_set(np.array([[0.0, 0.0]]), side_lengths=(0.0,))
         with pytest.raises(ValueError):
             square_scan_set(np.array([[0.0, 0.0]]), side_lengths=(-1.0,))
+        for side in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                square_scan_set(np.array([[0.0, 0.0]]), side_lengths=(side,))
 
 
 class TestPartitioningBounds:

@@ -183,6 +183,56 @@ class TestComposite:
             assert (plan.n[i], p[i]) == (n_i, p_i)
 
 
+class TestSizeOrder:
+    """Matrix rows in ascending size; positives still in family order."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self, data_and_index):
+        d, ix = data_and_index
+        grid = regular_grid(d.bbox, 3, 2)
+        half = Region(d.bbox.xmin, d.bbox.ymin,
+                      (d.bbox.xmin + d.bbox.xmax) / 2, d.bbox.ymax)
+        uncovered = regular_grid(half, 2, 2)
+        square = Region(0.2, 0.2, 0.6, 0.7, center_id="c0")
+        empty = Region(50.0, 50.0, 60.0, 60.0)
+        whole = Region(d.bbox.xmin - 1, d.bbox.ymin - 1,
+                       d.bbox.xmax + 1, d.bbox.ymax + 1)
+        # The repeated square and grid give tied sizes across row kinds.
+        family = [square, grid, [empty, whole, square], uncovered, grid]
+        regions = ([square] + cell_regions(grid) + [empty, whole, square]
+                   + cell_regions(uncovered) + cell_regions(grid))
+        return d, CountPlan(ix, family), regions
+
+    def test_order_is_stable_argsort_of_n(self, mixed):
+        d, plan, regions = mixed
+        assert np.array_equal(plan.order, np.argsort(plan.n, kind="stable"))
+        assert plan.n.min() == 0 and plan.n.max() == d.N
+        assert len(np.unique(plan.n)) < len(regions)
+
+    def test_positives_in_family_order(self, mixed):
+        d, plan, regions = mixed
+        for labels in random_labelings(d.N, seed=5):
+            p = plan.positives(labels)
+            assert p.dtype == np.int64
+            for i, region in enumerate(regions):
+                want = oracle_region_counts(region, d.lons, d.lats, labels,
+                                            d.bbox)
+                assert (plan.n[i], p[i]) == want
+
+    def test_count_by_size_is_positives_in_order(self, mixed):
+        d, plan, _ = mixed
+        for labels in random_labelings(d.N, seed=6):
+            assert np.array_equal(plan.count_by_size(labels),
+                                  plan.positives(labels)[plan.order])
+
+    def test_count_by_size_checks_labels(self, mixed):
+        d, plan, _ = mixed
+        with pytest.raises(ValueError, match="shape"):
+            plan.count_by_size(np.zeros(d.N + 1, dtype=np.int8))
+        with pytest.raises(ValueError, match="binary"):
+            plan.count_by_size(np.full(d.N, 2, dtype=np.int8))
+
+
 class TestAsScanner:
     def test_passthrough(self, data_and_index):
         d, ix = data_and_index
