@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -239,38 +240,72 @@ def _audit_config(args: argparse.Namespace) -> AuditConfig:
 
     if merged["data"] is None:
         raise ValueError("--data is required (flag or config file)")
-    grid = merged["grid"]
-    if isinstance(grid, str):
-        grid = _parse_grid(grid)
-    splits = merged["splits"]
-    if isinstance(splits, str):
-        splits = _parse_splits(splits)
+    for key in ("data", "regions_file"):
+        if merged[key] is not None and not isinstance(merged[key], str):
+            _config_type_error(key, "a string", merged[key])
+    if not isinstance(merged["squares"], bool):
+        _config_type_error("squares", "true or false", merged["squares"])
     sides = merged["sides"]
     if isinstance(sides, str):
         sides = _parse_sides(sides)
     elif sides is not None:
+        if not (isinstance(sides, list) and all(map(_is_number, sides))):
+            _config_type_error("sides", "LO:HI:COUNT or a list of numbers",
+                               sides)
         sides = tuple(float(s) for s in sides)
-    resolution = merged["resolution"]
-    if isinstance(resolution, str):
-        resolution = _parse_grid(resolution)
-    elif resolution is not None:
-        resolution = (int(resolution[0]), int(resolution[1]))
+    if not _is_number(merged["alpha"]):
+        _config_type_error("alpha", "a number", merged["alpha"])
     return AuditConfig(
         data=merged["data"],
-        mode=_MODES[merged["mode"]],
-        direction=_DIRECTIONS[merged["direction"]],
-        grid=grid,
-        random_parts=merged["random_partitionings"],
-        splits=tuple(splits),
-        squares_centers=(int(merged["centers"]) if merged["squares"] else None),
+        mode=_choice("mode", merged["mode"], _MODES),
+        direction=_choice("direction", merged["direction"], _DIRECTIONS),
+        grid=_pair("grid", merged["grid"], _parse_grid),
+        random_parts=_integer("random_partitionings",
+                              merged["random_partitionings"]),
+        splits=_pair("splits", merged["splits"], _parse_splits),
+        squares_centers=(_integer("centers", merged["centers"])
+                         if merged["squares"] else None),
         sides=sides,
         regions_file=merged["regions_file"],
         alpha=float(merged["alpha"]),
-        num_worlds=int(merged["worlds"]) + 1,
-        seed=int(merged["seed"]),
-        resolution=resolution,
-        top_k=merged["top_k"],
+        num_worlds=_integer("worlds", merged["worlds"]) + 1,
+        seed=_integer("seed", merged["seed"]),
+        resolution=_pair("resolution", merged["resolution"], _parse_grid),
+        top_k=_integer("top_k", merged["top_k"]),
     )
+
+
+def _config_type_error(key: str, expected: str, value) -> NoReturn:
+    raise ValueError(f"config {key} must be {expected}, got {value!r}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(key: str, value):
+    """An integer option (not a bool or a float); None stays None."""
+    if value is not None and (isinstance(value, bool)
+                              or not isinstance(value, int)):
+        _config_type_error(key, "an integer", value)
+    return value
+
+
+def _pair(key: str, value, parse):
+    """A WxH or MIN..MAX option, as text or as a list of two integers."""
+    if value is None:
+        return None
+    if isinstance(value, str):
+        return parse(value)
+    if not (isinstance(value, list) and len(value) == 2):
+        _config_type_error(key, "a string or a list of two integers", value)
+    return tuple(_integer(key, v) for v in value)
+
+
+def _choice(key: str, value, table: dict):
+    if not (isinstance(value, str) and value in table):
+        _config_type_error(key, f"one of {', '.join(sorted(table))}", value)
+    return table[value]
 
 
 def cmd_audit(args: argparse.Namespace) -> int:

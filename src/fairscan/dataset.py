@@ -4,15 +4,20 @@ A dataset is one array per column, one entry per observation: ``ids``,
 planar locations ``lons``/``lats`` (decimal degrees treated as plain x/y),
 the audited binary ``outcomes`` and the ground-truth ``labels`` that the
 label-conditioned measures need (-1 where missing).
+
+``read_columns`` parses the CSV with numpy's C reader, chunk by chunk, and
+falls back to the stdlib csv reader and per-row checks for any chunk that
+reader refuses or cannot be trusted with; errors name the physical line.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -57,9 +62,14 @@ class Dataset:
     def from_arrays(cls, ids, lons, lats, outcomes, labels=None) -> "Dataset":
         """Validate and copy the columns; ``labels=None`` means all missing."""
         ids = np.array(ids, dtype=_ID)
-        lons, lats = np.array(lons, np.float64), np.array(lats, np.float64)
-        outcomes = np.array(outcomes)
         labels = np.full(ids.shape, -1) if labels is None else np.array(labels)
+        return cls._from_columns(ids, np.array(lons, np.float64),
+                                 np.array(lats, np.float64),
+                                 np.array(outcomes), labels)
+
+    @classmethod
+    def _from_columns(cls, ids, lons, lats, outcomes, labels) -> "Dataset":
+        """Validate arrays the Dataset may own without copying them."""
         if ids.ndim != 1 or any(c.shape != ids.shape
                                 for c in (lons, lats, outcomes, labels)):
             raise DatasetError("dataset columns must be 1-D and of equal length")
@@ -76,7 +86,8 @@ class Dataset:
             raise DatasetError(
                 f"coordinate extent is not finite: bounding box {bbox.bounds()}"
             )
-        outcomes, labels = outcomes.astype(np.int8), labels.astype(np.int8)
+        outcomes = outcomes.astype(np.int8, copy=False)
+        labels = labels.astype(np.int8, copy=False)
         n, p = len(ids), int(outcomes.sum())
         return cls(ids, lons, lats, outcomes, labels, N=n, P=p, rho=p / n,
                    bbox=bbox)
@@ -112,34 +123,88 @@ def apply_measure_mode(ids, labels, mode: MeasureMode) -> np.ndarray:
 
 
 _BASE_HEADER = ["id", "lon", "lat", "outcome"]
-_CHUNK_ROWS = 65_536  # rows parsed per batch; bounds the transient row lists
+_CHUNK_ROWS = 65_536  # lines read per batch; bounds the transient buffers
+_FIELDS = [("id", object), ("lon", "f8"), ("lat", "f8"), ("outcome", object),
+           ("label", object)]  # text as object: see read_columns
 _CODES = {"0": 0, "1": 1, "": -1}  # stripped outcome/label text; others read 2
 # The row checks in the order a bad row reports them, after its field count.
 _CHECKS = ((4, "label"), (1, "lon"), (2, "lat"), (3, "outcome"))
+_BLANK_LINES = ("\n", "\r\n", "\r")
 
 
 def _codes(column) -> np.ndarray:
-    return np.fromiter(map(_CODES.get, map(str.strip, column), repeat(2)),
-                       dtype=np.int8)
+    codes = np.fromiter(map(_CODES.get, column, repeat(2)), np.int8)
+    if (codes == 2).any():  # text padded with whitespace, or not a code
+        codes = np.fromiter(map(_CODES.get, map(str.strip, column), repeat(2)),
+                            np.int8)
+    return codes
 
 
-def _parse_chunk(rows: list[list[str]], width: int):
-    """Columns of non-blank rows, or None if any row fails a check."""
-    if any(len(r) != width for r in rows):
+def _load_chunk(lines: list[str], width: int):
+    """Columns of whole lines read by numpy's C reader, or None if refused.
+
+    read_columns lists what is refused. A record that spans lines is
+    refused because it may go on past these lines, and because a line
+    within the csv field limit bounds the fields of its own record only.
+    """
+    with warnings.catch_warnings():  # a chunk of blank lines holds no data
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            table = np.loadtxt(lines, dtype=_FIELDS[:width], delimiter=",",
+                               quotechar='"', comments=None, encoding="utf-8",
+                               ndmin=1)
+        except ValueError:
+            return None
+    rows = len(table)
+    if len(lines) > rows and len(lines) != rows + sum(map(lines.count,
+                                                          _BLANK_LINES)):
+        return None  # some record spans lines
+    # With one line per record, a line break in the last field is the last
+    # line's own end, taken in by a quote left open past these lines.
+    last = table[_FIELDS[width - 1][0]][-1] if rows else ""
+    if ("\n" in last or "\r" in last
+            or max(map(len, lines)) > csv.field_size_limit()):
         return None
-    cols = [[r[i] for r in rows] for i in range(width)]  # faster than zip(*rows)
-    try:
-        lons = np.fromiter(map(float, cols[1]), dtype=np.float64)
-        lats = np.fromiter(map(float, cols[2]), dtype=np.float64)
-    except ValueError:
-        return None
-    outcomes = _codes(cols[3])
-    labels = _codes(cols[4]) if width == 5 else np.full(len(rows), -1, np.int8)
+    lons, lats = table["lon"].copy(), table["lat"].copy()
+    outcomes = _codes(table["outcome"])
+    labels = (_codes(table["label"]) if width == 5
+              else np.full(rows, -1, np.int8))
     if not (np.isfinite(lons).all() and np.isfinite(lats).all()
             and ((outcomes == 0) | (outcomes == 1)).all()
             and (labels <= 1).all()):
         return None
-    return np.array(cols[0], dtype=_ID), lons, lats, outcomes, labels
+    return table["id"].astype(_ID), lons, lats, outcomes, labels
+
+
+def _checked_chunk(lines: list[str], fh, lineno: int, width: int):
+    """Reread the lines (and the rest of the last record, if it goes on
+    past them) with the csv reader and the row checks, from line lineno.
+
+    Returns the rows' columns and the number of lines read, or raises the
+    first bad row's message.
+    """
+    reader, chunk = csv.reader(chain(lines, fh)), []
+    try:
+        while reader.line_num < len(lines):
+            chunk.append(next(reader))
+    except csv.Error as exc:  # e.g. a field over the csv field limit
+        raise DatasetError(_first_error(chunk, lineno, width)
+                           or f"line {lineno - 1 + reader.line_num}: {exc}"
+                           ) from None
+    if error := _first_error(chunk, lineno, width):
+        raise DatasetError(error)
+    return _columns([r for r in chunk if r], width), reader.line_num
+
+
+def _columns(rows: list[list[str]], width: int):
+    """Typed columns of rows that passed the row checks."""
+    fields = list(zip(*rows)) if rows else [()] * width
+    labels = (_codes(fields[4]) if width == 5
+              else np.full(len(rows), -1, np.int8))
+    return (np.array(fields[0], dtype=_ID),
+            np.fromiter(map(float, fields[1]), np.float64, len(rows)),
+            np.fromiter(map(float, fields[2]), np.float64, len(rows)),
+            _codes(fields[3]), labels)
 
 
 def _row_problem(raw: list[str], width: int) -> str | None:
@@ -160,7 +225,8 @@ def _row_problem(raw: list[str], width: int) -> str | None:
     return None
 
 
-def _first_error(chunk: list[list[str]], lineno: int, width: int) -> str:
+def _first_error(chunk: list[list[str]], lineno: int,
+                 width: int) -> str | None:
     """The message for the first bad row of a chunk starting on line lineno."""
     for raw in chunk:
         if raw and (problem := _row_problem(raw, width)):
@@ -168,7 +234,7 @@ def _first_error(chunk: list[list[str]], lineno: int, width: int) -> str:
         # A line break inside a quoted field continues the same record.
         lineno += 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n")
                           for f in raw)
-    raise AssertionError("chunk rejected but every row passes")
+    return None
 
 
 def read_columns(path: str) -> list[np.ndarray]:
@@ -177,32 +243,45 @@ def read_columns(path: str) -> list[np.ndarray]:
     Expected header: ``id,lon,lat,outcome`` with an optional trailing
     ``label`` column. Errors name the physical line on which the offending
     record starts (header is line 1, blank lines are skipped but counted).
+
+    The lines are read in chunks of _CHUNK_ROWS, each parsed by numpy's C
+    reader (``np.loadtxt``; text fields are read as objects, because
+    loading them straight into ``StringDType`` makes numpy 2.4 report
+    failed deallocations). A chunk takes the checked path instead when
+    numpy refuses it (a wrong field count, or a number only ``float()``
+    reads, such as ``1_0``), when a value fails the row checks, when a
+    quoted field holds a line break, or when a line is longer than
+    ``csv.field_size_limit()``. The checked path rereads the chunk with
+    the stdlib csv reader and raises the first bad row's message, or
+    accepts the rows and converts them with ``float()``. Both paths give
+    the same columns and errors, whatever the chunk size.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
-            if header is None:
-                raise DatasetError("empty file: missing header")
-            header = [h.strip() for h in header]
-            if header != _BASE_HEADER and header != _BASE_HEADER + ["label"]:
-                raise DatasetError(
-                    "line 1: header must be id,lon,lat,outcome or "
-                    f"id,lon,lat,outcome,label, got {','.join(header)!r}"
-                )
-            width = len(header)
-            chunks = [_parse_chunk([], width)]  # typed columns for no rows
-            lineno = reader.line_num + 1
-            while chunk := list(islice(reader, _CHUNK_ROWS)):
-                columns = _parse_chunk([r for r in chunk if r], width)
-                if columns is None:
-                    raise DatasetError(_first_error(chunk, lineno, width))
-                chunks.append(columns)
-                lineno = reader.line_num + 1
-                del chunk  # free this chunk's strings before reading the next
         except csv.Error as exc:  # e.g. a field over the csv field limit
             raise DatasetError(f"line {reader.line_num}: {exc}") from None
-    return [np.concatenate(c) for c in zip(*chunks)]
+        if header is None:
+            raise DatasetError("empty file: missing header")
+        header = [h.strip() for h in header]
+        if header != _BASE_HEADER and header != _BASE_HEADER + ["label"]:
+            raise DatasetError(
+                "line 1: header must be id,lon,lat,outcome or "
+                f"id,lon,lat,outcome,label, got {','.join(header)!r}"
+            )
+        width = len(header)
+        chunks = [_columns([], width)]  # typed columns for no rows
+        lineno = reader.line_num + 1  # the line the next chunk starts on
+        while lines := list(islice(fh, _CHUNK_ROWS)):
+            columns, used = _load_chunk(lines, width), len(lines)
+            if columns is None:
+                columns, used = _checked_chunk(lines, fh, lineno, width)
+            chunks.append(columns)
+            lineno += used
+    columns = list(zip(*chunks))
+    del chunks  # so that each column's chunks are freed once joined
+    return [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
 
 
 def load_dataset(
@@ -217,7 +296,7 @@ def load_dataset(
     keep = apply_measure_mode(columns[0], columns[4], mode)
     if not keep.all():
         columns = [c[keep] for c in columns]
-    return Dataset.from_arrays(*columns)
+    return Dataset._from_columns(*columns)
 
 
 def write_csv(d: Dataset, path: str) -> None:

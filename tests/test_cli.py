@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,27 @@ class TestAudit:
             main(["audit", "--data", unfair_csv, "--bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 64])
+    def test_valid_load_is_silent(self, capsys, monkeypatch, tmp_path, chunk):
+        # \r\n line ends, runs of blank lines that fill whole chunks and 48
+        # data lines, a multiple of every chunk size but 64.
+        rng = np.random.default_rng(5)
+        lines = [f"r{i},{x!r},{y!r},{i % 3 % 2}" if i % 4 else ""
+                 for i, (x, y) in enumerate(rng.random((44, 2)).tolist())]
+        lines[20:20] = [""] * 4
+        path = tmp_path / "blanks.csv"
+        path.write_bytes("\r\n".join(["id,lon,lat,outcome"] + lines + [""])
+                         .encode("utf-8"))
+        monkeypatch.setattr("fairscan.dataset._CHUNK_ROWS", chunk)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, lines_out, err = run(capsys, "audit", "--data", str(path),
+                                       "--grid", "2x2", "--worlds", "19",
+                                       "--alpha", "0.1")
+        assert code == 0
+        assert VERDICT_RE.match(lines_out[1])
+        assert err == ""
+
     def test_oversized_csv_field(self, capsys, tmp_path):
         # The stdlib csv reader refuses fields over 131,072 characters.
         path = tmp_path / "long_id.csv"
@@ -272,6 +294,25 @@ class TestAuditConfigFile:
         assert code == 1
         assert "wrlds" in err
 
+
+    @pytest.mark.parametrize("values", [
+        {"grid": 5}, {"resolution": 7, "grid": "4x4"},
+        {"splits": 5, "random_partitionings": 10},
+        {"squares": True, "sides": 3}, {"mode": "bogus", "grid": "4x4"},
+        {"direction": "up", "grid": "4x4"}, {"mode": ["x"], "grid": "4x4"},
+        {"top_k": "5", "grid": "4x4"}, {"random_partitionings": "3"},
+        {"seed": 1.5, "grid": "4x4"}, {"seed": True, "grid": "4x4"},
+        {"worlds": 99.0, "grid": "4x4"}], ids=json.dumps)
+    def test_mistyped_config_value(self, capsys, unfair_csv, tmp_path,
+                                   values):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"data": unfair_csv, "worlds": 99, "alpha": 0.05, **values}))
+        code, lines, err = run(capsys, "audit", "--config", str(cfg_path))
+        assert code == 1
+        assert not lines
+        assert err.startswith("error: config ")
+        assert "Traceback" not in err
 
     def test_config_must_be_object(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

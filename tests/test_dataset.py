@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -110,6 +111,41 @@ class TestReadRows:
         assert str(err.value) == "line 4: outcome must be 0 or 1, got '7'"
         assert str(err.value) == str(_oracle_error(str(p)))
 
+    @pytest.mark.parametrize("row", [
+        "x" * 200_000 + ",0.5,0.5,1", "a," + "0" * 200_000 + "1,0.5,1",
+        "a,0.5," + " " * 200_000 + "1,1", "a,0.5,0.5,1" + " " * 200_000,
+        'a,"0.5' + ("\n" + " " * 999) * 200 + '",0.5,1',
+    ], ids=["id", "lon-digits", "lat-padded", "outcome-padded",
+            "lon-line-breaks"])
+    def test_field_over_csv_limit_is_refused(self, tmp_path, row):
+        # numpy reads every one of these rows; the csv reader does not.
+        p = write_text(tmp_path / "d.csv", "id,lon,lat,outcome\n" + row + "\n")
+        with pytest.raises(DatasetError,
+                           match=r"^line \d+: field larger than field limit"):
+            read_columns(p)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 65_536])
+    def test_quoted_records_across_chunk_ends_match_reference(
+            self, tmp_path, chunk):
+        # Quoted line breaks in the last field and in a coordinate, a blank
+        # line inside a quoted id, and quotes csv reads as plain text.
+        text = ('id,lon,lat,outcome,label\r\na,0.5,0.5,1,"1\r\n"\r\n'
+                '"b\n\nc",1.5,"2.5\n",0,\n\nx"y,1,2,"0",\r'
+                '"p""q"r,3,4,1,"\n1"\n')
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(dataset_module, "_CHUNK_ROWS", chunk):
+            got = [c.tolist() for c in read_columns(str(p))]
+        assert got == list(oracle_read_csv(str(p)))
+        assert got[0] == ["a", "b\n\nc", 'x"y', 'p"qr']
+
+    def test_bad_row_before_an_oversized_field_wins(self, tmp_path):
+        p = write_text(tmp_path / "d.csv", "id,lon,lat,outcome\na,0,0,7\n"
+                       + "x" * 200_000 + ",0,0,1\n")
+        with pytest.raises(DatasetError) as err:
+            read_columns(p)
+        assert str(err.value) == "line 2: outcome must be 0 or 1, got '7'"
+
     def test_first_bad_row_wins_across_checks(self, tmp_path):
         # A field-count error after a bad coordinate in the same chunk.
         p = write_text(tmp_path / "d.csv",
@@ -128,12 +164,19 @@ def _oracle_error(path):
 
 
 # Field values that exercise every check, valid ones included. Ids may hold
-# line breaks, which the writer quotes, so a record can span lines.
-_IDS = st.text(alphabet='ab ,"\n\r', max_size=4)
+# line breaks, which the writer quotes, so a record can span lines. Some
+# values are read differently by numpy's loadtxt and by csv plus float():
+# "#" (a loadtxt comment by default), ids over 15 bytes, "01" and "+1"
+# (loadtxt integers), "１" and "٣" (only float() reads them), and "+.5" and
+# "Infinity", which both read.
+_IDS = st.text(alphabet='ab ,"\n\r#', max_size=4) | st.sampled_from(
+    ["#", "a#b", "sixteen bytes id", "a, longer id with \"quotes\" #"])
 _COORDS = st.sampled_from(["0", "1.5", "-2e3", " 0.25 ", "1_0", "oops", "",
-                           "inf", "-inf", "nan", "1e999"])
-_BINARY = st.sampled_from(["0", "1", " 1 ", "2", "", "x"])
-_LABELS = st.sampled_from(["0", "1", "", " ", "0 ", "2", "yes"])
+                           "inf", "-inf", "nan", "1e999", "１", "٣", "+.5",
+                           "Infinity"])
+_BINARY = st.sampled_from(["0", "1", " 1 ", "2", "", "x", "01", "+1", "1.0"])
+_LABELS = st.sampled_from(["0", "1", "", " ", "0 ", "2", "yes", "01", "+1",
+                           "1.0"])
 
 
 @st.composite
@@ -185,6 +228,35 @@ class TestParserMatchesReference:
                     assert d.lats.tolist() == want[2]
                     assert d.outcomes.tolist() == want[3]
                     assert d.labels.tolist() == want[4]
+
+
+class TestLoadMemory:
+    @staticmethod
+    def traced_peak(path):
+        tracemalloc.start()
+        try:
+            d = load_dataset(path)
+            return tracemalloc.get_traced_memory()[1], d
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_grows_linearly_within_two_copies(self, tmp_path):
+        rng = np.random.default_rng(0)
+        chunk = 4096
+        peaks = []
+        for n in (100_000, 200_000):
+            path = tmp_path / f"d{n}.csv"
+            path.write_text("id,lon,lat,outcome\n" + "".join(
+                f"r{i},{x!r},{y!r},{i % 2}\n" for i, (x, y) in
+                enumerate(rng.random((n, 2)).tolist())))
+            with mock.patch.object(dataset_module, "_CHUNK_ROWS", chunk):
+                peak, d = self.traced_peak(str(path))
+            columns = (d.ids, d.lons, d.lats, d.outcomes, d.labels)
+            # A line, its id object and its table row take well under 512
+            # bytes here, so the chunk's transient share is below this.
+            assert peak < 2 * sum(c.nbytes for c in columns) + 512 * chunk
+            peaks.append(peak)
+        assert peaks[1] <= 2.05 * peaks[0]
 
 
 class TestMeasureMode:
