@@ -22,6 +22,7 @@ from .pipeline import (
     _derive_seeds,
 )
 from .regions import (
+    MAX_FLOATS,
     kmeans_centers,
     random_partitionings,
     regular_grid,
@@ -64,15 +65,17 @@ def _parse_splits(text: str) -> tuple[int, int]:
 def _parse_sides(text: str) -> tuple[float, ...]:
     try:
         lo, hi, count = text.split(":")
-        lo, hi = float(lo), float(hi)
-        if math.isfinite(lo) and math.isfinite(hi):
-            return tuple(np.linspace(lo, hi, int(count)))
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
-        pass
-    raise ValueError(
-        "--sides expects LO:HI:COUNT with finite LO and HI, e.g. 0.1:2.0:20, "
-        f"got {text!r}"
-    )
+        lo = hi = count = math.nan
+    if not (math.isfinite(lo) and math.isfinite(hi) and count >= 0):
+        raise ValueError(
+            "--sides expects LO:HI:COUNT with finite LO and HI, e.g. "
+            f"0.1:2.0:20, got {text!r}"
+        )
+    if count >= MAX_FLOATS:
+        raise ValueError(f"--sides COUNT {count} exceeds the longest array")
+    return tuple(np.linspace(lo, hi, count))
 
 
 def _parse_rect(text: str) -> Region:
@@ -428,7 +431,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # DatasetError, JSONDecodeError too
+    # DatasetError and JSONDecodeError are ValueErrors; an OverflowError is
+    # a count too large for a C integer, such as --worlds 2**63.
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # e.g. a region family too large to allocate

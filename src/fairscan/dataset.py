@@ -77,9 +77,10 @@ class Dataset:
             raise DatasetError("dataset is empty")
         if not (np.isfinite(lons).all() and np.isfinite(lats).all()):
             raise DatasetError("non-finite coordinate in dataset")
-        if not np.isin(outcomes, (0, 1)).all():
+        # Comparisons, not np.isin: its temporaries take several bytes a row.
+        if not ((outcomes == 0) | (outcomes == 1)).all():
             raise DatasetError("outcome values must be 0 or 1")
-        if not np.isin(labels, (-1, 0, 1)).all():
+        if not ((labels == 0) | (labels == 1) | (labels == -1)).all():
             raise DatasetError("label values must be 0, 1 or -1 (missing)")
         bbox = bounding_box(lons, lats)
         if not (math.isfinite(bbox.width) and math.isfinite(bbox.height)):
@@ -237,25 +238,8 @@ def _first_error(chunk: list[list[str]], lineno: int,
     return None
 
 
-def read_columns(path: str) -> list[np.ndarray]:
-    """Parse a CSV into its ids, lons, lats, outcomes and labels columns.
-
-    Expected header: ``id,lon,lat,outcome`` with an optional trailing
-    ``label`` column. Errors name the physical line on which the offending
-    record starts (header is line 1, blank lines are skipped but counted).
-
-    The lines are read in chunks of _CHUNK_ROWS, each parsed by numpy's C
-    reader (``np.loadtxt``; text fields are read as objects, because
-    loading them straight into ``StringDType`` makes numpy 2.4 report
-    failed deallocations). A chunk takes the checked path instead when
-    numpy refuses it (a wrong field count, or a number only ``float()``
-    reads, such as ``1_0``), when a value fails the row checks, when a
-    quoted field holds a line break, or when a line is longer than
-    ``csv.field_size_limit()``. The checked path rereads the chunk with
-    the stdlib csv reader and raises the first bad row's message, or
-    accepts the rows and converts them with ``float()``. Both paths give
-    the same columns and errors, whatever the chunk size.
-    """
+def _read_chunks(path: str) -> list[tuple]:
+    """The typed columns of each chunk of lines; see read_columns."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -279,6 +263,53 @@ def read_columns(path: str) -> list[np.ndarray]:
                 columns, used = _checked_chunk(lines, fh, lineno, width)
             chunks.append(columns)
             lineno += used
+    return chunks
+
+
+def _not_utf8(path: str) -> str | None:
+    """The message naming the line of the file's first byte that is not
+    UTF-8, or None if every byte decodes."""
+    lineno = 1
+    with open(path, "rb") as fh:
+        for raw in fh:  # split after b"\n"; splitlines also ends at b"\r"
+            for line in raw.splitlines(keepends=True):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    return (f"line {lineno}: byte 0x{line[exc.start]:02x} "
+                            f"is not UTF-8 ({exc.reason})")
+                lineno += 1
+    return None
+
+
+def read_columns(path: str) -> list[np.ndarray]:
+    """Parse a CSV into its ids, lons, lats, outcomes and labels columns.
+
+    Expected header: ``id,lon,lat,outcome`` with an optional trailing
+    ``label`` column. Errors name the physical line on which the offending
+    record starts (header is line 1, blank lines are skipped but counted).
+
+    The lines are read in chunks of _CHUNK_ROWS, each parsed by numpy's C
+    reader (``np.loadtxt``; text fields are read as objects, because
+    loading them straight into ``StringDType`` makes numpy 2.4 report
+    failed deallocations). A chunk takes the checked path instead when
+    numpy refuses it (a wrong field count, or a number only ``float()``
+    reads, such as ``1_0``), when a value fails the row checks, when a
+    quoted field holds a line break, or when a line is longer than
+    ``csv.field_size_limit()``. The checked path rereads the chunk with
+    the stdlib csv reader and raises the first bad row's message, or
+    accepts the rows and converts them with ``float()``. Both paths give
+    the same columns and errors, whatever the chunk size.
+
+    A byte that is not UTF-8 is reported with the line that holds it. The
+    lines are decoded as they are read, a chunk (and up to 8 kB more)
+    ahead of the row checks, so such a byte is reported even when a bad
+    row comes before it in that span.
+    """
+    try:
+        chunks = _read_chunks(path)
+    except UnicodeDecodeError as exc:
+        raise DatasetError(_not_utf8(path) or str(exc)) from None
     columns = list(zip(*chunks))
     del chunks  # so that each column's chunks are freed once joined
     return [np.concatenate(columns.pop(0)) for _ in range(len(columns))]

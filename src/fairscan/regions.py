@@ -16,6 +16,12 @@ DEFAULT_MIN_SPLITS = 10
 DEFAULT_MAX_SPLITS = 40
 # 20 side lengths, 0.1 through 2.0 degrees.
 DEFAULT_SIDE_LENGTHS = tuple(np.linspace(0.1, 2.0, 20))
+# The longest float64 array numpy can allocate; np.linspace fails with an
+# IndexError, not a ValueError, for some counts above it.
+MAX_FLOATS = np.iinfo(np.intp).max // 8
+# Points whose distances to every center one k-means step computes at a
+# time: its two (block, k) float64 buffers are the step's scratch memory.
+_KMEANS_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,8 @@ def regular_grid(bbox: Region, mx: int, my: int) -> Partitioning:
     """Partition bbox into mx-by-my equal-extent cells."""
     if mx < 1 or my < 1:
         raise ValueError(f"grid dimensions must be positive, got {mx}x{my}")
+    if max(mx, my) >= MAX_FLOATS:
+        raise ValueError(f"grid dimensions {mx}x{my} exceed the longest array")
     if bbox.width == 0.0 and mx > 1:
         raise ValueError("bbox has zero width; a grid with mx > 1 is degenerate")
     if bbox.height == 0.0 and my > 1:
@@ -124,6 +132,11 @@ def kmeans_centers(data, k: int, seed: int = 0, max_iters: int = 100,
     Deterministic for a given seed. Stops when assignments stabilize or
     after max_iters. With return_inertia=True also returns the inertia
     recorded after each assignment step (a non-increasing sequence).
+
+    The Lloyd iterations are exact: a point is skipped only when a
+    distance bound proves it keeps its center, so centers and inertia are
+    bit for bit those of the full (N, k) distance matrix. Scratch memory
+    is O(N + block * k), the distances of _KMEANS_BLOCK points at a time.
     """
     pts = _points_of(data)
     npts = len(pts)
@@ -139,39 +152,90 @@ def kmeans_centers(data, k: int, seed: int = 0, max_iters: int = 100,
     # k-means++ initialization: spread starting centers by squared distance.
     centers = np.empty((k, 2), dtype=np.float64)
     centers[0] = pts[rng.integers(npts)]
-    d2 = ((pts - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        centers[j] = pts[rng.choice(npts, p=d2 / d2.sum())]
-        d2 = np.minimum(d2, ((pts - centers[j]) ** 2).sum(axis=1))
+    with np.errstate(over="ignore"):  # an infinite total is refused below
+        d2 = ((pts - centers[0]) ** 2).sum(axis=1)
+        for j in range(1, k):
+            total = d2.sum()
+            if not 0.0 < total < np.inf:
+                raise ValueError(
+                    "k-means++ cannot weigh the locations: their squared "
+                    f"distances sum to {total} at this coordinate scale"
+                )
+            centers[j] = pts[rng.choice(npts, p=d2 / total)]
+            d2 = np.minimum(d2, ((pts - centers[j]) ** 2).sum(axis=1))
 
+    # Lloyd iterations that skip the points a bound proves keep their
+    # center (after Hamerly 2010, "Making k-means even faster"). lower[i]
+    # bounds the distance from point i to every center but its own: it is
+    # set from the point's last full row and shrinks by the largest center
+    # move after each update. A point whose distance to its own center,
+    # plus tol, is below that bound is skipped; every other point gets its
+    # full row of squared distances, with the same float operations as a
+    # full (npts, k) matrix, so argmin and its lowest-index tie rule hold.
+    #
+    # Why a skipped point's float argmin cannot change: every point-center
+    # distance is at most D = sqrt(2) * scale, where scale is the larger
+    # side of the box holding the points and every center so far. A float
+    # squared distance is within 4 ulp (relative) of the true one, so a
+    # distance taken from it, a move, and each update of lower are within a
+    # few u*D of exact (u = 2**-53): after T updates lower is within about
+    # 10*T*u*D, 1e-15*T*D. tol is 1e-11 * scale * max(100, it), with
+    # T <= it, over a thousand times that, so the true distances hold d_own + tol/2 <
+    # d_other, and the float squared distances then differ by more than
+    # their rounding: the float argmin is the same, unique, center. With
+    # scale outside [1e-100, 1e100] a square could overflow or a margin
+    # fall into subnormals, so nothing is skipped there.
     inertia_trace: list[float] = []
-    assign = None
-    # Squared distances reuse two (npts, k) buffers: no (npts, k, 2)
-    # temporary per iteration, so peak memory is the same on every run.
-    dist2, dy2 = np.empty((2, npts, k))
-    for _ in range(max_iters):
-        np.square(np.subtract(pts[:, :1], centers[:, 0], out=dist2), out=dist2)
-        np.square(np.subtract(pts[:, 1:], centers[:, 1], out=dy2), out=dy2)
-        dist2 += dy2
-        new_assign = dist2.argmin(axis=1)
-        inertia_trace.append(float(dist2[np.arange(npts), new_assign].sum()))
-        if assign is not None and np.array_equal(new_assign, assign):
+    assign = np.zeros(npts, dtype=np.intp)
+    lower = np.zeros(npts)  # 0: no point is skipped before its first row
+    box_lo, box_hi = pts.min(axis=0), pts.max(axis=0)
+    block = min(_KMEANS_BLOCK, npts)
+    dist2, dy2 = np.empty((2, block, k))
+    for it in range(max_iters):
+        # Each point's squared distance to its center, as the matrix has it.
+        own = (np.square(pts[:, 0] - centers[assign, 0])
+               + np.square(pts[:, 1] - centers[assign, 1]))
+        box_lo = np.minimum(box_lo, centers.min(axis=0))
+        box_hi = np.maximum(box_hi, centers.max(axis=0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = float((box_hi - box_lo).max())
+            tol = (1e-11 * scale * max(100, it) if 1e-100 <= scale <= 1e100
+                   else np.inf)
+            stale = np.flatnonzero(~(np.sqrt(own) + tol < lower))
+        changed = it == 0  # the first step always moves the centers
+        for start in range(0, len(stale), block):
+            ids = stale[start:start + block]
+            d2, e2 = dist2[:len(ids)], dy2[:len(ids)]
+            np.square(np.subtract(pts[ids, :1], centers[:, 0], out=d2), out=d2)
+            np.square(np.subtract(pts[ids, 1:], centers[:, 1], out=e2), out=e2)
+            d2 += e2
+            near = d2.argmin(axis=1)
+            rows = np.arange(len(ids))
+            own[ids] = d2[rows, near]
+            d2[rows, near] = np.inf
+            lower[ids] = np.sqrt(d2.min(axis=1))
+            changed = changed or not np.array_equal(near, assign[ids])
+            assign[ids] = near
+        inertia_trace.append(float(own.sum()))
+        if not changed:
             break
-        assign = new_assign
-        sums = np.zeros((k, 2), dtype=np.float64)
-        np.add.at(sums, assign, pts)
+        # bincount adds in point order, as np.add.at does: the same sums.
+        sums = np.column_stack([np.bincount(assign, weights=pts[:, axis],
+                                            minlength=k) for axis in (0, 1)])
         sizes = np.bincount(assign, minlength=k)
+        previous = centers.copy()
         empty = sizes == 0
         if empty.any():
             # Re-seed each empty cluster on the point farthest from its
             # current center; deterministic via argmax.
-            far_order = np.argsort(-dist2[np.arange(npts), assign], kind="stable")
+            far_order = np.argsort(-own, kind="stable")
             centers[empty] = pts[far_order[:empty.sum()]]
-            # Recompute assignment against repaired centers next loop.
             nonempty = ~empty
             centers[nonempty] = sums[nonempty] / sizes[nonempty, None]
-            continue
-        centers = sums / sizes[:, None]
+        else:
+            centers = sums / sizes[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            lower -= np.sqrt(np.square(centers - previous).sum(axis=1)).max()
     if return_inertia:
         return centers, inertia_trace
     return centers

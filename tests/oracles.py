@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def oracle_null(N: int, P: int) -> float:
     """Maximized null log-likelihood: P*ln(P/N) + (N-P)*ln(1-P/N)."""
@@ -164,3 +166,47 @@ def oracle_read_csv(path: str):
             for column, value in zip(columns, row):
                 column.append(value)
     return columns
+
+
+def oracle_kmeans(pts, k: int, seed: int = 0, max_iters: int = 100):
+    """k-means++ seeded Lloyd iterations over the full (N, k) matrix.
+
+    Returns (centers, inertia trace). Every step computes each point's
+    squared distance to every center (x and y squared differences, then
+    their sum), assigns by argmin (lowest index on ties) and stops when no
+    assignment changes; an empty cluster is re-seeded on the point
+    farthest from its center. kmeans_centers must match it bit for bit.
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    npts = len(pts)
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, 2), dtype=np.float64)
+    centers[0] = pts[rng.integers(npts)]
+    d2 = ((pts - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        centers[j] = pts[rng.choice(npts, p=d2 / d2.sum())]
+        d2 = np.minimum(d2, ((pts - centers[j]) ** 2).sum(axis=1))
+
+    inertia_trace = []
+    assign = None
+    for _ in range(max_iters):
+        dist2 = (np.square(pts[:, :1] - centers[:, 0])
+                 + np.square(pts[:, 1:] - centers[:, 1]))
+        new_assign = dist2.argmin(axis=1)
+        inertia_trace.append(float(dist2[np.arange(npts), new_assign].sum()))
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        sums = np.zeros((k, 2), dtype=np.float64)
+        np.add.at(sums, assign, pts)
+        sizes = np.bincount(assign, minlength=k)
+        empty = sizes == 0
+        if empty.any():
+            far_order = np.argsort(-dist2[np.arange(npts), assign],
+                                   kind="stable")
+            centers[empty] = pts[far_order[:empty.sum()]]
+            nonempty = ~empty
+            centers[nonempty] = sums[nonempty] / sizes[nonempty, None]
+            continue
+        centers = sums / sizes[:, None]
+    return centers, inertia_trace

@@ -206,6 +206,14 @@ class TestAudit:
         assert err.startswith("error: line 2: field larger than field limit")
         assert "Traceback" not in err
 
+    def test_byte_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"id,lon,lat,outcome\na,0.5,0.5,1\nb\xff\xfe,0.5,0.5,0\n")
+        code, _, err = run(capsys, "audit", "--data", str(path), *FAST)
+        assert code == 1
+        assert err == ("error: line 3: byte 0xff is not UTF-8 "
+                       "(invalid start byte)\n")
+
     @pytest.mark.parametrize("exc", [
         MemoryError("Unable to allocate 298. GiB for an array"), MemoryError()])
     def test_family_too_large_to_allocate(self, capsys, monkeypatch,
@@ -240,6 +248,22 @@ class TestAudit:
                            str(config), "--worlds", "99", "--alpha", "0.05")
         assert code == 1
         assert err == "error: side lengths must be finite and positive, got nan\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--grid", "2x2", "--worlds", str(2**63)],
+         "Python int too large to convert to C ssize_t"),
+        (["--random-partitionings", str(2**63)],
+         "Python int too large to convert to C ssize_t"),
+        (["--grid", f"{2**63}x1"],
+         f"grid dimensions {2**63}x1 exceed the longest array"),
+        (["--squares", "--centers", "2", "--sides", f"0.1:1:{2**63}"],
+         f"--sides COUNT {2**63} exceeds the longest array"),
+    ])
+    def test_count_too_large_for_an_array(self, capsys, unfair_csv, argv,
+                                          message):
+        code, _, err = run(capsys, "audit", "--data", unfair_csv,
+                           "--worlds", "99", "--alpha", "0.05", *argv)
+        assert (code, err) == (1, f"error: {message}\n")
 
     def test_invalid_grid_spec(self, capsys, unfair_csv):
         code, _, err = run(capsys, "audit", "--data", unfair_csv,

@@ -154,6 +154,34 @@ class TestReadRows:
             read_columns(p)
         assert str(err.value) == "line 3: lon is not a number: 'x'"
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("where, lineno", [
+        ("header", 1), ("data line", 3), ("third chunk", 2_501),
+        ("open quote", 1_401)])
+    def test_byte_not_utf8_names_its_line(self, tmp_path, eol, where, lineno):
+        lines = ["id,lon,lat,outcome"] + [
+            f"r{i},{i}.5,0.25,{i % 2}" for i in range(2, 3_001)]
+        bad = "\udcff\udcfe"  # the bytes 0xff 0xfe, see below
+        if where == "header":
+            lines[0] = "id,lon,la" + bad + "t,outcome"
+        elif where == "open quote":
+            # A quoted id from the first chunk's last line to line 1,401,
+            # 16 kB on: the rows are reread past the chunk before the
+            # decoder reaches the byte.
+            lines[1_000:1_401] = (['"q'] + ["x" * 40] * 399
+                                  + ["x" + bad + '",1.5,0.25,1'])
+        else:
+            lines[lineno - 1] = "r" + bad + ",1.5,0.25,1"
+        p = tmp_path / "d.csv"
+        p.write_bytes(eol.join(lines).encode("utf-8", "surrogateescape"))
+        # 1,000-line chunks of about 20 kB: the third chunk is decoded
+        # after the first chunk's rows are read.
+        with mock.patch.object(dataset_module, "_CHUNK_ROWS", 1_000):
+            with pytest.raises(DatasetError) as err:
+                read_columns(str(p))
+        assert str(err.value) == (f"line {lineno}: byte 0xff is not UTF-8 "
+                                  "(invalid start byte)")
+
 
 def _oracle_error(path):
     try:
@@ -327,6 +355,27 @@ class TestLoadDataset:
 
 
 class TestDatasetInvariants:
+    def test_validation_takes_few_bytes_per_row(self):
+        n = 100_000
+        columns = (np.array(["r"] * n, dtype=np.dtypes.StringDType()),
+                   np.zeros(n), np.zeros(n), np.ones(n, np.int8),
+                   np.full(n, -1, np.int8))
+        tracemalloc.start()
+        try:
+            Dataset._from_columns(*columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Three boolean temporaries at a time; np.isin took 12 bytes a row.
+        assert peak < 4 * n
+
+    @pytest.mark.parametrize("column, value", [
+        ("outcomes", 0.5), ("outcomes", -1), ("labels", 0.5), ("labels", 2)])
+    def test_values_outside_the_codes_rejected(self, column, value):
+        values = {"outcomes": [1], "labels": [0], column: [value]}
+        with pytest.raises(DatasetError, match="must be 0"):
+            Dataset.from_arrays(["a"], [0.0], [0.0], **values)
+
     def test_counts_and_rate(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

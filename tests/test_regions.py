@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairscan import build_index
 from fairscan.geometry import Region, regions_overlap
+from fairscan import regions as regions_module
 from fairscan.regions import (
     DEFAULT_SIDE_LENGTHS,
     Partitioning,
@@ -19,8 +22,16 @@ from fairscan.regions import (
 )
 
 from conftest import cell_regions, random_dataset
+from oracles import oracle_kmeans
 
 UNIT = Region(0.0, 0.0, 1.0, 1.0)
+# From these 34 points k-means++ (seed 0) leaves one of its 4 starting
+# centers without points after the first assignment step.
+_RESEED_GROUPS = [((2, 3), 10), ((0, 2), 5), ((3, 4), 3), ((4, 3), 2),
+                  ((2, 0), 4), ((3, 0), 4), ((1, 3), 2), ((0, 3), 2),
+                  ((1, 2), 2)]
+RESEED_POINTS = np.array([xy for xy, count in _RESEED_GROUPS
+                          for _ in range(count)], dtype=np.float64)
 
 
 class TestRegularGrid:
@@ -171,15 +182,9 @@ class TestKMeans:
         assert np.all(np.diff(trace) <= 1e-9)
 
     def test_empty_cluster_is_reseeded(self):
-        # From these 34 points k-means++ leaves one of its 4 starting
-        # centers without points after the first assignment, so the
-        # re-seed branch runs once.
-        groups = [((2, 3), 10), ((0, 2), 5), ((3, 4), 3), ((4, 3), 2),
-                  ((2, 0), 4), ((3, 0), 4), ((1, 3), 2), ((0, 3), 2),
-                  ((1, 2), 2)]
-        pts = np.array([xy for xy, count in groups for _ in range(count)],
-                       dtype=np.float64)
-        c, trace = kmeans_centers(pts, 4, seed=0, return_inertia=True)
+        # The re-seed branch runs once on these points.
+        c, trace = kmeans_centers(RESEED_POINTS, 4, seed=0,
+                                  return_inertia=True)
         assert np.allclose(c, [[4 / 11, 26 / 11], [4.0, 3.0],
                                [29 / 13, 42 / 13], [2.5, 0.0]],
                            rtol=0, atol=1e-12)
@@ -199,6 +204,104 @@ class TestKMeans:
         assert c.shape == (10, 2)
         assert np.all(c >= pts.min(axis=0) - 1e-12)
         assert np.all(c <= pts.max(axis=0) + 1e-12)
+
+
+@st.composite
+def _kmeans_inputs(draw):
+    """Point sets full of exact ties, and scales where rounding bites."""
+    kind = draw(st.sampled_from(["lattice", "collinear", "offset", "scale",
+                                 "overflow", "reseed"]))
+    if kind == "reseed":
+        return RESEED_POINTS, 4, 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 150))
+    if kind == "lattice":  # integer grid: equidistant centers, duplicates
+        pts = rng.integers(0, rng.integers(1, 9), (n, 2)).astype(np.float64)
+    elif kind == "collinear":
+        t = rng.integers(0, 12, n).astype(np.float64)
+        pts = np.column_stack((t, rng.choice([0.0, 1.0, 2.0, -0.5]) * t))
+        if rng.random() < 0.5:
+            pts = pts[:, ::-1].copy()  # on a vertical line
+    elif kind == "offset":  # a tiny span at a large offset
+        span = 10.0 ** rng.integers(-8, 1)
+        offset = 10.0 ** rng.integers(3, 13)
+        pts = rng.random((n, 2))
+        if rng.random() < 0.5:
+            pts = np.round(pts * 4) / 4
+        pts = offset + span * pts
+    elif kind == "scale":  # magnitudes inside and outside [1e-100, 1e100]
+        exponent = rng.choice([rng.integers(-110, -90), rng.integers(-90, 90),
+                               rng.integers(90, 111)])
+        pts = rng.normal(size=(n, 2)) * 10.0 ** exponent
+    else:  # two points so far apart that their squared distance is inf
+        pts = rng.normal(size=(n + 2, 2)) * 1e150
+        pts[:2] = [[-0.9e154, 0.0], [0.9e154, 0.0]]
+    distinct = len(np.unique(pts, axis=0))
+    k = rng.choice([1, distinct, rng.integers(1, distinct + 1),
+                    rng.integers(1, distinct + 1)])
+    return pts, int(k), int(rng.integers(2**32))
+
+
+def _result(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError:  # e.g. k-means++ weights overflowing to inf
+        return "ValueError"
+
+
+class TestKMeansMatchesFullMatrix:
+    """kmeans_centers skips points by bounds; the result must not move."""
+
+    @staticmethod
+    def assert_identical(pts, k, seed):
+        want = _result(oracle_kmeans, pts, k, seed=seed)
+        got = _result(kmeans_centers, pts, k, seed=seed, return_inertia=True)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_kmeans_inputs())
+    def test_bit_identical_centers_and_inertia(self, case):
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assert_identical(*case)
+
+    @pytest.mark.parametrize("block", [1, 7, 1024])
+    def test_empty_cluster_reseed(self, monkeypatch, block):
+        monkeypatch.setattr(regions_module, "_KMEANS_BLOCK", block)
+        self.assert_identical(RESEED_POINTS, 4, 0)
+
+    def test_planted20k_shape(self):
+        rng = np.random.default_rng(20)
+        self.assert_identical(rng.uniform(0.0, 10.0, (20_000, 2)), 100, 7)
+
+
+class TestKMeansMemory:
+    # Scratch memory is two (block, k) float64 buffers plus a few arrays
+    # of N entries: np.unique's sorted copy, the k-means++ weights, each
+    # point's center, distance and bound, all well under this per point.
+    BYTES_PER_POINT = 128
+
+    @staticmethod
+    def traced_peak(pts, k):
+        tracemalloc.start()
+        try:
+            kmeans_centers(pts, k, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_linear_in_n(self):
+        k, peaks = 100, []
+        for n in (20_000, 40_000):
+            pts = np.random.default_rng(0).uniform(0.0, 10.0, (n, 2))
+            peak = self.traced_peak(pts, k)
+            block = regions_module._KMEANS_BLOCK
+            assert peak < self.BYTES_PER_POINT * n + 16 * block * k
+            peaks.append(peak)
+        assert peaks[1] <= 2.05 * peaks[0]
 
 
 class TestSquareScanSet:
