@@ -223,8 +223,15 @@ def _audit_config(args: argparse.Namespace) -> AuditConfig:
     }
     merged = dict(defaults)
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+        with open(args.config, "rb") as fh:
+            raw = fh.read()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"config file {args.config}: byte 0x{raw[exc.start]:02x} at "
+                f"offset {exc.start} is not UTF-8 ({exc.reason})") from None
+        file_cfg = json.loads(text)
         if not isinstance(file_cfg, dict):
             raise ValueError("config file must hold a JSON object")
         unknown = set(file_cfg) - set(defaults)
@@ -411,7 +418,10 @@ def cmd_regions(args: argparse.Namespace) -> int:
     if args.squares:
         if d is None:
             raise ValueError("--squares needs --data for the k-means centers")
-        centers = kmeans_centers(d, args.centers or 100, seed=region_seed)
+        k = 100 if args.centers is None else args.centers
+        if k < 1:
+            raise ValueError("squares_centers must be positive")
+        centers = kmeans_centers(d, k, seed=region_seed)
         sides = _parse_sides(args.sides) if args.sides else None
         families.append(square_scan_set(centers, sides))
     if args.regions_file:

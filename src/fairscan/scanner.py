@@ -151,7 +151,8 @@ class CountPlan:
     xmin, ymin, xmax, ymax, ``center_ids`` their center links (None for
     partitioning cells) and ``n`` their observation counts. ``order`` is the
     stable argsort of ``n``: ``count_by_size`` returns counts in that order,
-    ``positives`` in family order. Counts match a brute-force scan under the
+    ``positives`` in family order. ``nnz`` is the member matrix's entry
+    count, the labels one count reads besides the corner terms. Counts match a brute-force scan under the
     half-open membership predicate with closed bounding-box max edges.
     """
 
@@ -214,6 +215,7 @@ class CountPlan:
         self._members = sparse.csr_array(
             (np.ones(len(rows), dtype=np.int32), (rows, cols)),
             shape=(n_rows, ix.N))
+        self.nnz = self._members.nnz
 
     def _corner_term(self, cell_counts: np.ndarray) -> np.ndarray:
         """Per-candidate sums of the cell-aligned interior blocks."""

@@ -3,12 +3,16 @@ from __future__ import annotations
 import json
 import os
 import re
+import subprocess
+import sys
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fairscan
 from fairscan.cli import build_parser, main
 from fairscan.dataset import load_dataset
 from fairscan.regions import load_region_families
@@ -265,6 +269,35 @@ class TestAudit:
                            "--worlds", "99", "--alpha", "0.05", *argv)
         assert (code, err) == (1, f"error: {message}\n")
 
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="needs RLIMIT_AS to cap the address space")
+    def test_huge_world_count_fails_fast(self, tmp_path):
+        # The world seeds are derived one at a time, so the first allocation
+        # that grows with the world count is the array of maxima, which fails
+        # at once under an address-space cap.
+        import resource
+
+        limit = 3 << 29    # 1.5 GiB
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        data = tmp_path / "four.csv"
+        data.write_text("id,lon,lat,outcome\na,0,0,1\nb,1,0,0\n"
+                        "c,0,1,1\nd,1,1,0\n")
+        src = str(Path(fairscan.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "fairscan", "audit", "--data", str(data),
+             "--grid", "2x2", "--worlds", "1000000000000"],
+            capture_output=True, text=True, env=env, preexec_fn=cap,
+            timeout=60)
+        assert time.monotonic() - start < 10
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: out of memory")
+        assert "Traceback" not in proc.stderr
+
     def test_invalid_grid_spec(self, capsys, unfair_csv):
         code, _, err = run(capsys, "audit", "--data", unfair_csv,
                            "--grid", "12", "--worlds", "99",
@@ -345,6 +378,15 @@ class TestAuditConfigFile:
         assert code == 1
         assert err.startswith("error: config file must hold a JSON object")
         assert "Traceback" not in err
+
+
+    def test_config_not_utf8(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b'\xff{"grid": "4x4"}')
+        code, lines, err = run(capsys, "audit", "--config", str(cfg_path))
+        assert (code, lines) == (1, [])
+        assert err == (f"error: config file {cfg_path}: byte 0xff at offset 0 "
+                       "is not UTF-8 (invalid start byte)\n")
 
 
 class TestMeanVar:
@@ -429,6 +471,25 @@ class TestRegions:
         assert code == 0
         fams = load_region_families(out)
         assert len(fams[0]) == 21
+
+    @pytest.mark.parametrize("centers", ["0", "-1"])
+    def test_nonpositive_centers(self, capsys, fair_csv, tmp_path, centers):
+        out = tmp_path / "sq.json"
+        code, _, err = run(capsys, "regions", "--data", fair_csv, "--squares",
+                           "--centers", centers, "--out", str(out))
+        assert (code, err) == (1, "error: squares_centers must be positive\n")
+        assert not out.exists()
+        code, _, err = run(capsys, "audit", "--data", fair_csv, "--squares",
+                           "--centers", centers, "--worlds", "99",
+                           "--alpha", "0.05")
+        assert (code, err) == (1, "error: squares_centers must be positive\n")
+
+    def test_default_centers(self, capsys, fair_csv, tmp_path):
+        out = str(tmp_path / "sq.json")
+        code, _, _ = run(capsys, "regions", "--data", fair_csv, "--squares",
+                         "--sides", "0.1:0.5:3", "--out", out)
+        assert code == 0
+        assert len(load_region_families(out)[0]) == 300
 
     def test_zero_regions_rejected(self, capsys, fair_csv, tmp_path):
         out = tmp_path / "sq.json"

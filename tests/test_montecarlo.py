@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from fairscan import build_index
+from fairscan import build_index, montecarlo
 from fairscan.geometry import Region
 from fairscan.likelihood import Direction, ScanResult, llr_vector
 from fairscan.montecarlo import (
@@ -106,6 +110,107 @@ class TestSimulateWorlds:
         dist = simulate_worlds(ix, parts, fair.rho, 99, seed=43)
         p = global_p_value(tau, dist)
         assert p > 0.05
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """Set the worker count, with the work-per-world gate forced open."""
+    def set_workers(k: int) -> None:
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: k)
+        monkeypatch.setattr(montecarlo, "_PARALLEL_WORK", 0)
+    return set_workers
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("num_worlds", [1, 2, 37])
+    def test_values_independent_of_worker_count(self, small_world, pool,
+                                                monkeypatch, num_worlds):
+        d, ix, parts = small_world
+        plan = as_scanner(ix, parts)
+        count_by_size = plan.count_by_size
+        threads = set()
+        barrier = []
+
+        def concurrent_count(labels):
+            # Each worker's first world waits until every worker holds one.
+            if threading.get_ident() not in threads:
+                threads.add(threading.get_ident())
+                barrier[0].wait(timeout=10)
+            return count_by_size(labels)
+
+        monkeypatch.setattr(plan, "count_by_size", concurrent_count)
+        runs = []
+        # More workers than CPUs and a short switch interval: a lost or
+        # repeated world ticket would change the maxima.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                pool(workers)
+                threads.clear()
+                barrier[:] = [threading.Barrier(min(workers, num_worlds))]
+                runs.append(simulate_worlds(ix, plan, 0.4, num_worlds, seed=9))
+                assert len(threads) == min(workers, num_worlds)
+        finally:
+            sys.setswitchinterval(interval)
+        for dist in runs[1:]:
+            assert np.array_equal(dist.values, runs[0].values)
+
+    def test_gate_keeps_small_worlds_serial(self, small_world, monkeypatch):
+        d, ix, parts = small_world
+        plan = as_scanner(ix, parts)
+        assert d.N + plan.nnz < montecarlo._PARALLEL_WORK
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 4)
+        count_by_size = plan.count_by_size
+        threads = set()
+
+        def record(labels):
+            threads.add(threading.get_ident())
+            return count_by_size(labels)
+
+        monkeypatch.setattr(plan, "count_by_size", record)
+        simulate_worlds(ix, plan, 0.4, 20, seed=9)
+        assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("n, piece", [(100, 7), (7, 7), (5, 7), (0, 7),
+                                          (70_001, 65_536)])
+    def test_chunked_draw_matches_one_draw(self, n, piece):
+        want = np.random.default_rng(5).random(n) < 0.3
+        labels = np.full(n, 7, dtype=np.int8)
+        montecarlo._draw_labels(np.random.default_rng(5), 0.3,
+                                np.empty(piece), labels)
+        assert labels.dtype == np.int8
+        assert np.array_equal(labels, want.astype(np.int8))
+
+    @pytest.mark.parametrize("exc", [MemoryError, KeyboardInterrupt])
+    def test_failure_stops_the_other_worker(self, small_world, pool,
+                                            monkeypatch, exc):
+        d, ix, parts = small_world
+        plan = as_scanner(ix, parts)
+        rho, seed = 0.4, 12
+        world5 = (np.random.default_rng(np.random.SeedSequence(seed).spawn(
+            6)[5]).random(d.N) < rho).astype(np.int8)
+        count_by_size = plan.count_by_size
+        failed = threading.Event()
+        after = []
+
+        def failing(labels):
+            if failed.is_set():
+                after.append(threading.get_ident())
+            if np.array_equal(labels, world5):
+                failed.set()
+                raise exc("world 5")
+            time.sleep(0.002)
+            return count_by_size(labels)
+
+        monkeypatch.setattr(plan, "count_by_size", failing)
+        pool(2)
+        running = threading.active_count()
+        with pytest.raises(exc, match="world 5"):
+            simulate_worlds(ix, plan, rho, 200, seed=seed)
+        assert failed.is_set()
+        assert len(after) <= 1
+        assert threading.active_count() == running
 
 
 class TestGlobalPValue:
