@@ -56,7 +56,7 @@ from .regions import (
     save_region_families,
     square_scan_set,
 )
-from .scanner import CountPlan, as_scanner, range_count
+from .scanner import CountPlan, as_scanner
 
 __version__ = "0.1.0"
 
@@ -93,7 +93,6 @@ __all__ = [
     "log_lik_null_max",
     "mean_var",
     "random_partitionings",
-    "range_count",
     "regions_overlap",
     "regular_grid",
     "run_audit",

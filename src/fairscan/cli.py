@@ -16,19 +16,13 @@ from .likelihood import Direction
 from .pipeline import (
     AuditConfig,
     audit,
+    build_family,
     export_meanvar,
     export_report,
     run_meanvar,
     _derive_seeds,
 )
-from .regions import (
-    MAX_FLOATS,
-    kmeans_centers,
-    random_partitionings,
-    regular_grid,
-    save_region_families,
-    square_scan_set,
-)
+from .regions import MAX_FLOATS, save_region_families
 from . import synth
 
 _MODES = {
@@ -78,13 +72,17 @@ def _parse_sides(text: str) -> tuple[float, ...]:
     return tuple(np.linspace(lo, hi, count))
 
 
-def _parse_rect(text: str) -> Region:
+def _parse_rect(text: str, flag: str) -> Region:
     try:
         x0, y0, x1, y1 = (float(v) for v in text.split(","))
     except ValueError:
         raise ValueError(
             f"expected X0,Y0,X1,Y1 rectangle, got {text!r}"
         ) from None
+    # Python's float subtraction overflows to inf without a warning.
+    if not all(map(math.isfinite, (x0, y0, x1, y1, x1 - x0, y1 - y0))):
+        raise ValueError(f"{flag} must be a rectangle with finite bounds, "
+                         f"width and height, got {text!r}")
     return Region(x0, y0, x1, y1)
 
 
@@ -153,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pm.add_argument("--data", required=True, metavar="PATH",
                     help="observations CSV (id,lon,lat,outcome[,label])")
-    pm.add_argument("--mode", choices=sorted(_MODES), default="parity",
+    pm.add_argument("--mode", choices=sorted(_MODES),
                     help="outcome slice to audit (default parity)")
     pm.add_argument("--grid", metavar="WxH",
                     help="regular WxH grid partitioning")
@@ -161,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="K random rectangular partitionings")
     pm.add_argument("--splits", metavar="MIN..MAX",
                     help="split-count range (default 10..40)")
-    pm.add_argument("--seed", type=int, default=0, help="PRNG seed")
+    pm.add_argument("--seed", type=int, help="PRNG seed")
     pm.add_argument("--top-k", type=int, default=50, metavar="K",
                     help="contributors to report (default 50)")
     pm.add_argument("--out", metavar="DIR", help="write meanvar.json")
@@ -207,29 +205,31 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--bbox", metavar="X0,Y0,X1,Y1",
                     help="explicit bounding box (grid/random families only)")
     _add_family_flags(pr)
-    pr.add_argument("--seed", type=int, default=0, help="PRNG seed")
+    pr.add_argument("--seed", type=int, help="PRNG seed")
     pr.set_defaults(func=cmd_regions)
     return parser
 
 
 def _audit_config(args: argparse.Namespace) -> AuditConfig:
-    """Merge built-in defaults, optional config file, and explicit flags."""
+    """Merge built-in defaults, optional config file, and explicit flags;
+    a flag the subcommand lacks counts as absent."""
     defaults = {
         "data": None, "mode": "parity", "direction": "two-sided",
-        "grid": None, "random_partitionings": None, "splits": "10..40",
+        "grid": None, "random_partitionings": None, "splits": None,
         "squares": False, "centers": 100, "sides": None,
         "regions_file": None, "alpha": 0.005, "worlds": 999, "seed": 0,
         "resolution": None, "top_k": None,
     }
     merged = dict(defaults)
-    if args.config is not None:
-        with open(args.config, "rb") as fh:
+    config = getattr(args, "config", None)
+    if config is not None:
+        with open(config, "rb") as fh:
             raw = fh.read()
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ValueError(
-                f"config file {args.config}: byte 0x{raw[exc.start]:02x} at "
+                f"config file {config}: byte 0x{raw[exc.start]:02x} at "
                 f"offset {exc.start} is not UTF-8 ({exc.reason})") from None
         file_cfg = json.loads(text)
         if not isinstance(file_cfg, dict):
@@ -243,13 +243,11 @@ def _audit_config(args: argparse.Namespace) -> AuditConfig:
     for key in defaults:
         flag_value = getattr(args, key, None)
         if key == "squares":
-            if args.squares:
+            if flag_value:
                 merged[key] = True
         elif flag_value is not None:
             merged[key] = flag_value
 
-    if merged["data"] is None:
-        raise ValueError("--data is required (flag or config file)")
     for key in ("data", "regions_file"):
         if merged[key] is not None and not isinstance(merged[key], str):
             _config_type_error(key, "a string", merged[key])
@@ -272,7 +270,8 @@ def _audit_config(args: argparse.Namespace) -> AuditConfig:
         grid=_pair("grid", merged["grid"], _parse_grid),
         random_parts=_integer("random_partitionings",
                               merged["random_partitionings"]),
-        splits=_pair("splits", merged["splits"], _parse_splits),
+        splits=(_pair("splits", merged["splits"], _parse_splits)
+                or AuditConfig.splits),
         squares_centers=(_integer("centers", merged["centers"])
                          if merged["squares"] else None),
         sides=sides,
@@ -320,6 +319,8 @@ def _choice(key: str, value, table: dict):
 
 def cmd_audit(args: argparse.Namespace) -> int:
     cfg = _audit_config(args)
+    if cfg.data is None:
+        raise ValueError("--data is required (flag or config file)")
     print("CONFIG " + json.dumps(cfg.echo(), sort_keys=True))
     report = audit(cfg)
     v = report.verdict
@@ -337,21 +338,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_meanvar(args: argparse.Namespace) -> int:
-    cfg = AuditConfig(
-        data=args.data,
-        mode=_MODES[args.mode],
-        grid=_parse_grid(args.grid) if args.grid else None,
-        random_parts=args.random_partitionings,
-        splits=_parse_splits(args.splits) if args.splits else (10, 40),
-        seed=args.seed,
-    )
-    echo = {
-        "data": cfg.data, "mode": MeasureMode(cfg.mode).value,
-        "family": cfg.family_spec(), "seed": cfg.seed, "top_k": args.top_k,
-    }
+    cfg = _audit_config(args)
+    echo = {key: value for key, value in cfg.echo().items()
+            if key in ("data", "mode", "family", "seed", "top_k")}
     print("CONFIG " + json.dumps(echo, sort_keys=True))
     d = load_dataset(cfg.data, cfg.mode)
-    report = run_meanvar(d, cfg, top_k=args.top_k)
+    report = run_meanvar(d, cfg, top_k=cfg.top_k)
     print(f"MEANVAR {report.mean_var:.6g}")
     if args.out:
         path = export_meanvar(report, echo, args.out)
@@ -360,7 +352,7 @@ def cmd_meanvar(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_synth(args: argparse.Namespace) -> int:
-    rect = _parse_rect(args.rect)
+    rect = _parse_rect(args.rect, "--rect")
     if args.kind == "uniform-split":
         if args.n is None:
             raise ValueError("--n is required for --kind uniform-split")
@@ -391,7 +383,7 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
     else:
         if args.n is None or args.plant is None:
             raise ValueError("--kind planted needs --n and --plant")
-        d = synth.gen_planted(args.n, rect, _parse_rect(args.plant),
+        d = synth.gen_planted(args.n, rect, _parse_rect(args.plant, "--plant"),
                               args.rho_bg, args.rho_in, seed=args.seed)
     write_csv(d, args.out)
     print(f"wrote {args.out} N={d.N} P={d.P} rho={d.rho:.6g}")
@@ -399,35 +391,17 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_regions(args: argparse.Namespace) -> int:
-    if args.data is not None:
-        d = load_dataset(args.data)
-        bbox = d.bbox
-    elif args.bbox is not None:
-        d = None
-        bbox = _parse_rect(args.bbox)
-    else:
-        raise ValueError("need --data or --bbox")
-    region_seed, _ = _derive_seeds(args.seed)
-    families = []
-    if args.grid:
-        families.append(regular_grid(bbox, *_parse_grid(args.grid)))
-    if args.random_partitionings:
-        lo, hi = _parse_splits(args.splits) if args.splits else (10, 40)
-        families.extend(random_partitionings(
-            bbox, args.random_partitionings, lo, hi, seed=region_seed))
-    if args.squares:
-        if d is None:
-            raise ValueError("--squares needs --data for the k-means centers")
-        k = 100 if args.centers is None else args.centers
-        if k < 1:
-            raise ValueError("squares_centers must be positive")
-        centers = kmeans_centers(d, k, seed=region_seed)
-        sides = _parse_sides(args.sides) if args.sides else None
-        families.append(square_scan_set(centers, sides))
-    if args.regions_file:
+    cfg = _audit_config(args)
+    if cfg.regions_file is not None:
         raise ValueError("--regions-file makes no sense for the regions command")
-    if not families:
+    if not cfg.family_specs():
         raise ValueError("no region family requested")
+    cfg.check_families()
+    if cfg.data is None and args.bbox is None:
+        raise ValueError("need --data or --bbox")
+    d = load_dataset(cfg.data) if cfg.data is not None else None
+    bbox = d.bbox if d is not None else _parse_rect(args.bbox, "--bbox")
+    families = build_family(cfg, bbox, d)
     total = sum(len(f) for f in families)
     if not total:
         raise ValueError("the region family holds no candidate regions")

@@ -65,7 +65,8 @@ class AuditConfig:
     resolution: tuple[int, int] | None = None
     top_k: int | None = None
 
-    def family_spec(self) -> dict:
+    def family_specs(self) -> list[dict]:
+        """Every named family: grid, random partitionings, squares, file."""
         specs = []
         if self.grid is not None:
             specs.append({"kind": "grid", "mx": self.grid[0], "my": self.grid[1]})
@@ -84,11 +85,29 @@ class AuditConfig:
             })
         if self.regions_file is not None:
             specs.append({"kind": "regions_file", "path": self.regions_file})
+        return specs
+
+    def family_spec(self) -> dict:
+        """The one family an audit scans."""
+        specs = self.family_specs()
         if len(specs) != 1:
             raise ValueError(
                 f"exactly one region family must be specified, got {len(specs)}"
             )
         return specs[0]
+
+    def check_families(self) -> None:
+        """Refuse a grid, split range or center count out of range."""
+        if self.grid is not None and (self.grid[0] < 1 or self.grid[1] < 1):
+            raise ValueError(f"grid dims must be positive, got {self.grid}")
+        if self.random_parts is not None:
+            lo, hi = self.splits
+            if self.random_parts < 1:
+                raise ValueError("random_parts must be positive")
+            if not 1 <= lo <= hi:
+                raise ValueError(f"bad splits range {lo}..{hi}")
+        if self.squares_centers is not None and self.squares_centers < 1:
+            raise ValueError("squares_centers must be positive")
 
     def validate(self) -> None:
         self.family_spec()
@@ -104,16 +123,7 @@ class AuditConfig:
                 f"alpha*num_worlds = {self.alpha * self.num_worlds:.3f} < 1; "
                 "raise num_worlds or alpha"
             )
-        if self.grid is not None and (self.grid[0] < 1 or self.grid[1] < 1):
-            raise ValueError(f"grid dims must be positive, got {self.grid}")
-        if self.random_parts is not None:
-            lo, hi = self.splits
-            if self.random_parts < 1:
-                raise ValueError("random_parts must be positive")
-            if not 1 <= lo <= hi:
-                raise ValueError(f"bad splits range {lo}..{hi}")
-        if self.squares_centers is not None and self.squares_centers < 1:
-            raise ValueError("squares_centers must be positive")
+        self.check_families()
         if self.top_k is not None and self.top_k < 1:
             raise ValueError("top_k must be positive when given")
 
@@ -186,21 +196,29 @@ def _derive_seeds(seed: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
-def build_family(d: Dataset, cfg: AuditConfig) -> list:
-    """Materialize the configured region family against this dataset."""
-    spec = cfg.family_spec()
+def build_family(cfg: AuditConfig, bbox: Region,
+                 data: Dataset | None = None) -> list:
+    """Every family the config names over bbox, in family_specs order:
+    Partitionings and lists of Regions. Squares need data for their k-means
+    centers."""
     region_seed, _ = _derive_seeds(cfg.seed)
-    if spec["kind"] == "grid":
-        return [regular_grid(d.bbox, *cfg.grid)]
-    if spec["kind"] == "random_partitionings":
-        return random_partitionings(
-            d.bbox, cfg.random_parts, cfg.splits[0], cfg.splits[1],
-            seed=region_seed,
-        )
-    if spec["kind"] == "squares":
-        centers = kmeans_centers(d, cfg.squares_centers, seed=region_seed)
-        return square_scan_set(centers, cfg.sides)
-    return load_region_families(cfg.regions_file)
+    family = []
+    for spec in cfg.family_specs():
+        kind = spec["kind"]
+        if kind == "grid":
+            family.append(regular_grid(bbox, spec["mx"], spec["my"]))
+        elif kind == "random_partitionings":
+            family.extend(random_partitionings(
+                bbox, spec["count"], spec["min_splits"], spec["max_splits"],
+                seed=region_seed))
+        elif kind == "squares":
+            if data is None:
+                raise ValueError("squares need data for their k-means centers")
+            centers = kmeans_centers(data, spec["centers"], seed=region_seed)
+            family.append(square_scan_set(centers, spec["sides"]))
+        else:
+            family.extend(load_region_families(spec["path"]))
+    return family
 
 
 def run_audit(d: Dataset, cfg: AuditConfig) -> AuditReport:
@@ -212,7 +230,7 @@ def run_audit(d: Dataset, cfg: AuditConfig) -> AuditReport:
     timings["index_s"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    family = build_family(d, cfg)
+    family = build_family(cfg, d.bbox, d)
     timings["regions_s"] = time.perf_counter() - t1
     t1 = time.perf_counter()
     plan = as_scanner(ix, family)
@@ -363,5 +381,6 @@ def run_meanvar(d: Dataset, cfg: AuditConfig, top_k: int = 50
         raise ValueError(
             "MeanVar needs a partitioning family (grid or random partitionings)"
         )
+    cfg.check_families()
     ix = build_index(d, cfg.resolution)
-    return mean_var(ix, build_family(d, cfg), top_k=top_k)
+    return mean_var(ix, build_family(cfg, d.bbox, d), top_k=top_k)

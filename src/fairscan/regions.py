@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -98,20 +99,24 @@ def random_partitionings(bbox: Region, count: int,
         raise ValueError(
             f"need 1 <= min_splits <= max_splits, got {min_splits}..{max_splits}"
         )
-    root = np.random.SeedSequence(seed)
-    parts = []
-    for i, child in enumerate(root.spawn(count)):
-        rng = np.random.default_rng(child)
+    if count > sys.maxsize:  # Python's own message for a length past ssize_t
+        raise OverflowError("Python int too large to convert to C ssize_t")
+    # Allocated before the first draw: a count too large to hold fails at
+    # once. spawn_key (i,) is SeedSequence(seed).spawn(count)[i].
+    parts: list = [None] * count
+    for i in range(count):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(i,)))
         h = int(rng.integers(min_splits, max_splits + 1))
         v = int(rng.integers(min_splits, max_splits + 1))
         xsplits = np.sort(rng.uniform(bbox.xmin, bbox.xmax, size=h))
         ysplits = np.sort(rng.uniform(bbox.ymin, bbox.ymax, size=v))
         xb = np.concatenate(([bbox.xmin], xsplits, [bbox.xmax]))
         yb = np.concatenate(([bbox.ymin], ysplits, [bbox.ymax]))
-        parts.append(Partitioning(
+        parts[i] = Partitioning(
             xb, yb,
             {"kind": "random", "seed": seed, "index": i, "h": h, "v": v},
-        ))
+        )
     return parts
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .geometry import Region, bounds_contain
-from .index import RegionCounts, SpatialIndex
+from .index import SpatialIndex
 from .regions import Partitioning
 
 # Boundary-cell points tested, or matrix row ids remapped, per batch while a
@@ -271,10 +271,4 @@ def as_scanner(ix: SpatialIndex, family) -> CountPlan:
     if isinstance(family, CountPlan):
         return family
     return CountPlan(ix, family)
-
-
-def range_count(ix: SpatialIndex, region: Region) -> RegionCounts:
-    """Count observations and positives inside one rectangle."""
-    plan = CountPlan(ix, region)
-    return RegionCounts(int(plan.n[0]), int(plan.positives(ix.labels)[0]))
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fairscan import Dataset, build_index, synth
+from fairscan import CountPlan, Dataset, build_index, synth
 from fairscan.geometry import Region
 
 
@@ -15,6 +15,13 @@ def make_dataset(lons, lats, outcomes, labels=None) -> Dataset:
 def cell_regions(part) -> list[Region]:
     """A partitioning's cells as Regions, in cell order."""
     return [Region(*b) for b in part.cell_bounds().tolist()]
+
+
+def plan_counts(ix, region: Region) -> tuple[int, int]:
+    """(n, p) of one rectangle under the index's labels, from a one-region
+    CountPlan."""
+    plan = CountPlan(ix, [region])
+    return int(plan.n[0]), int(plan.positives(ix.labels)[0])
 
 
 def random_dataset(rng, n: int, rect: Region | None = None,

@@ -18,7 +18,6 @@ from fairscan import (
     jaccard,
     llr_from_counts,
     llr_vector,
-    range_count,
     run_audit,
     run_meanvar,
 )
@@ -33,7 +32,7 @@ from fairscan.synth import (
     gen_uniform_split,
 )
 
-from conftest import cell_regions, make_dataset, random_dataset
+from conftest import cell_regions, make_dataset, plan_counts, random_dataset
 from oracles import oracle_llr, oracle_region_counts, random_valid_tuple
 
 
@@ -188,14 +187,14 @@ def test_criterion_8_invariant_suites(tmp_path):
     from conftest import random_region
     for _ in range(1000):
         r = random_region(rng, d.bbox, snap_points=snap)
-        got = range_count(ix, r)
         want = oracle_region_counts(r, d.lons, d.lats, d.outcomes, d.bbox)
-        assert (got.n, got.p) == want
+        assert plan_counts(ix, r) == want
 
     # Partitioning disjoint-cover conservation.
     for part in random_partitionings(d.bbox, 10, 2, 9, seed=99):
-        total_n = sum(range_count(ix, c).n for c in cell_regions(part))
-        total_p = sum(range_count(ix, c).p for c in cell_regions(part))
+        counts = [plan_counts(ix, c) for c in cell_regions(part)]
+        total_n = sum(n for n, _ in counts)
+        total_p = sum(p for _, p in counts)
         assert (total_n, total_p) == (d.N, d.P)
 
     # End-to-end seeded determinism: byte-identical exports, and

@@ -48,6 +48,37 @@ def fair_csv(tmp_path_factory):
 FAST = ["--random-partitionings", "10", "--splits", "2..6",
         "--worlds", "99", "--alpha", "0.05"]
 
+needs_rlimit_as = pytest.mark.skipif(
+    sys.platform != "linux", reason="needs RLIMIT_AS to cap the address space")
+
+
+def assert_fails_fast_out_of_memory(tmp_path, command, *argv):
+    """Run the CLI on a 4-row CSV under a 1.5 GiB address-space cap: it must
+    end in one `error: out of memory` line within 10 s."""
+    import resource
+
+    limit = 3 << 29    # 1.5 GiB
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    data = tmp_path / "four.csv"
+    data.write_text("id,lon,lat,outcome\na,0,0,1\nb,1,0,0\n"
+                    "c,0,1,1\nd,1,1,0\n")
+    out = tmp_path / "out"
+    src = str(Path(fairscan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "fairscan", command, "--data", str(data),
+         *argv, "--out", str(out)],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60)
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: out of memory")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
 
 class TestGenSynth:
     def test_uniform_split_round_trip(self, capsys, tmp_path):
@@ -269,34 +300,13 @@ class TestAudit:
                            "--worlds", "99", "--alpha", "0.05", *argv)
         assert (code, err) == (1, f"error: {message}\n")
 
-    @pytest.mark.skipif(sys.platform != "linux",
-                        reason="needs RLIMIT_AS to cap the address space")
+    @needs_rlimit_as
     def test_huge_world_count_fails_fast(self, tmp_path):
         # The world seeds are derived one at a time, so the first allocation
         # that grows with the world count is the array of maxima, which fails
         # at once under an address-space cap.
-        import resource
-
-        limit = 3 << 29    # 1.5 GiB
-
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        data = tmp_path / "four.csv"
-        data.write_text("id,lon,lat,outcome\na,0,0,1\nb,1,0,0\n"
-                        "c,0,1,1\nd,1,1,0\n")
-        src = str(Path(fairscan.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        start = time.monotonic()
-        proc = subprocess.run(
-            [sys.executable, "-m", "fairscan", "audit", "--data", str(data),
-             "--grid", "2x2", "--worlds", "1000000000000"],
-            capture_output=True, text=True, env=env, preexec_fn=cap,
-            timeout=60)
-        assert time.monotonic() - start < 10
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: out of memory")
-        assert "Traceback" not in proc.stderr
+        assert_fails_fast_out_of_memory(
+            tmp_path, "audit", "--grid", "2x2", "--worlds", "1000000000000")
 
     def test_invalid_grid_spec(self, capsys, unfair_csv):
         code, _, err = run(capsys, "audit", "--data", unfair_csv,
@@ -342,6 +352,18 @@ class TestAuditConfigFile:
         echoed = json.loads(lines[0][len("CONFIG "):])
         assert echoed["seed"] == 9
         assert echoed["alpha"] == 0.1
+
+    def test_null_splits_reads_as_default(self, capsys, unfair_csv,
+                                          tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"random_partitionings": 2,
+                                        "splits": None}))
+        code, lines, _ = run(capsys, "audit", "--config", str(cfg_path),
+                             "--data", unfair_csv, "--worlds", "19",
+                             "--alpha", "0.1")
+        assert code == 0
+        family = json.loads(lines[0][len("CONFIG "):])["family"]
+        assert (family["min_splits"], family["max_splits"]) == (10, 40)
 
     def test_unknown_config_key(self, capsys, unfair_csv, tmp_path):
         cfg_path = str(tmp_path / "cfg.json")
@@ -440,22 +462,33 @@ class TestRegions:
         fams = load_region_families(out)
         assert len(fams) == 1 and len(fams[0]) == 30
 
+    @pytest.mark.parametrize("family", [
+        ["--grid", "4x4"],
+        ["--random-partitionings", "10", "--splits", "2..6"],
+        ["--squares", "--centers", "5", "--sides", "0.1:0.5:3"],
+    ], ids=["grid", "random", "squares"])
     def test_audit_consumes_regions_file(self, capsys, unfair_csv,
-                                         tmp_path):
+                                         tmp_path, family):
         out = str(tmp_path / "fam.json")
-        run(capsys, "regions", "--data", unfair_csv,
-            "--random-partitionings", "10", "--splits", "2..6",
-            "--seed", "0", "--out", out)
-        code, lines, _ = run(capsys, "audit", "--data", unfair_csv,
-                             "--regions-file", out, "--worlds", "99",
-                             "--alpha", "0.05", "--seed", "0")
+        code, _, _ = run(capsys, "regions", "--data", unfair_csv, *family,
+                         "--seed", "0", "--out", out)
         assert code == 0
-        replayed = lines[1]
-        code, lines, _ = run(capsys, "audit", "--data", unfair_csv, *FAST,
-                             "--seed", "0")
-        # The file replays the family the audit would generate itself, so
-        # the verdict line matches the in-pipeline run exactly.
-        assert replayed == lines[1]
+        audit = ["audit", "--data", unfair_csv, "--worlds", "99",
+                 "--alpha", "0.05", "--seed", "0"]
+        code, _, _ = run(capsys, *audit, "--regions-file", out,
+                         "--out", str(tmp_path / "replayed"))
+        assert code == 0
+        code, _, _ = run(capsys, *audit, *family,
+                         "--out", str(tmp_path / "built"))
+        assert code == 0
+        # The file replays the family the audit builds itself, so the
+        # verdict and every evidence region match the in-pipeline run.
+        replayed, built = (
+            json.loads((tmp_path / name / "report.json").read_text())
+            for name in ("replayed", "built"))
+        assert replayed["evidence"]
+        for key in ("verdict", "evidence", "non_overlapping"):
+            assert replayed[key] == built[key]
 
     def test_squares_need_data(self, capsys, tmp_path):
         code, _, err = run(capsys, "regions", "--bbox", "0,0,1,1",
@@ -511,6 +544,68 @@ class TestRegions:
                            "--out", str(tmp_path / "x.json"))
         assert code == 1
         assert "--data or --bbox" in err
+
+
+class TestFamilyFlags:
+    """audit, meanvar and regions read family flags the same way."""
+
+    @staticmethod
+    def command_argv(command, data, out):
+        extra = {"audit": ["--worlds", "99", "--alpha", "0.05"],
+                 "meanvar": [], "regions": []}[command]
+        return [command, "--data", data, *extra, "--out", str(out)]
+
+    @pytest.mark.parametrize("command", ["audit", "meanvar", "regions"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid", "0x3"], "grid dims must be positive, got (0, 3)"),
+        (["--random-partitionings", "0"], "random_parts must be positive"),
+        (["--random-partitionings", "2", "--splits", "5..2"],
+         "bad splits range 5..2"),
+        (["--grid", "2x2", "--splits", "3"],
+         "--splits expects MIN..MAX, e.g. 10..40, got '3'"),
+    ], ids=["grid", "random", "splits-range", "splits-text"])
+    def test_same_error(self, capsys, unfair_csv, tmp_path, command, flags,
+                        message):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *self.command_argv(command, unfair_csv,
+                                                      out), *flags)
+        assert (code, err) == (1, f"error: {message}\n")
+        assert not out.exists()
+
+    def test_regions_refuses_zero_partitionings_beside_a_grid(self, capsys,
+                                                              tmp_path):
+        out = tmp_path / "fam.json"
+        code, _, err = run(capsys, "regions", "--bbox", "0,0,1,1", "--grid",
+                           "2x2", "--random-partitionings", "0",
+                           "--out", str(out))
+        assert (code, err) == (1, "error: random_parts must be positive\n")
+        assert not out.exists()
+
+    @needs_rlimit_as
+    @pytest.mark.parametrize("command", ["audit", "meanvar", "regions"])
+    def test_huge_partitioning_count_fails_fast(self, tmp_path, command):
+        # The partitioning list is allocated before the first draw, so a
+        # count too large to hold fails at once under an address-space cap.
+        assert_fails_fast_out_of_memory(
+            tmp_path, command, "--random-partitionings", "1000000000000")
+
+    @pytest.mark.parametrize("argv, flag, rect", [
+        (["regions", "--grid", "2x2"], "--bbox", "0,0,inf,1"),
+        # Finite bounds whose width overflows.
+        (["regions", "--grid", "2x2"], "--bbox", "-1e308,0,1e308,1"),
+        (["gen-synth", "--kind", "uniform-split", "--n", "10"],
+         "--rect", "0,0,inf,1"),
+    ])
+    def test_nonfinite_rectangle(self, capsys, tmp_path, argv, flag, rect):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, lines, err = run(capsys, *argv, f"{flag}={rect}",
+                                   "--out", str(out))
+        assert (code, lines) == (1, [])
+        assert err == (f"error: {flag} must be a rectangle with finite "
+                       f"bounds, width and height, got {rect!r}\n")
+        assert not out.exists()
 
 
 BAD_REGION_FILES = {

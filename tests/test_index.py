@@ -3,19 +3,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fairscan import CountPlan, build_index, range_count
+from fairscan import CountPlan, build_index
 from fairscan.geometry import Region
 from fairscan.index import default_resolution
 from fairscan.regions import regular_grid
 
-from conftest import cell_regions, make_dataset, random_dataset, random_region
+from conftest import (
+    cell_regions,
+    make_dataset,
+    plan_counts,
+    random_dataset,
+    random_region,
+)
 from oracles import oracle_region_counts
 
 
 def assert_matches_bruteforce(ix, d, region):
-    got = range_count(ix, region)
-    n, p = oracle_region_counts(region, d.lons, d.lats, d.outcomes, d.bbox)
-    assert (got.n, got.p) == (n, p), f"mismatch on {region.bounds()}"
+    got = plan_counts(ix, region)
+    want = oracle_region_counts(region, d.lons, d.lats, d.outcomes, d.bbox)
+    assert got == want, f"mismatch on {region.bounds()}"
 
 
 class TestBuild:
@@ -61,8 +67,7 @@ class TestBuild:
     def test_zero_extent_axis_ok(self):
         d = make_dataset([2.0, 2.0, 2.0], [0.0, 0.5, 1.0], [1, 0, 1])
         ix = build_index(d, (8, 8))
-        got = range_count(ix, d.bbox)
-        assert (got.n, got.p) == (3, 2)
+        assert plan_counts(ix, d.bbox) == (3, 2)
 
 
 class TestRangeCount:
@@ -71,15 +76,13 @@ class TestRangeCount:
         for trial in range(5):
             d = random_dataset(rng, 200, duplicates=trial % 2 == 0)
             ix = build_index(d)
-            got = range_count(ix, d.bbox)
-            assert (got.n, got.p) == (d.N, d.P)
+            assert plan_counts(ix, d.bbox) == (d.N, d.P)
 
     def test_disjoint_region(self):
         rng = np.random.default_rng(2)
         d = random_dataset(rng, 50)
         ix = build_index(d)
-        got = range_count(ix, Region(10.0, 10.0, 11.0, 11.0))
-        assert (got.n, got.p) == (0, 0)
+        assert plan_counts(ix, Region(10.0, 10.0, 11.0, 11.0)) == (0, 0)
 
     def test_matches_bruteforce_random_queries(self):
         rng = np.random.default_rng(3)
@@ -112,17 +115,17 @@ class TestRangeCount:
         fine = build_index(d, (256, 256))
         for _ in range(120):
             r = random_region(rng, d.bbox, snap_points=(d.lons, d.lats))
-            a, b, c = range_count(coarse, r), range_count(mid, r), range_count(fine, r)
-            assert (a.n, a.p) == (b.n, b.p) == (c.n, c.p)
+            a, b, c = (plan_counts(ix, r) for ix in (coarse, mid, fine))
+            assert a == b == c
 
     def test_partitioning_additivity(self):
         rng = np.random.default_rng(6)
         d = random_dataset(rng, 250, duplicates=True)
         ix = build_index(d, (9, 9))
         part = regular_grid(d.bbox, 7, 5)
-        counts = [range_count(ix, cell) for cell in cell_regions(part)]
-        assert sum(c.n for c in counts) == d.N
-        assert sum(c.p for c in counts) == d.P
+        counts = [plan_counts(ix, cell) for cell in cell_regions(part)]
+        assert sum(n for n, _ in counts) == d.N
+        assert sum(p for _, p in counts) == d.P
 
 
 class TestWithLabels:
@@ -136,8 +139,7 @@ class TestWithLabels:
         plan = CountPlan(ix, regions)
         p = plan.positives(d.outcomes.copy())
         for i, r in enumerate(regions):
-            rc = range_count(ix, r)
-            assert (plan.n[i], p[i]) == (rc.n, rc.p)
+            assert (plan.n[i], p[i]) == plan_counts(ix, r)
 
     def test_zero_relabel(self):
         rng = np.random.default_rng(8)
@@ -147,7 +149,7 @@ class TestWithLabels:
         plan = CountPlan(ix, regions)
         zeroed = plan.positives(np.zeros(d.N, dtype=np.int8))
         for i, r in enumerate(regions):
-            assert plan.n[i] == range_count(ix, r).n and zeroed[i] == 0
+            assert plan.n[i] == plan_counts(ix, r)[0] and zeroed[i] == 0
 
     def test_random_relabel_matches_bruteforce(self):
         rng = np.random.default_rng(9)

@@ -14,11 +14,15 @@ from fairscan.likelihood import (
     log_lik_null_max,
 )
 from fairscan.geometry import Region
-from fairscan.scanner import range_count
 from fairscan.regions import regular_grid
 from fairscan import synth
 
-from oracles import oracle_llr, oracle_null, random_valid_tuple
+from oracles import (
+    oracle_llr,
+    oracle_null,
+    oracle_region_counts,
+    random_valid_tuple,
+)
 
 
 @st.composite
@@ -230,8 +234,9 @@ class TestScanRegions:
         scored, tau = scan_regions(split400_index, regions)
         assert [s.region for s in scored] == regions
         for s in scored:
-            rc = range_count(split400_index, s.region)
-            assert (s.counts.n, s.counts.p) == (rc.n, rc.p)
+            assert (s.counts.n, s.counts.p) == oracle_region_counts(
+                s.region, split400.lons, split400.lats, split400.outcomes,
+                split400.bbox)
             if s.counts.n:
                 assert s.local_rate == pytest.approx(s.counts.p / s.counts.n)
             else:

@@ -5,11 +5,12 @@ import statistics
 import numpy as np
 import pytest
 
-from fairscan import build_index, range_count
+from fairscan import build_index
 from fairscan.meanvar import mean_var
 from fairscan.regions import random_partitionings, regular_grid
 
 from conftest import cell_regions, make_dataset, random_dataset
+from oracles import oracle_region_counts
 
 
 def partitioning_variance(ix, part):
@@ -70,9 +71,10 @@ class TestPartitioningVariance:
         got = partitioning_variance(ix, part)
         rates = []
         for cell in cell_regions(part):
-            rc = range_count(ix, cell)
-            if rc.n:
-                rates.append(rc.p / rc.n)
+            n, p = oracle_region_counts(cell, d.lons, d.lats, d.outcomes,
+                                        d.bbox)
+            if n:
+                rates.append(p / n)
         assert got == pytest.approx(statistics.pvariance(rates)
                                     if len(rates) > 1 else 0.0, abs=1e-12)
 
@@ -83,9 +85,10 @@ class TestPartitioningVariance:
         for part in random_partitionings(d.bbox, 5, 2, 6, seed=63):
             rates = []
             for cell in cell_regions(part):
-                rc = range_count(ix, cell)
-                if rc.n:
-                    rates.append(rc.p / rc.n)
+                n, p = oracle_region_counts(cell, d.lons, d.lats,
+                                            d.outcomes, d.bbox)
+                if n:
+                    rates.append(p / n)
             want = statistics.pvariance(rates) if len(rates) > 1 else 0.0
             assert partitioning_variance(ix, part) == pytest.approx(
                 want, abs=1e-12)

@@ -343,7 +343,7 @@ class TestEmptyCandidateSet:
 class TestMeanVarPipeline:
     def test_partitionings_match_family(self):
         d = gen_uniform_split(400, seed=91)
-        parts = build_family(d, fast_cfg(seed=9))
+        parts = build_family(fast_cfg(seed=9), d.bbox, d)
         assert len(parts) == 10
 
     def test_run_meanvar_grid(self):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairscan import build_index
 from fairscan.geometry import Region, regions_overlap
 from fairscan import regions as regions_module
 from fairscan.regions import (
@@ -22,7 +21,7 @@ from fairscan.regions import (
 )
 
 from conftest import cell_regions, random_dataset
-from oracles import oracle_kmeans
+from oracles import oracle_kmeans, oracle_region_counts
 
 UNIT = Region(0.0, 0.0, 1.0, 1.0)
 # From these 34 points k-means++ (seed 0) leaves one of its 4 starting
@@ -82,15 +81,14 @@ class TestPartitioningCounts:
     def test_counts_cover_dataset(self):
         rng = np.random.default_rng(3)
         d = random_dataset(rng, 300, duplicates=True)
-        ix = build_index(d, (8, 8))
         for part in random_partitionings(d.bbox, 6, 2, 7, seed=42):
             total_n = 0
             total_p = 0
-            from fairscan import range_count
             for cell in cell_regions(part):
-                rc = range_count(ix, cell)
-                total_n += rc.n
-                total_p += rc.p
+                n, p = oracle_region_counts(cell, d.lons, d.lats, d.outcomes,
+                                            d.bbox)
+                total_n += n
+                total_p += p
             assert total_n == d.N
             assert total_p == d.P
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fairscan import build_index, range_count
+from fairscan import build_index
 from fairscan.geometry import Region
 from fairscan.regions import random_partitionings, regular_grid
 from fairscan.scanner import CountPlan, as_scanner
@@ -38,12 +38,12 @@ class TestPlannedScanner:
         sc = CountPlan(ix, regions)
         assert len(sc.n) == 60
         for labels in random_labelings(d.N, seed=1):
-            view = build_index(make_dataset(d.lons, d.lats, labels), (12, 9))
             p = sc.positives(labels)
             for i, r in enumerate(regions):
-                rc = range_count(view, r)
-                assert sc.n[i] == rc.n
-                assert p[i] == rc.p
+                n, want_p = oracle_region_counts(r, d.lons, d.lats, labels,
+                                                 d.bbox)
+                assert sc.n[i] == n
+                assert p[i] == want_p
 
     def test_region_far_outside_bbox(self, data_and_index):
         d, ix = data_and_index
@@ -94,8 +94,8 @@ class TestPartitionScanner:
         assert len(sc.n) == sum(len(p) for p in parts)
         p = sc.positives(d.outcomes)
         for i in range(len(sc.n)):
-            rc = range_count(ix, sc.region(i))
-            assert (sc.n[i], p[i]) == (rc.n, rc.p)
+            assert (sc.n[i], p[i]) == oracle_region_counts(
+                sc.region(i), d.lons, d.lats, d.outcomes, d.bbox)
 
     def test_conservation_per_partitioning(self, data_and_index):
         d, ix = data_and_index
@@ -141,8 +141,8 @@ class TestComposite:
         p = comp.positives(d.outcomes)
         assert len(p) == len(regions) == len(comp.n)
         for i, r in enumerate(regions):
-            rc = range_count(ix, r)
-            assert (comp.n[i], p[i]) == (rc.n, rc.p)
+            assert (comp.n[i], p[i]) == oracle_region_counts(
+                r, d.lons, d.lats, d.outcomes, d.bbox)
 
     def test_interleaved_families_keep_order(self, data_and_index):
         d, ix = data_and_index
@@ -158,11 +158,10 @@ class TestComposite:
         assert [plan.region(i) for i in range(len(plan.n))] == want
         assert plan.center_ids[0] == "c0" and plan.center_ids[1] is None
         for labels in random_labelings(d.N, seed=4):
-            view = build_index(make_dataset(d.lons, d.lats, labels), (12, 9))
             p = plan.positives(labels)
             for i, r in enumerate(want):
-                rc = range_count(view, r)
-                assert (plan.n[i], p[i]) == (rc.n, rc.p)
+                assert (plan.n[i], p[i]) == oracle_region_counts(
+                    r, d.lons, d.lats, labels, d.bbox)
 
     def test_counts_past_narrow_integer_range(self):
         # 70,000 points on a 1x1 index grid: the covering cell's row and the
@@ -257,7 +256,8 @@ class TestAsScanner:
         d, ix = data_and_index
         sc = as_scanner(ix, [Region(0, 0, 0.5, 0.5)])
         assert isinstance(sc, CountPlan)
-        assert sc.n[0] == range_count(ix, Region(0, 0, 0.5, 0.5)).n
+        assert sc.n[0] == oracle_region_counts(
+            Region(0, 0, 0.5, 0.5), d.lons, d.lats, d.outcomes, d.bbox)[0]
 
     def test_noncovering_partitioning_falls_back(self, data_and_index):
         d, ix = data_and_index
@@ -268,5 +268,5 @@ class TestAsScanner:
         assert isinstance(sc, CountPlan)
         p = sc.positives(d.outcomes)
         for i, r in enumerate(cell_regions(bad)):
-            rc = range_count(ix, r)
-            assert (sc.n[i], p[i]) == (rc.n, rc.p)
+            assert (sc.n[i], p[i]) == oracle_region_counts(
+                r, d.lons, d.lats, d.outcomes, d.bbox)
