@@ -49,6 +49,7 @@ from .pipeline import (
 )
 from .regions import (
     Partitioning,
+    Rectangles,
     kmeans_centers,
     load_region_families,
     random_partitionings,
@@ -72,6 +73,7 @@ __all__ = [
     "MeanVarReport",
     "MeasureMode",
     "Partitioning",
+    "Rectangles",
     "Region",
     "RegionCounts",
     "ScanResult",

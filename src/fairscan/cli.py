@@ -17,6 +17,7 @@ from .pipeline import (
     AuditConfig,
     audit,
     build_family,
+    check_meanvar,
     export_meanvar,
     export_report,
     run_meanvar,
@@ -321,6 +322,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     cfg = _audit_config(args)
     if cfg.data is None:
         raise ValueError("--data is required (flag or config file)")
+    cfg.validate()
     print("CONFIG " + json.dumps(cfg.echo(), sort_keys=True))
     report = audit(cfg)
     v = report.verdict
@@ -339,6 +341,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def cmd_meanvar(args: argparse.Namespace) -> int:
     cfg = _audit_config(args)
+    check_meanvar(cfg)
     echo = {key: value for key, value in cfg.echo().items()
             if key in ("data", "mode", "family", "seed", "top_k")}
     print("CONFIG " + json.dumps(echo, sort_keys=True))
@@ -352,6 +355,8 @@ def cmd_meanvar(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_synth(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {args.seed}")
     rect = _parse_rect(args.rect, "--rect")
     if args.kind == "uniform-split":
         if args.n is None:

@@ -60,10 +60,6 @@ class SpatialIndex:
         self.start = np.zeros(gx * gy + 1, dtype=np.int64)
         np.cumsum(counts, out=self.start[1:])
 
-    @property
-    def rho(self) -> float:
-        return self.P / self.N
-
     def cells_x(self, vals) -> np.ndarray:
         return _axis_cells(vals, self.bbox.xmin, self.bbox.xmax, self.gx)
 

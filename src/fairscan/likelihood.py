@@ -58,7 +58,7 @@ class ScanResult(Sequence):
     """
 
     bounds: np.ndarray
-    center_ids: Sequence
+    center_ids: np.ndarray
     n: np.ndarray
     p: np.ndarray
     llr: np.ndarray

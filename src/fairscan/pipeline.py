@@ -97,7 +97,9 @@ class AuditConfig:
         return specs[0]
 
     def check_families(self) -> None:
-        """Refuse a grid, split range or center count out of range."""
+        """Refuse an out-of-range seed, grid, splits, centers or top_k."""
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.grid is not None and (self.grid[0] < 1 or self.grid[1] < 1):
             raise ValueError(f"grid dims must be positive, got {self.grid}")
         if self.random_parts is not None:
@@ -108,6 +110,8 @@ class AuditConfig:
                 raise ValueError(f"bad splits range {lo}..{hi}")
         if self.squares_centers is not None and self.squares_centers < 1:
             raise ValueError("squares_centers must be positive")
+        if self.top_k is not None and self.top_k < 1:
+            raise ValueError(f"top_k must be positive, got {self.top_k}")
 
     def validate(self) -> None:
         self.family_spec()
@@ -124,8 +128,6 @@ class AuditConfig:
                 "raise num_worlds or alpha"
             )
         self.check_families()
-        if self.top_k is not None and self.top_k < 1:
-            raise ValueError("top_k must be positive when given")
 
     def echo(self) -> dict:
         """Resolved configuration embedded in every report."""
@@ -199,7 +201,7 @@ def _derive_seeds(seed: int) -> tuple[int, int]:
 def build_family(cfg: AuditConfig, bbox: Region,
                  data: Dataset | None = None) -> list:
     """Every family the config names over bbox, in family_specs order:
-    Partitionings and lists of Regions. Squares need data for their k-means
+    Partitionings and Rectangles. Squares need data for their k-means
     centers."""
     region_seed, _ = _derive_seeds(cfg.seed)
     family = []
@@ -375,12 +377,16 @@ def export_meanvar(report: MeanVarReport, config: dict, out_dir: str) -> str:
     return path
 
 
+def check_meanvar(cfg: AuditConfig) -> None:
+    """Refuse a MeanVar config before any data is read."""
+    if cfg.family_spec()["kind"] not in ("grid", "random_partitionings"):
+        raise ValueError("MeanVar needs a partitioning family "
+                         "(grid or random partitionings)")
+    cfg.check_families()
+
+
 def run_meanvar(d: Dataset, cfg: AuditConfig, top_k: int = 50
                 ) -> MeanVarReport:
-    if cfg.family_spec()["kind"] not in ("grid", "random_partitionings"):
-        raise ValueError(
-            "MeanVar needs a partitioning family (grid or random partitionings)"
-        )
-    cfg.check_families()
+    check_meanvar(cfg)
     ix = build_index(d, cfg.resolution)
     return mean_var(ix, build_family(cfg, d.bbox, d), top_k=top_k)

@@ -23,6 +23,7 @@ MAX_FLOATS = np.iinfo(np.intp).max // 8
 # Points whose distances to every center one k-means step computes at a
 # time: its two (block, k) float64 buffers are the step's scratch memory.
 _KMEANS_BLOCK = 1024
+_BOUND_KEYS = ("xmin", "ymin", "xmax", "ymax")  # a Rectangles row in a file
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,18 @@ class Partitioning:
         out[..., 2] = xb[1:]
         out[..., 3] = yb[1:, None]
         return out.reshape(-1, 4)
+
+
+@dataclass(frozen=True)
+class Rectangles:
+    """Non-tiling candidates: (m, 4) float64 bounds (xmin, ymin, xmax,
+    ymax) and an object array of center ids, each a str or None."""
+
+    bounds: np.ndarray
+    center_ids: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.bounds)
 
 
 def regular_grid(bbox: Region, mx: int, my: int) -> Partitioning:
@@ -247,12 +260,13 @@ def kmeans_centers(data, k: int, seed: int = 0, max_iters: int = 100,
 
 
 def square_scan_set(centers, side_lengths: Sequence[float] | None = None
-                    ) -> list[Region]:
+                    ) -> Rectangles:
     """Squares of every given side length centered on every given point.
 
-    Squares are not clipped to any bounding box; empty overhang is handled
-    by the counting layer. Each square carries the center_id of the center
-    it came from, so overlap pruning can pick one square per center.
+    Squares run center by center and are not clipped to any bounding box;
+    empty overhang is handled by the counting layer. Each square carries the
+    center_id of the center it came from, so overlap pruning can pick one
+    square per center.
     """
     if side_lengths is None:
         side_lengths = DEFAULT_SIDE_LENGTHS
@@ -260,38 +274,28 @@ def square_scan_set(centers, side_lengths: Sequence[float] | None = None
     for s in sides:
         if not (math.isfinite(s) and s > 0):
             raise ValueError(f"side lengths must be finite and positive, got {s}")
-    out = []
-    for i, (cx, cy) in enumerate(np.asarray(centers, dtype=np.float64)):
-        cid = f"c{i}"
-        for s in sides:
-            half = s / 2.0
-            out.append(Region(cx - half, cy - half, cx + half, cy + half,
-                              center_id=cid))
-    return out
+    pts = _points_of(centers)[:, None, :]
+    half = (np.array(sides, dtype=np.float64) / 2.0)[None, :, None]
+    bounds = np.concatenate((pts - half, pts + half), axis=2).reshape(-1, 4)
+    ids = np.array([f"c{i}" for i in range(len(pts))], dtype=object)
+    return Rectangles(bounds, np.repeat(ids, len(sides)))
 
 
 def save_region_families(path: str, families: Iterable) -> None:
-    """Serialize partitionings and plain region lists to a JSON document."""
+    """Serialize Partitionings (bounds and provenance) and Rectangles."""
     doc_families = []
     for fam in families:
         if isinstance(fam, Partitioning):
             doc_families.append({
                 "kind": "partitioning",
                 "provenance": dict(fam.provenance),
-                "xbounds": [float(v) for v in fam.xbounds],
-                "ybounds": [float(v) for v in fam.ybounds],
-                "regions": fam.cell_bounds().tolist(),
+                "xbounds": fam.xbounds.tolist(),
+                "ybounds": fam.ybounds.tolist(),
             })
         else:
-            doc_families.append({
-                "kind": "regions",
-                "regions": [
-                    {"xmin": r.xmin, "ymin": r.ymin,
-                     "xmax": r.xmax, "ymax": r.ymax,
-                     "center_id": r.center_id}
-                    for r in fam
-                ],
-            })
+            doc_families.append({"kind": "regions", "regions": [
+                dict(zip(_BOUND_KEYS, b), center_id=cid)
+                for b, cid in zip(fam.bounds.tolist(), fam.center_ids)]})
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"schema": 1, "families": doc_families}, fh, indent=2,
                   sort_keys=True)
@@ -326,7 +330,7 @@ def _load_family(fam, where: str):
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
     if fam["kind"] == "regions":
-        out = []
+        bounds, center_ids = [], []
         for i, r in enumerate(_list(fam, "regions", where)):
             at = f"{where} region {i}"
             if not isinstance(r, dict):
@@ -334,13 +338,13 @@ def _load_family(fam, where: str):
             center_id = r.get("center_id")
             if center_id is not None and not isinstance(center_id, str):
                 raise ValueError(f"{at}: center_id must be a string or null")
-            bounds = [_number(r.get(k), f"{at}: {k}")
-                      for k in ("xmin", "ymin", "xmax", "ymax")]
-            try:
-                out.append(Region(*bounds, center_id=center_id))
-            except ValueError as exc:
-                raise ValueError(f"{at}: {exc}") from None
-        return out
+            b = tuple(_number(r.get(k), f"{at}: {k}") for k in _BOUND_KEYS)
+            if not (b[0] <= b[2] and b[1] <= b[3]):
+                raise ValueError(f"{at}: inverted region bounds: {b}")
+            bounds.append(b)
+            center_ids.append(center_id)
+        return Rectangles(np.array(bounds, dtype=np.float64).reshape(-1, 4),
+                          np.array(center_ids, dtype=object))
     raise ValueError(f"unknown region family kind: {fam['kind']!r}")
 
 

@@ -21,7 +21,7 @@ from scipy import sparse
 
 from .geometry import Region, bounds_contain
 from .index import SpatialIndex
-from .regions import Partitioning
+from .regions import Partitioning, Rectangles
 
 # Boundary-cell points tested, or matrix row ids remapped, per batch while a
 # plan is built; bounds the scratch memory of a build.
@@ -152,29 +152,34 @@ class CountPlan:
     partitioning cells) and ``n`` their observation counts. ``order`` is the
     stable argsort of ``n``: ``count_by_size`` returns counts in that order,
     ``positives`` in family order. ``nnz`` is the member matrix's entry
-    count, the labels one count reads besides the corner terms. Counts match a brute-force scan under the
-    half-open membership predicate with closed bounding-box max edges.
+    count, the labels one count reads besides the corner terms. Counts
+    match a brute-force scan under the half-open membership predicate with
+    closed bounding-box max edges.
     """
 
     def __init__(self, ix: SpatialIndex, family):
-        bounds, center_ids, via_cells, covering = [], [], [], []
-        for item in _flatten(family):
-            if isinstance(item, Partitioning):
-                cells = item.cell_bounds()
-                is_covering = _covers(item, ix.bbox)
+        fams = family if isinstance(family, (list, tuple)) else [family]
+        bounds, center_ids = [np.zeros((0, 4))], [np.empty(0, dtype=object)]
+        via_cells, covering, first = [np.zeros(0, dtype=bool)], [], 0
+        for fam in fams:
+            if isinstance(fam, Partitioning):
+                is_covering = _covers(fam, ix.bbox)
                 if is_covering:
-                    covering.append((len(via_cells), item))
-                bounds.append(cells)
-                center_ids.extend([None] * len(cells))
-                via_cells.extend([is_covering] * len(cells))
+                    covering.append((first, fam))
+                bounds.append(fam.cell_bounds())
+                center_ids.append(np.empty(len(fam), dtype=object))
+                via_cells.append(np.full(len(fam), is_covering))
+            elif isinstance(fam, Rectangles):
+                bounds.append(fam.bounds)
+                center_ids.append(fam.center_ids)
+                via_cells.append(np.zeros(len(fam), dtype=bool))
             else:
-                bounds.append(np.array([item.bounds()], dtype=np.float64))
-                center_ids.append(item.center_id)
-                via_cells.append(False)
-        self.bounds = (np.concatenate(bounds) if bounds
-                       else np.zeros((0, 4), dtype=np.float64))
-        self.center_ids = center_ids
-        rect_rows = np.flatnonzero(~np.array(via_cells, dtype=bool))
+                raise TypeError(f"{type(fam).__name__} is not a Partitioning, "
+                                "a Rectangles or a list of them")
+            first += len(fam)
+        self.bounds = np.concatenate(bounds)
+        self.center_ids = np.concatenate(center_ids)
+        rect_rows = np.flatnonzero(~np.concatenate(via_cells))
         corners, members, offsets = _rectangle_terms(
             ix, self.bounds[rect_rows])
         self._corners = None
@@ -253,20 +258,11 @@ class CountPlan:
         return Region(*self.bounds[i].tolist(), center_id=self.center_ids[i])
 
 
-def _flatten(family):
-    """Partitionings and Regions of a family, nested lists opened in order."""
-    if isinstance(family, (Partitioning, Region)):
-        yield family
-        return
-    for item in family:
-        yield from _flatten(item)
-
-
 def as_scanner(ix: SpatialIndex, family) -> CountPlan:
     """The counting plan for a region family.
 
-    Accepts an existing plan (returned untouched), a Partitioning, a Region,
-    or a sequence mixing Partitionings, Regions and sequences of Regions.
+    Accepts an existing plan (returned untouched), a Partitioning, a
+    Rectangles, or a flat list or tuple of them.
     """
     if isinstance(family, CountPlan):
         return family

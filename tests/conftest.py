@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fairscan import CountPlan, Dataset, build_index, synth
+from fairscan import CountPlan, Dataset, Rectangles, build_index, synth
 from fairscan.geometry import Region
 
 
@@ -17,10 +17,17 @@ def cell_regions(part) -> list[Region]:
     return [Region(*b) for b in part.cell_bounds().tolist()]
 
 
+def rectangles(regions) -> Rectangles:
+    """Regions as one Rectangles family, in order, center ids kept."""
+    bounds = np.array([r.bounds() for r in regions], dtype=np.float64)
+    return Rectangles(bounds.reshape(-1, 4),
+                      np.array([r.center_id for r in regions], dtype=object))
+
+
 def plan_counts(ix, region: Region) -> tuple[int, int]:
     """(n, p) of one rectangle under the index's labels, from a one-region
     CountPlan."""
-    plan = CountPlan(ix, [region])
+    plan = CountPlan(ix, rectangles([region]))
     return int(plan.n[0]), int(plan.positives(ix.labels)[0])
 
 

@@ -210,3 +210,19 @@ def oracle_kmeans(pts, k: int, seed: int = 0, max_iters: int = 100):
             continue
         centers = sums / sizes[:, None]
     return centers, inertia_trace
+
+
+def oracle_squares(centers, side_lengths):
+    """Squares as (xmin, ymin, xmax, ymax, center_id) tuples, one at a time.
+
+    Center by center, each center's sides in the given order; the square of
+    side s around (cx, cy) is [cx - s/2, cx + s/2) x [cy - s/2, cy + s/2).
+    """
+    sides = [float(s) for s in side_lengths]
+    out = []
+    for i, (cx, cy) in enumerate(np.asarray(centers, dtype=np.float64)):
+        cid = f"c{i}"
+        for s in sides:
+            half = s / 2.0
+            out.append((cx - half, cy - half, cx + half, cy + half, cid))
+    return out

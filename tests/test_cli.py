@@ -452,6 +452,59 @@ class TestMeanVar:
         assert not out.exists()
 
 
+class TestNegativeSeed:
+    """A negative seed is refused by name before any data is read."""
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--grid", "2x2", "--worlds", "99", "--alpha", "0.05"],
+        ["meanvar", "--grid", "2x2"],
+        ["regions", "--grid", "2x2"],
+    ], ids=["audit", "meanvar", "regions"])
+    def test_family_subcommands(self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        code, lines, err = run(capsys, *argv, "--data",
+                               str(tmp_path / "missing.csv"), "--seed", "-1",
+                               "--out", str(out))
+        assert (code, lines) == (1, [])
+        assert err == "error: seed must be non-negative, got -1\n"
+        assert not out.exists()
+
+    def test_gen_synth(self, capsys, tmp_path):
+        out = tmp_path / "d.csv"
+        code, lines, err = run(capsys, "gen-synth", "--kind", "uniform-split",
+                               "--n", "10", "--seed", "-1", "--out", str(out))
+        assert (code, lines) == (1, [])
+        assert err == "error: seed must be non-negative, got -1\n"
+        assert not out.exists()
+
+    def test_config_file(self, capsys, unfair_csv, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"data": unfair_csv, "grid": "2x2",
+                                        "worlds": 99, "alpha": 0.05,
+                                        "seed": -1}))
+        code, lines, err = run(capsys, "audit", "--config", str(cfg_path))
+        assert (code, lines) == (1, [])
+        assert err == "error: seed must be non-negative, got -1\n"
+
+
+class TestValidateBeforeLoad:
+    """A bad option fails before the CSV is read and before CONFIG."""
+
+    def test_audit_alpha(self, capsys, tmp_path):
+        code, lines, err = run(capsys, "audit", "--data",
+                               str(tmp_path / "missing.csv"), "--grid", "2x2",
+                               "--alpha", "2")
+        assert (code, lines) == (1, [])
+        assert err == "error: alpha must be in (0, 1), got 2.0\n"
+
+    def test_meanvar_top_k(self, capsys, tmp_path):
+        code, lines, err = run(capsys, "meanvar", "--data",
+                               str(tmp_path / "missing.csv"), "--grid", "2x2",
+                               "--top-k", "0")
+        assert (code, lines) == (1, [])
+        assert err == "error: top_k must be positive, got 0\n"
+
+
 class TestRegions:
     def test_bbox_grid_file(self, capsys, tmp_path):
         out = str(tmp_path / "fam.json")

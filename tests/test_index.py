@@ -14,6 +14,7 @@ from conftest import (
     plan_counts,
     random_dataset,
     random_region,
+    rectangles,
 )
 from oracles import oracle_region_counts
 
@@ -136,7 +137,7 @@ class TestWithLabels:
         d = random_dataset(rng, 150)
         ix = build_index(d, (8, 8))
         regions = [random_region(rng, d.bbox) for _ in range(40)]
-        plan = CountPlan(ix, regions)
+        plan = CountPlan(ix, rectangles(regions))
         p = plan.positives(d.outcomes.copy())
         for i, r in enumerate(regions):
             assert (plan.n[i], p[i]) == plan_counts(ix, r)
@@ -146,7 +147,7 @@ class TestWithLabels:
         d = random_dataset(rng, 150)
         ix = build_index(d, (8, 8))
         regions = [random_region(rng, d.bbox) for _ in range(40)]
-        plan = CountPlan(ix, regions)
+        plan = CountPlan(ix, rectangles(regions))
         zeroed = plan.positives(np.zeros(d.N, dtype=np.int8))
         for i, r in enumerate(regions):
             assert plan.n[i] == plan_counts(ix, r)[0] and zeroed[i] == 0
@@ -158,7 +159,7 @@ class TestWithLabels:
         labels = rng.integers(0, 2, size=d.N)
         regions = [random_region(rng, d.bbox, snap_points=(d.lons, d.lats))
                    for _ in range(100)]
-        plan = CountPlan(ix, regions)
+        plan = CountPlan(ix, rectangles(regions))
         p = plan.positives(labels)
         for i, r in enumerate(regions):
             n, want_p = oracle_region_counts(r, d.lons, d.lats, labels,
@@ -170,7 +171,7 @@ class TestWithLabels:
         d = random_dataset(rng, 80)
         ix = build_index(d)
         p_before, labels_before = ix.P, ix.labels.copy()
-        CountPlan(ix, [d.bbox]).positives(np.zeros(d.N, dtype=np.int8))
+        CountPlan(ix, rectangles([d.bbox])).positives(np.zeros(d.N, dtype=np.int8))
         assert ix.P == p_before
         assert np.array_equal(ix.labels, labels_before)
 
@@ -179,11 +180,11 @@ class TestWithLabels:
         d = random_dataset(rng, 30)
         ix = build_index(d)
         with pytest.raises(ValueError, match="shape"):
-            CountPlan(ix, [d.bbox]).positives(np.zeros(29, dtype=np.int8))
+            CountPlan(ix, rectangles([d.bbox])).positives(np.zeros(29, dtype=np.int8))
 
     def test_non_binary_rejected(self):
         rng = np.random.default_rng(12)
         d = random_dataset(rng, 30)
         ix = build_index(d)
         with pytest.raises(ValueError, match="binary"):
-            CountPlan(ix, [d.bbox]).positives(np.full(30, 2))
+            CountPlan(ix, rectangles([d.bbox])).positives(np.full(30, 2))

@@ -17,6 +17,7 @@ from fairscan.geometry import Region
 from fairscan.regions import regular_grid
 from fairscan import synth
 
+from conftest import rectangles
 from oracles import (
     oracle_llr,
     oracle_null,
@@ -205,7 +206,8 @@ class TestLlrVector:
 
 class TestScanRegions:
     def test_whole_space_scores_zero(self, split400, split400_index):
-        scored, tau = scan_regions(split400_index, [split400.bbox])
+        scored, tau = scan_regions(split400_index,
+                                   rectangles([split400.bbox]))
         assert len(scored) == 1
         assert scored[0].llr == 0.0
         assert tau == 0.0
@@ -231,7 +233,7 @@ class TestScanRegions:
             x1, x2 = np.sort(rng.uniform(0, 1, 2))
             y1, y2 = np.sort(rng.uniform(0, 1, 2))
             regions.append(Region(x1, y1, x2, y2))
-        scored, tau = scan_regions(split400_index, regions)
+        scored, tau = scan_regions(split400_index, rectangles(regions))
         assert [s.region for s in scored] == regions
         for s in scored:
             assert (s.counts.n, s.counts.p) == oracle_region_counts(

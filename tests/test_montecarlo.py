@@ -21,7 +21,7 @@ from fairscan.regions import random_partitionings, regular_grid
 from fairscan.scanner import as_scanner
 from fairscan.synth import gen_fair_bernoulli, gen_uniform_split
 
-from conftest import random_dataset
+from conftest import random_dataset, rectangles
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ def small_world():
 class TestSimulateWorlds:
     def test_whole_space_region_scores_zero(self, small_world):
         d, ix, _ = small_world
-        dist = simulate_worlds(ix, [d.bbox], 0.5, 50, seed=1)
+        dist = simulate_worlds(ix, rectangles([d.bbox]), 0.5, 50, seed=1)
         assert np.all(dist.values == 0.0)
 
     def test_shape_and_sorting(self, small_world):
@@ -64,11 +64,11 @@ class TestSimulateWorlds:
         # simulate_worlds scores only each size's extreme counts; its maxima
         # must equal, bit for bit, the max over every candidate's score.
         d, ix, parts = small_world
-        family = [regular_grid(d.bbox, 8, 8), parts,
-                  Region(5.0, 5.0, 6.0, 6.0), d.bbox,
-                  [Region(x, y, x + 0.3, y + 0.3)
-                   for x in np.linspace(0.0, 0.7, 8)
-                   for y in np.linspace(0.0, 0.7, 8)]]
+        family = [regular_grid(d.bbox, 8, 8), *parts,
+                  rectangles([Region(5.0, 5.0, 6.0, 6.0), d.bbox]),
+                  rectangles([Region(x, y, x + 0.3, y + 0.3)
+                              for x in np.linspace(0.0, 0.7, 8)
+                              for y in np.linspace(0.0, 0.7, 8)])]
         plan = as_scanner(ix, family)
         assert (plan.n == 0).any() and (plan.n == d.N).any()
         assert len(np.unique(plan.n)) < len(plan.n) // 4

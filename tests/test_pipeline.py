@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from fairscan.geometry import Region, regions_overlap
-from fairscan.index import RegionCounts
-from fairscan.likelihood import Direction, ScoredRegion
+from fairscan.index import RegionCounts, build_index
+from fairscan.likelihood import Direction, ScoredRegion, scan_regions
 from fairscan.montecarlo import (
     MaxStatDistribution,
     critical_value,
@@ -23,10 +23,17 @@ from fairscan.pipeline import (
     run_meanvar,
     select_non_overlapping,
 )
-from fairscan.regions import save_region_families, square_scan_set
+from fairscan.regions import (
+    Rectangles,
+    random_partitionings,
+    regular_grid,
+    save_region_families,
+    square_scan_set,
+)
+from fairscan.scanner import as_scanner
 from fairscan.synth import gen_fair_bernoulli, gen_uniform_split
 
-from conftest import make_dataset
+from conftest import make_dataset, rectangles
 
 
 def fast_cfg(**kw):
@@ -156,7 +163,7 @@ class TestRunAudit:
     def test_whole_space_region_is_fair(self, tmp_path):
         d = gen_uniform_split(1000, seed=85)
         path = str(tmp_path / "whole.json")
-        save_region_families(path, [[d.bbox]])
+        save_region_families(path, [rectangles([d.bbox])])
         report = run_audit(d, AuditConfig(regions_file=path, alpha=0.05,
                                           num_worlds=100, seed=1))
         assert report.verdict.tau_log == 0.0
@@ -203,7 +210,8 @@ class TestRunAudit:
         fwd = str(tmp_path / "fwd.json")
         rev = str(tmp_path / "rev.json")
         save_region_families(fwd, [squares])
-        save_region_families(rev, [list(reversed(squares))])
+        save_region_families(rev, [Rectangles(squares.bounds[::-1],
+                                               squares.center_ids[::-1])])
         ra = run_audit(d, AuditConfig(regions_file=fwd, alpha=0.05,
                                       num_worlds=100, seed=6))
         rb = run_audit(d, AuditConfig(regions_file=rev, alpha=0.05,
@@ -323,7 +331,7 @@ class TestExports:
 
 
 class TestEmptyCandidateSet:
-    @pytest.mark.parametrize("families", [[], [[]]])
+    @pytest.mark.parametrize("families", [[], [rectangles([])]])
     def test_empty_regions_file(self, tmp_path, families):
         path = str(tmp_path / "regions.json")
         save_region_families(path, families)
@@ -338,6 +346,52 @@ class TestEmptyCandidateSet:
                           alpha=0.05)
         with pytest.raises(ValueError, match="no candidate regions"):
             run_audit(d, cfg)
+
+
+class TestCandidateArrays:
+    """Candidates stay columns from generation and region files to the scan."""
+
+    @pytest.mark.parametrize("kind", ["squares", "regions_file"])
+    def test_no_region_objects(self, tmp_path, monkeypatch, kind):
+        d = gen_uniform_split(800, seed=89)
+        ix = build_index(d)
+        cfg = AuditConfig(squares_centers=5, sides=(0.1, 0.3))
+        if kind == "regions_file":
+            path = tmp_path / "regions.json"
+            save_region_families(path, [regular_grid(d.bbox, 3, 2),
+                                        square_scan_set([[0.3, 0.4]], (0.2,))])
+            cfg = AuditConfig(regions_file=str(path))
+        made = []
+        init = Region.__post_init__
+        monkeypatch.setattr(Region, "__post_init__",
+                            lambda r: (made.append(r), init(r)))
+        plan = as_scanner(ix, build_family(cfg, d.bbox, d))
+        scored, _ = scan_regions(ix, plan)
+        assert len(scored) == len(plan.n) > 0
+        assert made == []
+        Region(0.0, 0.0, 1.0, 1.0)
+        assert len(made) == 1
+
+    def test_old_region_file_layout_audits_the_same(self, tmp_path):
+        # Older files also list each partitioning's cells; the loader
+        # ignores that list, so both layouts give the same report.
+        d = gen_uniform_split(800, seed=90)
+        parts = random_partitionings(d.bbox, 3, 2, 5, seed=4)
+        path = tmp_path / "regions.json"
+        save_region_families(path, [*parts, square_scan_set(
+            [[0.25, 0.5], [0.75, 0.5]], (0.2, 0.5))])
+        cfg = AuditConfig(regions_file=str(path), alpha=0.05,
+                          num_worlds=100, seed=7)
+        reports = [run_audit(d, cfg).to_json_dict()]
+        doc = json.loads(path.read_text())
+        for fam, part in zip(doc["families"], parts):
+            fam["regions"] = part.cell_bounds().tolist()
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        reports.append(run_audit(d, cfg).to_json_dict())
+        for report in reports:
+            report.pop("timings")
+        assert reports[0]["evidence"]
+        assert reports[0] == reports[1]
 
 
 class TestMeanVarPipeline:

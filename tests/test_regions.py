@@ -12,6 +12,7 @@ from fairscan import regions as regions_module
 from fairscan.regions import (
     DEFAULT_SIDE_LENGTHS,
     Partitioning,
+    Rectangles,
     kmeans_centers,
     load_region_families,
     random_partitionings,
@@ -21,7 +22,7 @@ from fairscan.regions import (
 )
 
 from conftest import cell_regions, random_dataset
-from oracles import oracle_kmeans, oracle_region_counts
+from oracles import oracle_kmeans, oracle_region_counts, oracle_squares
 
 UNIT = Region(0.0, 0.0, 1.0, 1.0)
 # From these 34 points k-means++ (seed 0) leaves one of its 4 starting
@@ -308,11 +309,12 @@ class TestSquareScanSet:
         squares = square_scan_set(centers, side_lengths=(0.5, 2.0))
         assert len(squares) == 4
         # Centers outer loop, side lengths inner loop.
-        assert squares[0] == Region(0.75, 1.75, 1.25, 2.25,
-                                    center_id="c0")
-        assert squares[1] == Region(0.0, 1.0, 2.0, 3.0, center_id="c0")
-        assert squares[2].center_id == "c1"
-        assert squares[3].bounds() == (4.0, 4.0, 6.0, 6.0)
+        assert squares.bounds.dtype == np.float64
+        assert squares.bounds[0].tolist() == [0.75, 1.75, 1.25, 2.25]
+        assert squares.bounds[1].tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert squares.center_ids[:2].tolist() == ["c0", "c0"]
+        assert squares.center_ids[2] == "c1"
+        assert squares.bounds[3].tolist() == [4.0, 4.0, 6.0, 6.0]
 
     def test_default_side_lengths(self):
         assert len(DEFAULT_SIDE_LENGTHS) == 20
@@ -323,14 +325,38 @@ class TestSquareScanSet:
 
     def test_no_clipping(self):
         squares = square_scan_set(np.array([[0.0, 0.0]]), side_lengths=(4.0,))
-        assert squares[0].bounds() == (-2.0, -2.0, 2.0, 2.0)
+        assert squares.bounds[0].tolist() == [-2.0, -2.0, 2.0, 2.0]
 
     def test_duplicate_centers_kept(self):
         centers = np.array([[1.0, 1.0], [1.0, 1.0]])
         squares = square_scan_set(centers, side_lengths=(1.0,))
         assert len(squares) == 2
-        assert squares[0].center_id == "c0"
-        assert squares[1].center_id == "c1"
+        assert squares.center_ids.tolist() == ["c0", "c1"]
+
+    def test_matches_oracle_bit_for_bit(self):
+        # Negative centers and magnitudes from 1e-3 to 1e6, 1 to 25 sides:
+        # the broadcast must round exactly as the one-square-at-a-time loop.
+        rng = np.random.default_rng(40)
+        for _ in range(200):
+            k, m = int(rng.integers(0, 6)), int(rng.integers(1, 26))
+            centers = (rng.choice([-1.0, 1.0], size=(k, 2))
+                       * 10.0 ** rng.uniform(-3, 6, size=(k, 2)))
+            sides = 10.0 ** rng.uniform(-3, 6, size=m)
+            got = square_scan_set(centers, side_lengths=sides)
+            want = oracle_squares(centers, sides)
+            bounds = np.array([w[:4] for w in want],
+                              dtype=np.float64).reshape(-1, 4)
+            assert got.bounds.shape == (k * m, 4)
+            assert np.array_equal(got.bounds.view(np.uint64),
+                                  bounds.view(np.uint64))
+            assert got.center_ids.tolist() == [w[4] for w in want]
+
+    def test_one_id_string_per_center(self):
+        squares = square_scan_set(np.array([[0.0, 0.0], [1.0, 1.0]]),
+                                  side_lengths=(0.5, 1.0, 2.0))
+        assert squares.center_ids.dtype == object
+        ids = squares.center_ids
+        assert ids[0] is ids[1] is ids[2] and ids[3] is ids[5]
 
     def test_invalid_sides(self):
         with pytest.raises(ValueError):
@@ -376,8 +402,48 @@ class TestSaveLoad:
             assert back.xbounds.tolist() == orig.xbounds.tolist()
             assert back.ybounds.tolist() == orig.ybounds.tolist()
             assert np.array_equal(back.cell_bounds(), orig.cell_bounds())
-        assert list(loaded[3]) == list(squares)
-        assert loaded[3][0].center_id == "c0"
+        assert isinstance(loaded[3], Rectangles)
+        assert np.array_equal(loaded[3].bounds, squares.bounds)
+        assert loaded[3].center_ids.tolist() == squares.center_ids.tolist()
+        assert loaded[3].center_ids[0] == "c0"
+
+    def test_partitioning_entries_hold_bounds_only(self, tmp_path):
+        # A partitioning's cells follow from its bounds, so the file holds
+        # no per-cell list: 100 random partitionings stay small.
+        parts = random_partitionings(UNIT, 100, seed=15)
+        path = tmp_path / "parts.json"
+        save_region_families(path, parts)
+        assert path.stat().st_size < 500_000
+        doc = json.loads(path.read_text())
+        for fam in doc["families"]:
+            assert sorted(fam) == ["kind", "provenance", "xbounds", "ybounds"]
+
+    def test_old_layout_loads_the_same(self, tmp_path):
+        # Files that still carry each partitioning's per-cell "regions" list
+        # load as before: the loader reads bounds and provenance only.
+        parts = random_partitionings(UNIT, 3, 2, 5, seed=16)
+        path = tmp_path / "new.json"
+        save_region_families(path, parts)
+        doc = json.loads(path.read_text())
+        for fam, part in zip(doc["families"], parts):
+            fam["regions"] = part.cell_bounds().tolist()
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        for a, b in zip(load_region_families(path), load_region_families(old)):
+            assert np.array_equal(a.xbounds, b.xbounds)
+            assert np.array_equal(a.ybounds, b.ybounds)
+            assert a.provenance == b.provenance
+
+    def test_inverted_rectangle_message(self, tmp_path):
+        path = tmp_path / "inverted.json"
+        path.write_text(json.dumps({"schema": 1, "families": [
+            {"kind": "regions", "regions": [
+                {"xmin": 0, "ymin": 0, "xmax": 1, "ymax": 1},
+                {"xmin": 1, "ymin": 0, "xmax": 0.5, "ymax": 1}]}]}))
+        with pytest.raises(ValueError) as err:
+            load_region_families(path)
+        assert str(err.value) == ("region family 0 region 1: inverted region "
+                                  "bounds: (1.0, 0.0, 0.5, 1.0)")
 
     def test_schema_field(self, tmp_path):
         path = tmp_path / "f.json"

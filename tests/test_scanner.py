@@ -8,7 +8,13 @@ from fairscan.geometry import Region
 from fairscan.regions import random_partitionings, regular_grid
 from fairscan.scanner import CountPlan, as_scanner
 
-from conftest import cell_regions, make_dataset, random_dataset, random_region
+from conftest import (
+    cell_regions,
+    make_dataset,
+    random_dataset,
+    random_region,
+    rectangles,
+)
 from oracles import oracle_region_counts
 
 
@@ -35,7 +41,7 @@ class TestPlannedScanner:
         rng = np.random.default_rng(21)
         regions = [random_region(rng, d.bbox, snap_points=(d.lons, d.lats))
                    for _ in range(60)]
-        sc = CountPlan(ix, regions)
+        sc = CountPlan(ix, rectangles(regions))
         assert len(sc.n) == 60
         for labels in random_labelings(d.N, seed=1):
             p = sc.positives(labels)
@@ -47,7 +53,7 @@ class TestPlannedScanner:
 
     def test_region_far_outside_bbox(self, data_and_index):
         d, ix = data_and_index
-        sc = CountPlan(ix, [Region(50.0, 50.0, 60.0, 60.0)])
+        sc = CountPlan(ix, rectangles([Region(50.0, 50.0, 60.0, 60.0)]))
         assert sc.n[0] == 0
         assert sc.positives(d.outcomes)[0] == 0
 
@@ -62,7 +68,7 @@ class TestPlannedScanner:
         d, ix = data_and_index
         big = Region(d.bbox.xmin - 1, d.bbox.ymin - 1,
                      d.bbox.xmax + 1, d.bbox.ymax + 1)
-        sc = CountPlan(ix, [big])
+        sc = CountPlan(ix, rectangles([big]))
         assert sc.n[0] == d.N
         assert sc.positives(d.outcomes)[0] == d.P
 
@@ -75,9 +81,9 @@ class TestPlannedScanner:
         rng = np.random.default_rng(22)
         regions = [random_region(rng, d.bbox, snap_points=(d.lons, d.lats))
                    for _ in range(40)]
-        whole = CountPlan(ix, regions)
+        whole = CountPlan(ix, rectangles(regions))
         monkeypatch.setattr(scanner, "_EDGE_BATCH", 7)
-        batched = CountPlan(ix, regions)
+        batched = CountPlan(ix, rectangles(regions))
         assert np.array_equal(whole.n, batched.n)
         for labels in random_labelings(d.N, seed=3):
             assert np.array_equal(whole.positives(labels),
@@ -113,7 +119,8 @@ class TestPartitionScanner:
         d, ix = data_and_index
         parts = random_partitionings(d.bbox, 3, 2, 5, seed=13)
         fast = CountPlan(ix, parts)
-        slow = CountPlan(ix, [c for p in parts for c in cell_regions(p)])
+        slow = CountPlan(ix, rectangles(
+            [c for p in parts for c in cell_regions(p)]))
         assert np.array_equal(fast.n, slow.n)
         assert np.array_equal(fast.bounds, slow.bounds)
         for labels in random_labelings(d.N, seed=2):
@@ -135,7 +142,7 @@ class TestComposite:
         d, ix = data_and_index
         part = regular_grid(d.bbox, 2, 2)
         squares = [Region(0.1, 0.1, 0.4, 0.4), Region(0.5, 0.5, 0.9, 0.9)]
-        comp = CountPlan(ix, [part, squares])
+        comp = CountPlan(ix, [part, rectangles(squares)])
         regions = [comp.region(i) for i in range(len(comp.n))]
         assert regions == cell_regions(part) + squares
         p = comp.positives(d.outcomes)
@@ -151,7 +158,8 @@ class TestComposite:
                       (d.bbox.xmin + d.bbox.xmax) / 2, d.bbox.ymax)
         uncovered = regular_grid(half, 2, 2)
         square = Region(0.2, 0.2, 0.6, 0.7, center_id="c0")
-        family = [square, grid, [square], uncovered, grid]
+        family = [rectangles([square]), grid, rectangles([square]), uncovered,
+                  grid]
         plan = CountPlan(ix, family)
         want = ([square] + cell_regions(grid) + [square]
                 + cell_regions(uncovered) + cell_regions(grid))
@@ -172,7 +180,7 @@ class TestComposite:
         labels = (rng.random(d.N) < 0.9).astype(np.int8)
         cell = regular_grid(d.bbox, 1, 1)
         rect = Region(0.1, 0.0, 0.9, 1.0)
-        plan = CountPlan(ix, [cell, rect])
+        plan = CountPlan(ix, [cell, rectangles([rect])])
         p = plan.positives(labels)
         assert p.dtype == np.int64
         for i, region in enumerate(cell_regions(cell) + [rect]):
@@ -197,7 +205,8 @@ class TestSizeOrder:
         whole = Region(d.bbox.xmin - 1, d.bbox.ymin - 1,
                        d.bbox.xmax + 1, d.bbox.ymax + 1)
         # The repeated square and grid give tied sizes across row kinds.
-        family = [square, grid, [empty, whole, square], uncovered, grid]
+        family = [rectangles([square]), grid,
+                  rectangles([empty, whole, square]), uncovered, grid]
         regions = ([square] + cell_regions(grid) + [empty, whole, square]
                    + cell_regions(uncovered) + cell_regions(grid))
         return d, CountPlan(ix, family), regions
@@ -235,7 +244,7 @@ class TestSizeOrder:
 class TestAsScanner:
     def test_passthrough(self, data_and_index):
         d, ix = data_and_index
-        sc = CountPlan(ix, [d.bbox])
+        sc = CountPlan(ix, rectangles([d.bbox]))
         assert as_scanner(ix, sc) is sc
 
     def test_single_partitioning(self, data_and_index):
@@ -254,10 +263,26 @@ class TestAsScanner:
 
     def test_plain_regions(self, data_and_index):
         d, ix = data_and_index
-        sc = as_scanner(ix, [Region(0, 0, 0.5, 0.5)])
+        sc = as_scanner(ix, rectangles([Region(0, 0, 0.5, 0.5)]))
         assert isinstance(sc, CountPlan)
         assert sc.n[0] == oracle_region_counts(
             Region(0, 0, 0.5, 0.5), d.lons, d.lats, d.outcomes, d.bbox)[0]
+
+    @pytest.mark.parametrize("family", [
+        [Region(0, 0, 0.5, 0.5)], Region(0, 0, 0.5, 0.5),
+        [[Region(0, 0, 0.5, 0.5)]], [rectangles([]), [rectangles([])]],
+    ], ids=["region-list", "region", "nested-list", "nested-rectangles"])
+    def test_regions_rejected(self, data_and_index, family):
+        d, ix = data_and_index
+        with pytest.raises(TypeError, match="not a Partitioning, a Rectangles"):
+            as_scanner(ix, family)
+
+    def test_center_ids_array(self, data_and_index):
+        d, ix = data_and_index
+        sc = as_scanner(ix, [regular_grid(d.bbox, 2, 1), rectangles(
+            [Region(0, 0, 0.5, 0.5, center_id="c7"), Region(0, 0, 1, 1)])])
+        assert isinstance(sc.center_ids, np.ndarray)
+        assert sc.center_ids.tolist() == [None, None, "c7", None]
 
     def test_noncovering_partitioning_falls_back(self, data_and_index):
         d, ix = data_and_index
