@@ -18,13 +18,12 @@ from .dataset import (
     load_dataset,
     write_csv,
 )
-from .geometry import Region, bounding_box, jaccard, regions_overlap
+from .geometry import Region, bounding_box, regions_overlap
 from .index import RegionCounts, SpatialIndex, build_index
 from .likelihood import (
     Direction,
     ScanResult,
     ScoredRegion,
-    llr_from_counts,
     llr_vector,
     log_lik_null_max,
     scan_regions,
@@ -86,9 +85,7 @@ __all__ = [
     "critical_value",
     "export_report",
     "global_p_value",
-    "jaccard",
     "kmeans_centers",
-    "llr_from_counts",
     "llr_vector",
     "load_dataset",
     "load_region_families",

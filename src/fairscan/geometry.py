@@ -40,10 +40,6 @@ class Region:
     def height(self) -> float:
         return self.ymax - self.ymin
 
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
 
 def region_contains(region: Region, xs, ys, bbox: Region):
     """Point-in-region test under the shared membership semantics.
@@ -78,23 +74,6 @@ def regions_overlap(a: Region, b: Region) -> bool:
         min(a.xmax, b.xmax) > max(a.xmin, b.xmin)
         and min(a.ymax, b.ymax) > max(a.ymin, b.ymin)
     )
-
-
-def intersection_area(a: Region, b: Region) -> float:
-    w = min(a.xmax, b.xmax) - max(a.xmin, b.xmin)
-    h = min(a.ymax, b.ymax) - max(a.ymin, b.ymin)
-    if w <= 0.0 or h <= 0.0:
-        return 0.0
-    return w * h
-
-
-def jaccard(a: Region, b: Region) -> float:
-    """Intersection-over-union of two rectangles; 0 for two empty boxes."""
-    inter = intersection_area(a, b)
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
 
 
 def bounding_box(xs, ys) -> Region:

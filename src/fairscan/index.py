@@ -1,11 +1,11 @@
 """Grid bucketing of observation locations.
 
 Locations are bucketed once into a gx-by-gy grid over the dataset
-bounding box and laid out cell by cell (CSR: the point order sorted by cell
-plus per-cell offsets). The counting plan in fairscan.scanner reads counts
-of cell-aligned blocks from prefix tables over this grid and resolves only
-the points of cells a query boundary cuts, so counts do not depend on the
-grid resolution.
+bounding box and laid out cell by cell (CSR: the point order sorted by
+(column, row) cell plus per-cell offsets). The counting plan in
+fairscan.scanner counts a rectangle's cell-aligned interior as one run of
+that order per grid column and resolves only the points of cells a query
+boundary cuts, so counts do not depend on the grid resolution.
 """
 
 from __future__ import annotations

@@ -77,27 +77,35 @@ class ScanResult(Sequence):
         )
 
 
+def _null_max(N, P):
+    return xlogy(P, P / N) + xlogy(N - P, (N - P) / N)
+
+
 def log_lik_null_max(N: int, P: int) -> float:
     """Maximized log-likelihood of the single-rate (fair) model."""
     if N <= 0:
         raise ValueError(f"N must be positive, got {N}")
     if not 0 <= P <= N:
         raise ValueError(f"P must be in [0, {N}], got {P}")
-    return float(xlogy(P, P / N) + xlogy(N - P, (N - P) / N))
+    return float(_null_max(N, P))
 
 
-def llr_vector(n, p, N: int, P: int,
+def llr_vector(n, p, N: int, P,
                direction: Direction = Direction.TWO_SIDED) -> np.ndarray:
     """Vectorized log-likelihood ratio for count arrays.
 
-    No precondition checking: callers guarantee 0 <= p <= n <= N,
-    p <= P, and n - p <= N - P elementwise. Counts must be integral.
+    ``P`` is one positive total or an array of them that broadcasts
+    against ``n`` and ``p``, such as one total per column of a block of
+    worlds. No precondition checking: callers guarantee 0 <= p <= n <= N,
+    p <= P, n - p <= N - P and 0 <= P <= N elementwise. Counts must be
+    integral.
     """
     n = np.asarray(n, dtype=np.int64)
     p = np.asarray(p, dtype=np.int64)
+    P = np.asarray(P, dtype=np.int64)
     # Exact rate comparison: p/n vs (P-p)/(N-n) as an integer cross product.
     # int64 is safe: |cross| <= N*P fits comfortably for any realistic audit.
-    cross = p * (N - n) - n * (np.int64(P) - p)
+    cross = p * (N - n) - n * (P - p)
     direction = Direction(direction)
     if direction is Direction.TWO_SIDED:
         gate = cross != 0
@@ -115,32 +123,10 @@ def llr_vector(n, p, N: int, P: int,
     # commutes.
     inside = xlogy(p, p / nn) + xlogy(n - p, (n - p) / nn)
     outside = xlogy(q, q / mm) + xlogy((N - n) - q, ((N - n) - q) / mm)
-    llr = (inside + outside) - log_lik_null_max(N, P)
+    llr = (inside + outside) - _null_max(N, P)
     out = np.where(active, llr, 0.0)
     # Rounding can leave a tiny negative residue on near-proportional splits.
     return np.maximum(out, 0.0)
-
-
-def llr_from_counts(n: int, p: int, N: int, P: int,
-                    direction: Direction = Direction.TWO_SIDED) -> float:
-    """Log-likelihood ratio for one region's counts, with validation.
-
-    Raises ValueError on inconsistent counts; those indicate a programming
-    error upstream, never bad data.
-    """
-    if N <= 0:
-        raise ValueError(f"N must be positive, got {N}")
-    if not 0 <= P <= N:
-        raise ValueError(f"P={P} outside [0, {N}]")
-    if not 0 <= n <= N:
-        raise ValueError(f"n={n} outside [0, {N}]")
-    if not 0 <= p <= min(n, P):
-        raise ValueError(f"p={p} outside [0, min(n={n}, P={P})]")
-    if n - p > N - P:
-        raise ValueError(
-            f"negatives inside ({n - p}) exceed total negatives ({N - P})"
-        )
-    return float(llr_vector(np.array([n]), np.array([p]), N, P, direction)[0])
 
 
 def scan_regions(ix: SpatialIndex, regions,

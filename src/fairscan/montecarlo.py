@@ -46,15 +46,6 @@ class MaxStatDistribution:
             "direction": self.direction.value,
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "MaxStatDistribution":
-        return cls(
-            values=np.asarray(doc["values"], dtype=np.float64),
-            w=int(doc["w"]),
-            seed=int(doc["seed"]),
-            direction=Direction(doc["direction"]),
-        )
-
 
 @dataclass(frozen=True)
 class AuditVerdict:
@@ -66,17 +57,26 @@ class AuditVerdict:
 
 
 # Label values drawn per piece into a worker's reused float64 buffer, so a
-# world's scratch memory stays O(N) bytes of int8 plus this chunk.
+# world's draw scratch stays this chunk beyond its column of the block.
 _DRAW_CHUNK = 1 << 16
-# Values a world reads (its N labels plus the member matrix's nonzeros)
-# below which the worlds run on one thread. A small world is a series of
-# short numpy calls that hold the interpreter lock, so a second thread
-# mostly waits: on 2 CPUs, 999 worlds of 1k, 6k and 42k values took 116,
-# 147 and 214 ms on one thread against 185, 238 and 250 ms on two.
-# planted20k (79k values) stays serial: two threads gave it no audit gain
-# beyond the run-to-run spread (1.98 -> 1.94 s median over 10 pairs).
-# split10k (1.01M values) and clustered1m (2.0M) cut 29% and 26% of their
-# audit time.
+# Worlds are scored in blocks of _BLOCK_WORLDS when a block's int32 scratch,
+# its (width, B) labels and running sums plus its (R, B) counts, stays
+# within _BLOCK_VALUES values (2 MiB), else one at a time. scipy's
+# multi-vector product saves little per world over its single-vector one
+# (split10k on 2 vCPUs: 0.81 ms for one vector against 1.35-1.60,
+# 0.71-1.04 and 0.63-0.76 ms per world at 2, 4 and 8), so blocks pay
+# through fewer numpy calls per world and through the threads. planted20k
+# gets blocks of 8; split10k and clustered1m, whose worlds are larger, run
+# one at a time and keep their memory.
+_BLOCK_WORLDS = 8
+_BLOCK_VALUES = 1 << 19
+# Values a block reads (B times its N labels plus the member matrix's
+# nonzeros) below which the blocks run on one thread. Small work is a
+# series of short numpy calls that hold the interpreter lock, so a second
+# thread mostly waits: on 2 CPUs, 999 worlds of 1k, 6k and 42k values took
+# 116, 147 and 214 ms on one thread against 185, 238 and 250 ms on two.
+# planted20k (8 x 133k values a block), split10k (1.01M values a world) and
+# clustered1m (2.0M) run on every CPU.
 _PARALLEL_WORK = 1 << 18
 
 
@@ -89,17 +89,20 @@ def _cpu_count() -> int:
 
 
 def _draw_labels(rng: np.random.Generator, rho: float, chunk: np.ndarray,
-                 labels: np.ndarray) -> None:
-    """Fill int8 ``labels`` with ``rng.random(len(labels)) < rho``.
+                 labels: np.ndarray) -> int:
+    """Fill ``labels`` with ``rng.random(len(labels)) < rho`` as 0/1.
 
     The doubles come in pieces of ``len(chunk)``, in the same order, so the
-    labels equal those of one full draw.
+    labels equal those of one full draw. Returns the number of positives.
     """
-    flags = labels.view(bool)
+    positives = 0
     for lo in range(0, len(labels), len(chunk)):
         piece = chunk[:len(labels) - lo]
         rng.random(out=piece)
-        np.less(piece, rho, out=flags[lo:lo + len(piece)])
+        flags = np.less(piece, rho)
+        labels[lo:lo + len(piece)] = flags
+        positives += np.count_nonzero(flags)
+    return positives
 
 
 def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
@@ -109,9 +112,10 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
 
     Every world redraws all N labels as Bernoulli(rho) and is scanned over
     exactly the same candidate regions as the real world, using its own
-    positive total. Large worlds run on one thread per CPU the process may
-    use; world i draws from its own stream and fills only entry i, so the
-    result does not depend on the number of threads.
+    positive total. Worlds are counted and scored in blocks, and large
+    blocks run on one thread per CPU the process may use; world i draws
+    from its own stream and fills only entry i, so the result does not
+    depend on the block size or the number of threads.
     """
     if num_worlds < 1:
         raise ValueError(f"num_worlds must be >= 1, got {num_worlds}")
@@ -136,31 +140,42 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
     # one run of its counts.
     n_sorted = plan.n[plan.order]
     starts = np.flatnonzero(np.diff(n_sorted, prepend=-1))
-    sizes = np.tile(n_sorted[starts], 2)
+    sizes = np.tile(n_sorted[starts], 2)[:, None]
+    block = 1
+    if _BLOCK_WORLDS * (plan.width + len(plan.n)) <= _BLOCK_VALUES:
+        block = _BLOCK_WORLDS
+    n_blocks = -(-num_worlds // block)
 
-    def score_worlds(tickets, stop: threading.Event) -> None:
+    def score_blocks(tickets, stop: threading.Event) -> None:
         chunk = np.empty(min(n_obs, _DRAW_CHUNK), dtype=np.float64)
-        labels = np.empty(n_obs, dtype=np.int8)
+        worlds = np.empty((plan.width, block), dtype=np.int32)
+        positives = np.empty(block, dtype=np.int64)
         while not stop.is_set():
-            i = next(tickets)
-            if i >= num_worlds:
+            k = next(tickets)
+            if k >= n_blocks:
                 return
-            # spawn_key (i,) is SeedSequence(seed).spawn(...)[i], built on
-            # demand: memory stays O(1) in the number of worlds.
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(i,)))
-            _draw_labels(rng, rho, chunk, labels)
-            counts = plan.count_by_size(labels)
-            extremes = np.concatenate((np.maximum.reduceat(counts, starts),
-                                       np.minimum.reduceat(counts, starts)))
-            llr = llr_vector(sizes, extremes, n_obs,
-                             np.count_nonzero(labels), direction)
-            values[i] = llr.max() if len(llr) else 0.0
+            first = k * block
+            size = min(block, num_worlds - first)
+            for b in range(size):
+                # spawn_key (i,) is SeedSequence(seed).spawn(...)[i], built
+                # on demand: memory stays O(1) in the number of worlds.
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(seed, spawn_key=(first + b,)))
+                positives[b] = _draw_labels(rng, rho, chunk,
+                                            worlds[:n_obs, b])
+            # A short last block scores only the columns it drew.
+            counts = plan.count_block(worlds[:, :size])
+            extremes = np.concatenate((
+                np.maximum.reduceat(counts, starts, axis=0),
+                np.minimum.reduceat(counts, starts, axis=0)))
+            llr = llr_vector(sizes, extremes, n_obs, positives[:size],
+                             direction)
+            values[first:first + size] = llr.max(axis=0) if len(llr) else 0.0
 
     workers = 1
-    if n_obs + plan.nnz >= _PARALLEL_WORK:
-        workers = min(_cpu_count(), num_worlds)
-    _run_pool(score_worlds, workers)
+    if block * (n_obs + plan.nnz) >= _PARALLEL_WORK:
+        workers = min(_cpu_count(), n_blocks)
+    _run_pool(score_blocks, workers)
 
     order = np.argsort(-values, kind="stable")
     return MaxStatDistribution(
@@ -174,10 +189,10 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
 def _run_pool(work, workers: int) -> None:
     """Run ``work(tickets, stop)`` on ``workers`` threads, this one included.
 
-    Each call takes world indices from the shared ticket counter until it
-    passes the last world or ``stop`` is set. The first exception of any
+    Each call takes block indices from the shared ticket counter until it
+    passes the last block or ``stop`` is set. The first exception of any
     worker, or an interrupt of this thread, stops the others after their
-    current world and is raised here once all have returned.
+    current block and is raised here once all have returned.
     """
     tickets = itertools.count()   # next() on it is atomic under the GIL
     stop = threading.Event()

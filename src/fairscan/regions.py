@@ -68,10 +68,18 @@ class Partitioning:
 @dataclass(frozen=True)
 class Rectangles:
     """Non-tiling candidates: (m, 4) float64 bounds (xmin, ymin, xmax,
-    ymax) and an object array of center ids, each a str or None."""
+    ymax) and an object array of center ids, each a str or None. A row
+    with xmin > xmax, ymin > ymax or a NaN bound is refused."""
 
     bounds: np.ndarray
     center_ids: np.ndarray
+
+    def __post_init__(self) -> None:
+        xmin, ymin, xmax, ymax = self.bounds.T
+        bad = np.flatnonzero(~((xmin <= xmax) & (ymin <= ymax)))
+        if len(bad):
+            raise ValueError(f"region {bad[0]}: inverted region bounds: "
+                             f"{tuple(self.bounds[bad[0]].tolist())}")
 
     def __len__(self) -> int:
         return len(self.bounds)
@@ -338,13 +346,15 @@ def _load_family(fam, where: str):
             center_id = r.get("center_id")
             if center_id is not None and not isinstance(center_id, str):
                 raise ValueError(f"{at}: center_id must be a string or null")
-            b = tuple(_number(r.get(k), f"{at}: {k}") for k in _BOUND_KEYS)
-            if not (b[0] <= b[2] and b[1] <= b[3]):
-                raise ValueError(f"{at}: inverted region bounds: {b}")
-            bounds.append(b)
+            bounds.append([_number(r.get(k), f"{at}: {k}")
+                           for k in _BOUND_KEYS])
             center_ids.append(center_id)
-        return Rectangles(np.array(bounds, dtype=np.float64).reshape(-1, 4),
-                          np.array(center_ids, dtype=object))
+        try:
+            return Rectangles(
+                np.array(bounds, dtype=np.float64).reshape(-1, 4),
+                np.array(center_ids, dtype=object))
+        except ValueError as exc:
+            raise ValueError(f"{where} {exc}") from None
     raise ValueError(f"unknown region family kind: {fam['kind']!r}")
 
 

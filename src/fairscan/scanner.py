@@ -3,15 +3,18 @@
 Simulated worlds relabel fixed locations, so each candidate region's member
 set never changes and counting positives is one fixed linear map from a
 labeling to per-candidate totals. CountPlan digests the geometry once into
-one sparse (R, N) member matrix, so a new labeling costs one sparse
+one sparse member matrix, so a block of labelings costs one sparse
 product. The matrix rows run in ascending candidate size, which groups
 the counts by size for the Monte Carlo loop and speeds up the product.
 
 A row of the matrix holds, for a cell of a partitioning that covers the
 bounding box, all of the cell's members. For any other rectangle it holds
-only the rectangle's members among the points of the index-grid cells its
-boundary cuts; its cell-aligned interior is counted from a prefix table of
-per-cell positives, read at four corners.
+its members among the points of the index-grid cells its boundary cuts,
+plus its cell-aligned interior as column runs: the index sorts the points
+by (column, row) cell, so inside one index column the interior is one
+contiguous run of the sorted points, and its count is the difference of
+two running sums of the labels taken in that order. The product's vector
+is the N labels followed by those N + 1 running sums.
 """
 
 from __future__ import annotations
@@ -26,14 +29,6 @@ from .regions import Partitioning, Rectangles
 # Boundary-cell points tested, or matrix row ids remapped, per batch while a
 # plan is built; bounds the scratch memory of a build.
 _EDGE_BATCH = 1 << 16
-
-
-def _prefix2d(cells: np.ndarray) -> np.ndarray:
-    """Padded 2D prefix table: out[i, j] = sum of cells[:i, :j]."""
-    gx, gy = cells.shape
-    out = np.zeros((gx + 1, gy + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(cells, axis=0), axis=1, out=out[1:, 1:])
-    return out
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -64,11 +59,13 @@ def _cell_of(ix: SpatialIndex, part: Partitioning) -> np.ndarray:
 
 
 def _rectangle_terms(ix: SpatialIndex, bounds: np.ndarray):
-    """Prefix-table corners and boundary-cell members of rectangles.
+    """Boundary-cell members and interior column runs of rectangles.
 
-    Returns the (4, m) corner indices into the padded prefix table of the
-    index grid and the CSR list (members, offsets) of each rectangle's
-    members among the points of the cells its boundary cuts.
+    Returns the CSR list (members, offsets) of each rectangle's members
+    among the points of the cells its boundary cuts, and its interior as
+    runs (rect, lo, hi): positions [lo, hi) of the cell-sorted points. Runs
+    are non-empty and runs that touch are merged, so a rectangle has at most
+    one run per interior column.
     """
     xmin, ymin, xmax, ymax = bounds.T
     b = ix.bbox
@@ -81,20 +78,24 @@ def _rectangle_terms(ix: SpatialIndex, bounds: np.ndarray):
     cx1 = ix.cells_x(np.minimum(xmax, b.xmax))
     cy0 = ix.cells_y(np.maximum(ymin, b.ymin))
     cy1 = ix.cells_y(np.minimum(ymax, b.ymax))
-    # Padded prefix-table corners of the interior block, the columns
-    # (cx0, cx1) by rows (cy0, cy1) exclusive. A span without interior
-    # maps all four corners to 0, so the block sum vanishes.
-    stride = ix.gy + 1
-    empty = ~hit | (cx1 - cx0 < 2) | (cy1 - cy0 < 2)
-    corners = np.where(empty, 0, np.stack((
-        cx1 * stride + cy1,
-        (cx0 + 1) * stride + cy1,
-        cx1 * stride + cy0 + 1,
-        (cx0 + 1) * stride + cy0 + 1,
-    )))
     members, offsets = _edge_members(
         ix, bounds, np.where(hit, cx1 - cx0 + 1, 0), cx0, cx1, cy0, cy1)
-    return corners, members, offsets
+    # The interior is the columns cx0 < col < cx1 by the rows cy0 < row <
+    # cy1, one run of cell-sorted points per column.
+    inner = np.where(hit & (cy1 - cy0 >= 2), np.maximum(cx1 - cx0 - 1, 0), 0)
+    rect = np.repeat(np.arange(len(bounds)), inner)
+    col = _ranges(cx0 + 1, cx0 + 1 + inner) * ix.gy
+    lo = ix.start[col + cy0[rect] + 1]
+    hi = ix.start[col + cy1[rect]]
+    keep = hi > lo
+    rect, lo, hi = rect[keep], lo[keep], hi[keep]
+    # A run ending where the rectangle's next run starts joins it; their
+    # +1 and -1 would otherwise meet in one matrix entry of value 0.
+    first = np.ones(len(rect) + 1, dtype=bool)
+    first[1:-1] = (rect[1:] != rect[:-1]) | (lo[1:] != hi[:-1])
+    last = first[1:]
+    first = first[:-1]
+    return members, offsets, rect[first], lo[first], hi[last]
 
 
 def _edge_members(ix, bounds, ncols, cx0, cx1, cy0, cy1):
@@ -151,10 +152,13 @@ class CountPlan:
     xmin, ymin, xmax, ymax, ``center_ids`` their center links (None for
     partitioning cells) and ``n`` their observation counts. ``order`` is the
     stable argsort of ``n``: ``count_by_size`` returns counts in that order,
-    ``positives`` in family order. ``nnz`` is the member matrix's entry
-    count, the labels one count reads besides the corner terms. Counts
-    match a brute-force scan under the half-open membership predicate with
-    closed bounding-box max edges.
+    ``positives`` in family order. ``width`` is the length of the product's
+    vector: the N labels, then N + 1 running sums when rectangles have
+    interior runs. ``nnz`` is the member matrix's entry count: one per
+    boundary-cell member and per point of each covering partitioning, and
+    two per interior run, so at most two per interior index column of a
+    rectangle. Counts match a brute-force scan under the half-open
+    membership predicate with closed bounding-box max edges.
     """
 
     def __init__(self, ix: SpatialIndex, family):
@@ -180,30 +184,34 @@ class CountPlan:
         self.bounds = np.concatenate(bounds)
         self.center_ids = np.concatenate(center_ids)
         rect_rows = np.flatnonzero(~np.concatenate(via_cells))
-        corners, members, offsets = _rectangle_terms(
+        members, offsets, run_rect, run_lo, run_hi = _rectangle_terms(
             ix, self.bounds[rect_rows])
-        self._corners = None
-        if len(rect_rows):
-            self._corners = np.zeros((4, len(self.bounds)), dtype=np.int64)
-            self._corners[:, rect_rows] = corners
-        self._cell_id = ix.cell_id
-        self._grid = (ix.gx, ix.gy)
-        # Member matrix entries as int32 (row, column) pairs, written in
-        # place: every point once per covering partitioning, then the
-        # rectangles' boundary-cell members.
+        run_rows = rect_rows[run_rect]
+        self._n_obs = ix.N
+        self._cell_order = ix.order if len(run_rows) else None
+        self.width = ix.N + (ix.N + 1 if len(run_rows) else 0)
+        # Member matrix entries as int32 (row, column, value) triples,
+        # written in place: every point once per covering partitioning, the
+        # rectangles' boundary-cell members, then each interior run as +1 at
+        # its end's running sum and -1 at its start's.
         n_cells = len(covering) * ix.N
-        rows = np.empty(n_cells + len(members), dtype=np.int32)
+        n_members = n_cells + len(members)
+        rows = np.empty(n_members + 2 * len(run_rows), dtype=np.int32)
         cols = np.empty_like(rows)
         cell_rows = rows[:n_cells].reshape(len(covering), ix.N)
         for k, (first, part) in enumerate(covering):
             np.add(_cell_of(ix, part), first, out=cell_rows[k])
         cols[:n_cells].reshape(len(covering), ix.N)[:] = np.arange(ix.N)
-        rows[n_cells:] = np.repeat(rect_rows, np.diff(offsets))
-        cols[n_cells:] = members
+        rows[n_cells:n_members] = np.repeat(rect_rows, np.diff(offsets))
+        cols[n_cells:n_members] = members
+        rows[n_members:].reshape(2, -1)[:] = run_rows
+        cols[n_members:].reshape(2, -1)[:] = ix.N + np.stack((run_hi, run_lo))
+        values = np.ones(len(rows), dtype=np.int32)
+        values[n_members + len(run_rows):] = -1
         n_rows = len(self.bounds)
-        self.n = np.bincount(rows, minlength=n_rows)
-        if self._corners is not None:
-            self.n += self._corner_term(np.diff(ix.start))
+        self.n = np.bincount(rows[:n_members], minlength=n_rows)
+        self.n += np.bincount(run_rows, weights=run_hi - run_lo,
+                              minlength=n_rows).astype(np.int64)
         # Rows are laid out in ascending size (stable), so one product gives
         # the counts already grouped by size, and the product itself runs
         # faster over runs of equal-length rows.
@@ -213,40 +221,42 @@ class CountPlan:
         for lo in range(0, len(rows), _EDGE_BATCH):
             batch = rows[lo:lo + _EDGE_BATCH]
             batch[:] = rank[batch]
-        if self._corners is not None:
-            self._corners = self._corners[:, self.order]
-        # Each row sums at most N labels, which int32 holds exactly; a
-        # narrower dtype would wrap, since it sets the product's dtype.
-        self._members = sparse.csr_array(
-            (np.ones(len(rows), dtype=np.int32), (rows, cols)),
-            shape=(n_rows, ix.N))
+        # Each count is at most N, which int32 holds exactly; the values'
+        # dtype sets the product's.
+        self._members = sparse.csr_array((values, (rows, cols)),
+                                         shape=(n_rows, self.width))
         self.nnz = self._members.nnz
 
-    def _corner_term(self, cell_counts: np.ndarray) -> np.ndarray:
-        """Per-candidate sums of the cell-aligned interior blocks."""
-        flat = _prefix2d(cell_counts.reshape(self._grid)).ravel()
-        ia, ib, ic, id_ = self._corners
-        return flat[ia] - flat[ib] - flat[ic] + flat[id_]
+    def count_block(self, block: np.ndarray) -> np.ndarray:
+        """Positives by size for the labelings in an int32 ``block``.
+
+        ``block`` is (width,) or (width, B): rows :N hold the labels, one
+        labeling per column, and the running sums are written into the
+        rows past N here. Returns the counts in the order ``self.order``,
+        shaped (R,) or (R, B), as int32.
+        """
+        n_obs = self._n_obs
+        if self._cell_order is not None:
+            block[n_obs] = 0
+            np.cumsum(block[:n_obs][self._cell_order], axis=0,
+                      dtype=np.int32, out=block[n_obs + 1:])
+        return self._members @ block
 
     def count_by_size(self, labels: np.ndarray) -> np.ndarray:
         """Positives inside each candidate, in the order ``self.order``.
 
-        That is ascending observation count; int32 when no candidate needs
-        a corner term, else int64.
+        That is ascending observation count, as int32.
         """
-        n_obs = self._members.shape[1]
+        n_obs = self._n_obs
         if labels.shape != (n_obs,):
             raise ValueError(
                 f"labels must have shape ({n_obs},), got {labels.shape}"
             )
         if len(labels) and (labels.min() < 0 or labels.max() > 1):
             raise ValueError("labels must be binary")
-        counts = self._members @ labels
-        if self._corners is not None:
-            counts = counts + self._corner_term(np.bincount(
-                self._cell_id[labels != 0],
-                minlength=self._grid[0] * self._grid[1]))
-        return counts
+        block = np.empty(self.width, dtype=np.int32)
+        block[:n_obs] = labels
+        return self.count_block(block)
 
     def positives(self, labels: np.ndarray) -> np.ndarray:
         """Positives inside each candidate under a 0/1 labeling of the points."""

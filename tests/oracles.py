@@ -2,8 +2,12 @@
 
 Everything here is deliberately slow and scalar: math.log instead of numpy,
 Fraction comparisons instead of cross products, explicit loops instead of
-prefix sums. These must never import from fairscan internals beyond plain
+running sums. These must never import from fairscan internals beyond plain
 data types, so a bug in the library cannot hide inside its own oracle.
+
+The last section holds small helpers that only tests use: rectangle areas
+and overlap, a checked one-region wrapper over fairscan's llr_vector, and
+the reader of a saved null distribution. They are not oracles.
 """
 
 from __future__ import annotations
@@ -83,6 +87,36 @@ def oracle_region_counts(region, lons, lats, outcomes, bbox) -> tuple[int, int]:
             n += 1
             p += int(o)
     return n, p
+
+
+def oracle_audit(regions, lons, lats, outcomes, bbox, rho: float,
+                 num_worlds: int, seed: int, direction: str = "two_sided"):
+    """Brute-force scan of the real world and of num_worlds fair worlds.
+
+    Counts every region in every world with oracle_region_counts and scores
+    it with oracle_llr. World i draws ``rng.random(N) < rho`` from
+    ``SeedSequence(seed, spawn_key=(i,))``. Returns the real (n, p) lists,
+    tau (the real max, 0 without regions) and the simulated maxima, sorted
+    descending.
+    """
+    N = len(lons)
+    P = int(sum(int(o) for o in outcomes))
+    counts = [oracle_region_counts(r, lons, lats, outcomes, bbox)
+              for r in regions]
+    tau = max((oracle_llr(n, p, N, P, direction) for n, p in counts),
+              default=0.0)
+    maxima = []
+    for i in range(num_worlds):
+        rng = np.random.default_rng(np.random.SeedSequence(seed,
+                                                           spawn_key=(i,)))
+        labels = [int(v) for v in rng.random(N) < rho]
+        P_world = sum(labels)
+        maxima.append(max(
+            (oracle_llr(*oracle_region_counts(r, lons, lats, labels, bbox),
+                        N, P_world, direction) for r in regions),
+            default=0.0))
+    return ([n for n, _ in counts], [p for _, p in counts], tau,
+            sorted(maxima, reverse=True))
 
 
 def oracle_pvariance(rates) -> float:
@@ -226,3 +260,61 @@ def oracle_squares(centers, side_lengths):
             half = s / 2.0
             out.append((cx - half, cy - half, cx + half, cy + half, cid))
     return out
+
+
+def area(r) -> float:
+    """A rectangle's width times its height."""
+    return (r.xmax - r.xmin) * (r.ymax - r.ymin)
+
+
+def intersection_area(a, b) -> float:
+    w = min(a.xmax, b.xmax) - max(a.xmin, b.xmin)
+    h = min(a.ymax, b.ymax) - max(a.ymin, b.ymin)
+    if w <= 0.0 or h <= 0.0:
+        return 0.0
+    return w * h
+
+
+def jaccard(a, b) -> float:
+    """Intersection-over-union of two rectangles; 0 for two empty boxes."""
+    inter = intersection_area(a, b)
+    union = area(a) + area(b) - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+def llr_from_counts(n: int, p: int, N: int, P: int,
+                    direction="two_sided") -> float:
+    """fairscan's llr_vector for one region's counts, with validation.
+
+    Raises ValueError on inconsistent counts.
+    """
+    from fairscan.likelihood import llr_vector
+
+    if N <= 0:
+        raise ValueError(f"N must be positive, got {N}")
+    if not 0 <= P <= N:
+        raise ValueError(f"P={P} outside [0, {N}]")
+    if not 0 <= n <= N:
+        raise ValueError(f"n={n} outside [0, {N}]")
+    if not 0 <= p <= min(n, P):
+        raise ValueError(f"p={p} outside [0, min(n={n}, P={P})]")
+    if n - p > N - P:
+        raise ValueError(
+            f"negatives inside ({n - p}) exceed total negatives ({N - P})"
+        )
+    return float(llr_vector(np.array([n]), np.array([p]), N, P, direction)[0])
+
+
+def distribution_from_json(doc: dict):
+    """The MaxStatDistribution a nulldist.json document holds."""
+    from fairscan.likelihood import Direction
+    from fairscan.montecarlo import MaxStatDistribution
+
+    return MaxStatDistribution(
+        values=np.asarray(doc["values"], dtype=np.float64),
+        w=int(doc["w"]),
+        seed=int(doc["seed"]),
+        direction=Direction(doc["direction"]),
+    )

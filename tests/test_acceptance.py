@@ -15,8 +15,6 @@ from fairscan import (
     Direction,
     Region,
     build_index,
-    jaccard,
-    llr_from_counts,
     llr_vector,
     run_audit,
     run_meanvar,
@@ -33,7 +31,13 @@ from fairscan.synth import (
 )
 
 from conftest import cell_regions, make_dataset, plan_counts, random_dataset
-from oracles import oracle_llr, oracle_region_counts, random_valid_tuple
+from oracles import (
+    jaccard,
+    llr_from_counts,
+    oracle_llr,
+    oracle_region_counts,
+    random_valid_tuple,
+)
 
 
 def test_criterion_1_llr_oracle_equivalence():

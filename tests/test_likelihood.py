@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from fairscan import build_index, scan_regions
 from fairscan.likelihood import (
     Direction,
-    llr_from_counts,
     llr_vector,
     log_lik_null_max,
 )
@@ -19,6 +18,7 @@ from fairscan import synth
 
 from conftest import rectangles
 from oracles import (
+    llr_from_counts,
     oracle_llr,
     oracle_null,
     oracle_region_counts,

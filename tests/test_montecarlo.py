@@ -3,13 +3,21 @@ from __future__ import annotations
 import sys
 import threading
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fairscan import build_index, montecarlo
 from fairscan.geometry import Region
-from fairscan.likelihood import Direction, ScanResult, llr_vector
+from fairscan.likelihood import (
+    Direction,
+    ScanResult,
+    llr_vector,
+    scan_regions,
+)
 from fairscan.montecarlo import (
     MaxStatDistribution,
     critical_value,
@@ -17,11 +25,17 @@ from fairscan.montecarlo import (
     significant_regions,
     simulate_worlds,
 )
-from fairscan.regions import random_partitionings, regular_grid
+from fairscan.regions import (
+    Rectangles,
+    random_partitionings,
+    regular_grid,
+    square_scan_set,
+)
 from fairscan.scanner import as_scanner
 from fairscan.synth import gen_fair_bernoulli, gen_uniform_split
 
-from conftest import random_dataset, rectangles
+from conftest import make_dataset, random_dataset, rectangles
+from oracles import distribution_from_json, oracle_audit
 
 
 @pytest.fixture(scope="module")
@@ -114,11 +128,13 @@ class TestSimulateWorlds:
 
 @pytest.fixture
 def pool(monkeypatch):
-    """Set the worker count, with the work-per-world gate forced open."""
-    def set_workers(k: int) -> None:
-        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: k)
+    """Set the worker count and the block size, with the gates forced open."""
+    def set_pool(workers: int, block: int = 1) -> None:
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
         monkeypatch.setattr(montecarlo, "_PARALLEL_WORK", 0)
-    return set_workers
+        monkeypatch.setattr(montecarlo, "_BLOCK_WORLDS", block)
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", sys.maxsize)
+    return set_pool
 
 
 class TestWorkerPool:
@@ -127,21 +143,21 @@ class TestWorkerPool:
                                                 monkeypatch, num_worlds):
         d, ix, parts = small_world
         plan = as_scanner(ix, parts)
-        count_by_size = plan.count_by_size
+        count_block = plan.count_block
         threads = set()
         barrier = []
 
-        def concurrent_count(labels):
-            # Each worker's first world waits until every worker holds one.
+        def concurrent_count(block):
+            # Each worker's first block waits until every worker holds one.
             if threading.get_ident() not in threads:
                 threads.add(threading.get_ident())
                 barrier[0].wait(timeout=10)
-            return count_by_size(labels)
+            return count_block(block)
 
-        monkeypatch.setattr(plan, "count_by_size", concurrent_count)
+        monkeypatch.setattr(plan, "count_block", concurrent_count)
         runs = []
         # More workers than CPUs and a short switch interval: a lost or
-        # repeated world ticket would change the maxima.
+        # repeated block ticket would change the maxima.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -156,31 +172,64 @@ class TestWorkerPool:
         for dist in runs[1:]:
             assert np.array_equal(dist.values, runs[0].values)
 
+    @pytest.mark.parametrize("num_worlds", [1, 2, 37])
+    def test_values_independent_of_block_size(self, small_world, pool,
+                                              monkeypatch, num_worlds):
+        # Squares with interior runs, so every block also fills the
+        # running-sum rows; a short last block must score only its worlds.
+        d, ix, parts = small_world
+        plan = as_scanner(ix, [*parts, rectangles(
+            [Region(x, y, x + 0.45, y + 0.45)
+             for x in (0.05, 0.3, 0.5) for y in (0.1, 0.4)])])
+        assert plan.width == 2 * d.N + 1
+        count_block = plan.count_block
+        scored = []
+
+        def record(block):
+            scored.append(block.shape[1])
+            return count_block(block)
+
+        monkeypatch.setattr(plan, "count_block", record)
+        pool(1, 1)
+        want = simulate_worlds(ix, plan, 0.4, num_worlds, seed=9).values
+        for block in (1, 2, 3, 8):
+            for workers in (1, 2):
+                pool(workers, block)
+                scored.clear()
+                got = simulate_worlds(ix, plan, 0.4, num_worlds, seed=9)
+                assert np.array_equal(got.values, want)
+                assert sum(scored) == num_worlds
+                assert max(scored) == min(block, num_worlds)
+
     def test_gate_keeps_small_worlds_serial(self, small_world, monkeypatch):
         d, ix, parts = small_world
         plan = as_scanner(ix, parts)
-        assert d.N + plan.nnz < montecarlo._PARALLEL_WORK
+        assert (montecarlo._BLOCK_WORLDS * (d.N + plan.nnz)
+                < montecarlo._PARALLEL_WORK)
         monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 4)
-        count_by_size = plan.count_by_size
+        count_block = plan.count_block
         threads = set()
 
-        def record(labels):
+        def record(block):
             threads.add(threading.get_ident())
-            return count_by_size(labels)
+            return count_block(block)
 
-        monkeypatch.setattr(plan, "count_by_size", record)
+        monkeypatch.setattr(plan, "count_block", record)
         simulate_worlds(ix, plan, 0.4, 20, seed=9)
         assert threads == {threading.get_ident()}
 
     @pytest.mark.parametrize("n, piece", [(100, 7), (7, 7), (5, 7), (0, 7),
                                           (70_001, 65_536)])
     def test_chunked_draw_matches_one_draw(self, n, piece):
+        # The labels land in one column of a block and nowhere else.
         want = np.random.default_rng(5).random(n) < 0.3
-        labels = np.full(n, 7, dtype=np.int8)
-        montecarlo._draw_labels(np.random.default_rng(5), 0.3,
-                                np.empty(piece), labels)
-        assert labels.dtype == np.int8
-        assert np.array_equal(labels, want.astype(np.int8))
+        block = np.full((n, 3), 7, dtype=np.int32)
+        positives = montecarlo._draw_labels(np.random.default_rng(5), 0.3,
+                                            np.empty(piece), block[:, 1])
+        assert block.dtype == np.int32
+        assert np.array_equal(block[:, 1], want.astype(np.int32))
+        assert (block[:, [0, 2]] == 7).all()
+        assert positives == want.sum()
 
     @pytest.mark.parametrize("exc", [MemoryError, KeyboardInterrupt])
     def test_failure_stops_the_other_worker(self, small_world, pool,
@@ -190,27 +239,54 @@ class TestWorkerPool:
         rho, seed = 0.4, 12
         world5 = (np.random.default_rng(np.random.SeedSequence(seed).spawn(
             6)[5]).random(d.N) < rho).astype(np.int8)
-        count_by_size = plan.count_by_size
+        count_block = plan.count_block
         failed = threading.Event()
         after = []
 
-        def failing(labels):
+        def failing(block):
             if failed.is_set():
                 after.append(threading.get_ident())
-            if np.array_equal(labels, world5):
+            if any(np.array_equal(labels, world5)
+                   for labels in block[:d.N].T):
                 failed.set()
                 raise exc("world 5")
             time.sleep(0.002)
-            return count_by_size(labels)
+            return count_block(block)
 
-        monkeypatch.setattr(plan, "count_by_size", failing)
-        pool(2)
+        monkeypatch.setattr(plan, "count_block", failing)
+        pool(2, 2)
         running = threading.active_count()
         with pytest.raises(exc, match="world 5"):
             simulate_worlds(ix, plan, rho, 200, seed=seed)
         assert failed.is_set()
         assert len(after) <= 1
         assert threading.active_count() == running
+
+
+class TestBlockMemory:
+    def test_one_block_grows_linearly(self):
+        # One block of 8 worlds over squares with interior runs, on one
+        # thread: the block's int32 labels and running sums, the gathered
+        # labels and the counts.
+        squares = square_scan_set(np.random.default_rng(1).random((100, 2)),
+                                  np.linspace(0.02, 0.4, 20))
+        peaks = []
+        for n in (100_000, 200_000):
+            ix = build_index(random_dataset(np.random.default_rng(0), n))
+            plan = as_scanner(ix, squares)
+            scratch = 4 * 8 * (plan.width + len(plan.n))
+            with mock.patch.object(montecarlo, "_cpu_count", lambda: 1), \
+                    mock.patch.object(montecarlo, "_BLOCK_VALUES",
+                                      sys.maxsize):
+                tracemalloc.start()
+                try:
+                    simulate_worlds(ix, plan, 0.4, 8, seed=1)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak < 2 * scratch + (1 << 20)
+            peaks.append(peak)
+        assert peaks[1] <= 2.05 * peaks[0]
 
 
 class TestGlobalPValue:
@@ -344,8 +420,132 @@ class TestDistributionSerialization:
             direction=Direction.LOWER_INSIDE)
         doc = dist.to_json_dict()
         assert doc["schema"] == 1
-        back = MaxStatDistribution.from_json_dict(doc)
+        back = distribution_from_json(doc)
         assert np.array_equal(back.values, dist.values)
         assert back.w == 4
         assert back.seed == 17
         assert back.direction is Direction.LOWER_INSIDE
+
+
+# Coordinates on a 1/8 lattice land on the inner bounds of grids with 1, 2,
+# 4 or 8 cells per axis, on index-cell bounds, and on the box's max edges,
+# and repeat, giving duplicate locations.
+_LATTICE = [i / 8 for i in range(9)]
+_coord = st.one_of(st.sampled_from(_LATTICE),
+                   st.floats(0.0, 1.0, allow_nan=False))
+# Region-file bounds: the lattice plus values that overhang the unit box or
+# lie wholly outside it.
+_file_coord = st.sampled_from(_LATTICE + [-0.5, -0.125, 1.125, 1.5, 3.0])
+
+
+@st.composite
+def _file_rectangles(draw):
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        x0, x1 = sorted(draw(st.lists(_file_coord, min_size=2, max_size=2)))
+        y0, y1 = sorted(draw(st.lists(_file_coord, min_size=2, max_size=2)))
+        if draw(st.booleans()):
+            x1 = x0          # zero width
+        rows.append((x0, y0, x1, y1))
+    return rows
+
+
+@st.composite
+def _audits(draw):
+    n = draw(st.integers(2, 60))
+    xs = [0.0, 1.0] + draw(st.lists(_coord, min_size=n - 2, max_size=n - 2))
+    ys = [0.0, 1.0] + draw(st.lists(_coord, min_size=n - 2, max_size=n - 2))
+    outcomes = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    kinds = draw(st.lists(st.sampled_from(["grid", "random", "squares",
+                                           "file"]), min_size=1, max_size=3))
+    specs = []
+    for kind in kinds:
+        if kind == "grid":
+            specs.append((kind, draw(st.sampled_from([1, 2, 4, 8])),
+                          draw(st.sampled_from([1, 2, 4, 8]))))
+        elif kind == "random":
+            specs.append((kind, draw(st.integers(0, 2 ** 32 - 1))))
+        elif kind == "squares":
+            centers = draw(st.lists(st.tuples(_coord, _coord), min_size=1,
+                                    max_size=3))
+            sides = draw(st.lists(st.sampled_from([0.125, 0.3, 0.5, 0.75,
+                                                   2.0]),
+                                  min_size=1, max_size=3))
+            specs.append((kind, centers, sides))
+        else:
+            specs.append((kind, draw(_file_rectangles())))
+    return dict(
+        xs=xs, ys=ys, outcomes=outcomes, specs=specs,
+        resolution=(draw(st.sampled_from([8, 5, 3, 1])),
+                    draw(st.sampled_from([8, 5, 3, 1]))),
+        rho=draw(st.sampled_from([0.1, 0.3, 0.5, 0.8])),
+        worlds=draw(st.integers(1, 40)),
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+        direction=draw(st.sampled_from(list(Direction))),
+        workers=draw(st.sampled_from([1, 2])),
+        block=draw(st.sampled_from([1, 3])),
+    )
+
+
+def _family(spec, bbox):
+    kind = spec[0]
+    if kind == "grid":
+        return [regular_grid(bbox, spec[1], spec[2])]
+    if kind == "random":
+        return random_partitionings(bbox, 2, 1, 3, seed=spec[1])
+    if kind == "squares":
+        return [square_scan_set(np.array(spec[1]), spec[2])]
+    return [Rectangles(np.array(spec[1]).reshape(-1, 4),
+                       np.full(len(spec[1]), None, dtype=object))]
+
+
+_rng = np.random.default_rng(61)
+# Every family kind at once on a fine index grid: many interior runs, scored
+# in blocks of 3 on two workers with a short last block.
+_RUNS_CASE = dict(
+    xs=[0.0, 1.0] + _rng.choice(_LATTICE, 58).tolist(),
+    ys=[0.0, 1.0] + _rng.random(58).tolist(),
+    outcomes=_rng.integers(0, 2, 60).tolist(),
+    specs=[("grid", 4, 2), ("random", 5),
+           ("squares", [(0.5, 0.5), (0.25, 0.75)], [0.3, 0.5, 0.75]),
+           ("file", [(-0.5, 0.125, 0.875, 1.5), (0.25, 0.25, 0.25, 0.75),
+                     (1.125, 0.0, 3.0, 1.0), (0.125, 0.125, 0.875, 0.875)])],
+    resolution=(8, 8), rho=0.3, worlds=40, seed=7,
+    direction=Direction.TWO_SIDED, workers=2, block=3)
+
+
+class TestOracleAudit:
+    """The real scan and the simulated maxima against a brute-force audit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_audits())
+    @example(case=_RUNS_CASE)
+    def test_matches_brute_force(self, case):
+        d = make_dataset(case["xs"], case["ys"], case["outcomes"])
+        ix = build_index(d, case["resolution"])
+        family = [f for spec in case["specs"] for f in _family(spec, d.bbox)]
+        plan = as_scanner(ix, family)
+        regions = [plan.region(i) for i in range(len(plan.n))]
+        if case is _RUNS_CASE:
+            assert plan.width == 2 * d.N + 1
+        n, p, tau, maxima = oracle_audit(
+            regions, d.lons, d.lats, d.outcomes, d.bbox, case["rho"],
+            case["worlds"], case["seed"], case["direction"].value)
+        scored, got_tau = scan_regions(ix, plan, case["direction"])
+        assert scored.n.tolist() == n
+        assert scored.p.tolist() == p
+        assert abs(got_tau - tau) <= 1e-9
+        with mock.patch.multiple(montecarlo, _PARALLEL_WORK=0,
+                                 _BLOCK_WORLDS=case["block"],
+                                 _BLOCK_VALUES=sys.maxsize,
+                                 _cpu_count=lambda: case["workers"]):
+            dist = simulate_worlds(ix, plan, case["rho"], case["worlds"],
+                                   case["seed"], case["direction"])
+        assert np.abs(dist.values - maxima).max() <= 1e-9
+        # A simulated max within 1e-9 of tau may rank either side of it.
+        maxima = np.array(maxima)
+        near = np.abs(maxima - tau) <= 1e-9
+        k = round(global_p_value(got_tau, dist) * dist.w) - 1
+        assert (maxima[~near] >= tau).sum() <= k
+        assert k <= (maxima >= tau - 1e-9).sum()

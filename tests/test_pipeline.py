@@ -8,11 +8,7 @@ import pytest
 from fairscan.geometry import Region, regions_overlap
 from fairscan.index import RegionCounts, build_index
 from fairscan.likelihood import Direction, ScoredRegion, scan_regions
-from fairscan.montecarlo import (
-    MaxStatDistribution,
-    critical_value,
-    global_p_value,
-)
+from fairscan.montecarlo import critical_value, global_p_value
 from fairscan.pipeline import (
     AuditConfig,
     audit,
@@ -34,6 +30,7 @@ from fairscan.scanner import as_scanner
 from fairscan.synth import gen_fair_bernoulli, gen_uniform_split
 
 from conftest import make_dataset, rectangles
+from oracles import distribution_from_json
 
 
 def fast_cfg(**kw):
@@ -309,7 +306,7 @@ class TestExports:
     def test_nulldist_rederives_verdict(self, unfair_report, tmp_path):
         d, report = unfair_report
         paths = export_report(report, str(tmp_path / "out"))
-        dist = MaxStatDistribution.from_json_dict(
+        dist = distribution_from_json(
             json.loads(open(paths["nulldist"]).read()))
         v = report.verdict
         assert global_p_value(v.tau_log, dist) == v.p_value

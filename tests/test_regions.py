@@ -22,7 +22,12 @@ from fairscan.regions import (
 )
 
 from conftest import cell_regions, random_dataset
-from oracles import oracle_kmeans, oracle_region_counts, oracle_squares
+from oracles import (
+    area,
+    oracle_kmeans,
+    oracle_region_counts,
+    oracle_squares,
+)
 
 UNIT = Region(0.0, 0.0, 1.0, 1.0)
 # From these 34 points k-means++ (seed 0) leaves one of its 4 starting
@@ -58,7 +63,7 @@ class TestRegularGrid:
         part = regular_grid(UNIT, 3, 4)
         cells = cell_regions(part)
         assert len(cells) == len(part) == 12
-        assert abs(sum(c.area for c in cells) - UNIT.area) < 1e-12
+        assert abs(sum(area(c) for c in cells) - area(UNIT)) < 1e-12
         for i in range(len(cells)):
             for j in range(i + 1, len(cells)):
                 assert not regions_overlap(cells[i], cells[j])
@@ -366,6 +371,29 @@ class TestSquareScanSet:
         for side in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite and positive"):
                 square_scan_set(np.array([[0.0, 0.0]]), side_lengths=(side,))
+
+
+class TestRectangles:
+    @pytest.mark.parametrize("rows, message", [
+        ([[0.8, 0.1, 0.2, 0.9]],
+         "region 0: inverted region bounds: (0.8, 0.1, 0.2, 0.9)"),
+        ([[0.0, 0.0, 1.0, 1.0], [0.1, 0.5, 0.2, 0.4]],
+         "region 1: inverted region bounds: (0.1, 0.5, 0.2, 0.4)"),
+        ([[0.0, 0.0, 1.0, 1.0], [0.1, float("nan"), 0.2, 0.9]],
+         "region 1: inverted region bounds: (0.1, nan, 0.2, 0.9)"),
+    ], ids=["inverted-x", "inverted-y", "nan"])
+    def test_bad_row_refused_when_built(self, rows, message):
+        bounds = np.array(rows)
+        with pytest.raises(ValueError) as err:
+            Rectangles(bounds, np.full(len(bounds), None, dtype=object))
+        assert str(err.value) == message
+
+    def test_zero_width_and_empty_allowed(self):
+        rects = Rectangles(np.array([[0.5, 0.0, 0.5, 1.0]]),
+                           np.array([None], dtype=object))
+        assert len(rects) == 1
+        assert len(Rectangles(np.zeros((0, 4)),
+                              np.empty(0, dtype=object))) == 0
 
 
 class TestPartitioningBounds:

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fairscan import build_index
 from fairscan.geometry import Region
-from fairscan.regions import random_partitionings, regular_grid
+from fairscan.regions import (
+    random_partitionings,
+    regular_grid,
+    square_scan_set,
+)
 from fairscan.scanner import CountPlan, as_scanner
 
 from conftest import (
@@ -34,7 +40,7 @@ def random_labelings(n, count=4, seed=0):
 
 
 class TestPlannedScanner:
-    """The rectangle path: prefix-table corners plus boundary-cell members."""
+    """The rectangle path: interior column runs plus boundary-cell members."""
 
     def test_counts_match_range_count(self, data_and_index):
         d, ix = data_and_index
@@ -295,3 +301,28 @@ class TestAsScanner:
         for i, r in enumerate(cell_regions(bad)):
             assert (sc.n[i], p[i]) == oracle_region_counts(
                 r, d.lons, d.lats, d.outcomes, d.bbox)
+
+
+class TestPlanMemory:
+    def test_squares_plan_grows_linearly(self):
+        # 2,000 squares as in the planted benchmark. Entries: each point of
+        # a boundary cell inside a square, plus at most two per interior
+        # index column of a square.
+        squares = square_scan_set(np.random.default_rng(1).random((100, 2)),
+                                  np.linspace(0.02, 0.4, 20))
+        peaks = []
+        for n in (100_000, 200_000):
+            ix = build_index(random_dataset(np.random.default_rng(0), n))
+            tracemalloc.start()
+            try:
+                plan = CountPlan(ix, squares)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert plan.nnz <= plan.n.sum() + 2 * len(squares) * ix.gx
+            # The build's int32 (row, column, value) triples, their CSR copy
+            # and the per-point index arrays take under 48 bytes per point
+            # and per entry.
+            assert peak < 48 * (n + plan.nnz)
+            peaks.append(peak)
+        assert peaks[1] <= 2.05 * peaks[0]
