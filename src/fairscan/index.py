@@ -1,8 +1,9 @@
 """Grid bucketing of observation locations.
 
-Locations are bucketed once into a gx-by-gy grid over the dataset
-bounding box and laid out cell by cell (CSR: the point order sorted by
-(column, row) cell plus per-cell offsets). The counting plan in
+Locations are bucketed into a gx-by-gy grid over the dataset bounding box
+and laid out cell by cell (CSR: the point order sorted by (column, row)
+cell plus per-cell offsets), on the first read of ``cell_id``, ``order``
+or ``start``: only rectangle rows of a count plan need it. The plan in
 fairscan.scanner counts a rectangle's cell-aligned interior as one run of
 that order per grid column and resolves only the points of cells a query
 boundary cuts, so counts do not depend on the grid resolution.
@@ -11,6 +12,7 @@ boundary cuts, so counts do not depend on the grid resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +37,8 @@ def _axis_cells(vals, lo, hi, m):
 
 
 class SpatialIndex:
-    """Fixed locations bucketed into a grid, with the observed labeling."""
+    """Fixed locations bucketed into a grid (on demand), with the observed
+    labeling."""
 
     def __init__(self, lons: np.ndarray, lats: np.ndarray, labels: np.ndarray,
                  bbox: Region, gx: int, gy: int):
@@ -54,11 +57,19 @@ class SpatialIndex:
         self.N = len(lons)
         self.labels = labels
         self.P = int(labels.sum())
-        self.cell_id = self.cells_x(lons) * gy + self.cells_y(lats)
-        self.order = np.argsort(self.cell_id, kind="stable")
-        counts = np.bincount(self.cell_id, minlength=gx * gy)
-        self.start = np.zeros(gx * gy + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.start[1:])
+
+    @cached_property
+    def cell_id(self) -> np.ndarray:
+        return self.cells_x(self.xs) * self.gy + self.cells_y(self.ys)
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        return np.argsort(self.cell_id, kind="stable")
+
+    @cached_property
+    def start(self) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(np.bincount(
+            self.cell_id, minlength=self.gx * self.gy))))
 
     def cells_x(self, vals) -> np.ndarray:
         return _axis_cells(vals, self.bbox.xmin, self.bbox.xmax, self.gx)

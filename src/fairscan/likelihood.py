@@ -24,7 +24,11 @@ from scipy.special import xlogy
 
 from .geometry import Region
 from .index import RegionCounts, SpatialIndex
-from .scanner import as_scanner
+from .scanner import _EDGE_BATCH, as_scanner
+
+# Scoring a lane takes about ten float64 temporaries, so slices of this many
+# lanes hold the real scan's scratch near _EDGE_BATCH values.
+_SCAN_LANES = _EDGE_BATCH // 8
 
 
 class Direction(str, Enum):
@@ -136,10 +140,15 @@ def scan_regions(ix: SpatialIndex, regions,
 
     ``regions`` may be any family fairscan.scanner.as_scanner accepts,
     including a prebuilt plan. Returns the scores in candidate order plus
-    tau_log, the maximum score (0.0 for an empty candidate list).
+    tau_log, the maximum score (0.0 for an empty candidate list). The
+    simulation's kernel scores _SCAN_LANES at a time, bit for bit.
     """
     plan = as_scanner(ix, regions)
     p = plan.positives(ix.labels)
-    llr = llr_vector(plan.n, p, ix.N, ix.P, direction)
+    llr = np.empty(len(p))
+    for lo in range(0, len(p), _SCAN_LANES):
+        lanes = slice(lo, lo + _SCAN_LANES)
+        llr[lanes] = llr_vector(plan.n[lanes], p[lanes], ix.N, ix.P,
+                                direction)
     tau_log = float(llr.max()) if len(llr) else 0.0
     return ScanResult(plan.bounds, plan.center_ids, plan.n, p, llr), tau_log

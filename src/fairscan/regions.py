@@ -164,31 +164,35 @@ def kmeans_centers(data, k: int, seed: int = 0, max_iters: int = 100,
     bit for bit those of the full (N, k) distance matrix. Scratch memory
     is O(N + block * k), the distances of _KMEANS_BLOCK points at a time.
     """
-    pts = _points_of(data)
-    npts = len(pts)
+    # Coordinates as two contiguous columns, without an (N, 2) copy.
+    xs, ys = ((data.lons, data.lats) if isinstance(data, Dataset)
+              else _points_of(data).T.copy())
+    npts = len(xs)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    distinct = np.unique(pts, axis=0)
-    if k > len(distinct):
-        raise ValueError(
-            f"k={k} exceeds the {len(distinct)} distinct locations"
-        )
     rng = np.random.default_rng(seed)
 
     # k-means++ initialization: spread starting centers by squared distance.
+    # A pick has positive weight, so it is a new location: only when the
+    # weights run out are the distinct locations counted.
     centers = np.empty((k, 2), dtype=np.float64)
-    centers[0] = pts[rng.integers(npts)]
-    with np.errstate(over="ignore"):  # an infinite total is refused below
-        d2 = ((pts - centers[0]) ** 2).sum(axis=1)
-        for j in range(1, k):
-            total = d2.sum()
+    total = 1.0 if npts else 0.0
+    with np.errstate(over="ignore"):  # an infinite total is refused
+        for j in range(k):
             if not 0.0 < total < np.inf:
+                distinct = len(np.unique(np.column_stack((xs, ys)), axis=0))
+                if k > distinct:
+                    raise ValueError(
+                        f"k={k} exceeds the {distinct} distinct locations")
                 raise ValueError(
                     "k-means++ cannot weigh the locations: their squared "
                     f"distances sum to {total} at this coordinate scale"
                 )
-            centers[j] = pts[rng.choice(npts, p=d2 / total)]
-            d2 = np.minimum(d2, ((pts - centers[j]) ** 2).sum(axis=1))
+            pick = rng.choice(npts, p=d2 / total) if j else rng.integers(npts)
+            centers[j] = xs[pick], ys[pick]
+            near = np.square(xs - centers[j, 0]) + np.square(ys - centers[j, 1])
+            d2 = np.minimum(d2, near) if j else near
+            total = d2.sum()
 
     # Lloyd iterations that skip the points a bound proves keep their
     # center (after Hamerly 2010, "Making k-means even faster"). lower[i]
@@ -214,13 +218,13 @@ def kmeans_centers(data, k: int, seed: int = 0, max_iters: int = 100,
     inertia_trace: list[float] = []
     assign = np.zeros(npts, dtype=np.intp)
     lower = np.zeros(npts)  # 0: no point is skipped before its first row
-    box_lo, box_hi = pts.min(axis=0), pts.max(axis=0)
+    box_lo, box_hi = np.array([(xs.min(), ys.min()), (xs.max(), ys.max())])
     block = min(_KMEANS_BLOCK, npts)
     dist2, dy2 = np.empty((2, block, k))
     for it in range(max_iters):
         # Each point's squared distance to its center, as the matrix has it.
-        own = (np.square(pts[:, 0] - centers[assign, 0])
-               + np.square(pts[:, 1] - centers[assign, 1]))
+        own = (np.square(xs - centers[assign, 0])
+               + np.square(ys - centers[assign, 1]))
         box_lo = np.minimum(box_lo, centers.min(axis=0))
         box_hi = np.maximum(box_hi, centers.max(axis=0))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -232,8 +236,8 @@ def kmeans_centers(data, k: int, seed: int = 0, max_iters: int = 100,
         for start in range(0, len(stale), block):
             ids = stale[start:start + block]
             d2, e2 = dist2[:len(ids)], dy2[:len(ids)]
-            np.square(np.subtract(pts[ids, :1], centers[:, 0], out=d2), out=d2)
-            np.square(np.subtract(pts[ids, 1:], centers[:, 1], out=e2), out=e2)
+            np.square(np.subtract(xs[ids, None], centers[:, 0], out=d2), out=d2)
+            np.square(np.subtract(ys[ids, None], centers[:, 1], out=e2), out=e2)
             d2 += e2
             near = d2.argmin(axis=1)
             rows = np.arange(len(ids))
@@ -246,8 +250,8 @@ def kmeans_centers(data, k: int, seed: int = 0, max_iters: int = 100,
         if not changed:
             break
         # bincount adds in point order, as np.add.at does: the same sums.
-        sums = np.column_stack([np.bincount(assign, weights=pts[:, axis],
-                                            minlength=k) for axis in (0, 1)])
+        sums = np.column_stack([np.bincount(assign, weights=w, minlength=k)
+                                for w in (xs, ys)])
         sizes = np.bincount(assign, minlength=k)
         previous = centers.copy()
         empty = sizes == 0
@@ -255,7 +259,8 @@ def kmeans_centers(data, k: int, seed: int = 0, max_iters: int = 100,
             # Re-seed each empty cluster on the point farthest from its
             # current center; deterministic via argmax.
             far_order = np.argsort(-own, kind="stable")
-            centers[empty] = pts[far_order[:empty.sum()]]
+            far = far_order[:empty.sum()]
+            centers[empty] = np.column_stack((xs[far], ys[far]))
             nonempty = ~empty
             centers[nonempty] = sums[nonempty] / sizes[nonempty, None]
         else:

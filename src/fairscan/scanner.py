@@ -15,6 +15,13 @@ by (column, row) cell, so inside one index column the interior is one
 contiguous run of the sorted points, and its count is the difference of
 two running sums of the labels taken in that order. The product's vector
 is the N labels followed by those N + 1 running sums.
+
+The matrix is written in place, in two passes: the first finds every row's
+size (a covering partitioning's cells from one argsort per axis), the
+second writes each entry into its slot of the final CSR arrays,
+_EDGE_BATCH at a time. A plan keeps 8 bytes per entry, an int32 column
+and value; its build adds a uint16 cell per point and covering
+partitioning, a few arrays per candidate and one batch's scratch.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ from .geometry import Region, bounds_contain
 from .index import SpatialIndex
 from .regions import Partitioning, Rectangles
 
-# Boundary-cell points tested, or matrix row ids remapped, per batch while a
-# plan is built; bounds the scratch memory of a build.
+# Points placed, boundary-cell points tested, or rectangle entries placed
+# per batch while a plan is built; bounds the scratch memory of a build.
 _EDGE_BATCH = 1 << 16
 
 
@@ -44,29 +51,69 @@ def _covers(part: Partitioning, bbox: Region) -> bool:
                 and yb[0] <= bbox.ymin and yb[-1] >= bbox.ymax)
 
 
-def _cell_of(ix: SpatialIndex, part: Partitioning) -> np.ndarray:
-    """Each observation's cell index in a covering partitioning.
-
-    searchsorted matches the half-open cell semantics: a point on an inner
-    bound lands in the cell above it, and nothing can land past the last
-    cell because inner bounds are interior.
+def _cells(ix: SpatialIndex, covering, n) -> np.ndarray:
+    """Each observation's cell in each covering partitioning, one row per
+    partitioning, uint16 when each has at most 2**16 cells; each cell's
+    size goes to ``n``. A point's column is the number of inner bounds at
+    or below it (half-open cells), so along one argsort of each axis it
+    steps up at each bound's insertion point.
     """
-    ax = np.searchsorted(part.xbounds[1:-1], ix.xs, side="right")
-    ay = np.searchsorted(part.ybounds[1:-1], ix.ys, side="right")
-    ay *= len(part.xbounds) - 1
-    ay += ax
-    return ay
+    most = max((len(part) for _, part in covering), default=0)
+    cells = np.empty((len(covering), ix.N),
+                     np.uint16 if most <= 1 << 16 else np.int32)
+    for vals, axis in ((ix.xs, 0), (ix.ys, 1)) if covering else ():
+        by_value = np.argsort(vals)
+        for cell, (_, part) in zip(cells, covering):
+            bounds = part.ybounds if axis else part.xbounds
+            cut = np.searchsorted(vals, bounds[1:-1], sorter=by_value)
+            col = np.repeat((np.arange(len(bounds) - 1) * (
+                len(part.xbounds) - 1 if axis else 1)).astype(cell.dtype),
+                np.diff(cut, prepend=0, append=ix.N))
+            if axis:
+                col += cell.take(by_value)
+            cell[by_value] = col
+    for (first, part), cell in zip(covering, cells):
+        n[first:first + len(part)] = np.bincount(cell, minlength=len(part))
+    return cells
+
+
+def _place(indices, data, free, total, entries):
+    """Write ``total`` entries into their rows' next ``free`` slots, which
+    advance in place: a stable counting placement, _EDGE_BATCH at a time.
+    ``entries(at)`` gives the rows, columns and values (None for ones) of
+    the entries numbered ``at``.
+    """
+    for lo in range(0, total, _EDGE_BATCH):
+        rows, cols, values = entries(np.arange(lo, min(lo + _EDGE_BATCH,
+                                                       total)))
+        top = int(rows.min())  # a Python int: top + len(count) may pass 2**16
+        rows = rows - top
+        by_row = np.argsort(rows, kind="stable")
+        count = np.bincount(rows)
+        span = free[top:top + len(count)]
+        # Entry j in row order: its row's free slot, plus j less the
+        # batch's entries in lower rows.
+        slot = (span - np.cumsum(count) + count)[rows[by_row]]
+        slot += np.arange(len(rows))
+        indices[slot] = cols[by_row]
+        if values is not None:
+            data[slot] = values[by_row]
+        span += count
 
 
 def _rectangle_terms(ix: SpatialIndex, bounds: np.ndarray):
     """Boundary-cell members and interior column runs of rectangles.
 
-    Returns the CSR list (members, offsets) of each rectangle's members
-    among the points of the cells its boundary cuts, and its interior as
-    runs (rect, lo, hi): positions [lo, hi) of the cell-sorted points. Runs
-    are non-empty and runs that touch are merged, so a rectangle has at most
-    one run per interior column.
+    Returns the CSR list (members, offsets) of each rectangle's members,
+    ascending, among the points of the cells its boundary cuts, and its
+    interior as runs (rect, lo, hi): positions [lo, hi) of the cell-sorted
+    points, ascending per rectangle. Runs are non-empty and runs that touch
+    are merged, so a rectangle has at most one run per interior column.
+    Without rectangles the index is not read, so it never buckets.
     """
+    if not len(bounds):
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, np.zeros(1, dtype=np.int64), empty, empty, empty
     xmin, ymin, xmax, ymax = bounds.T
     b = ix.bbox
     # Cell spans that could hold points of each rectangle. Monotone
@@ -99,7 +146,8 @@ def _rectangle_terms(ix: SpatialIndex, bounds: np.ndarray):
 
 
 def _edge_members(ix, bounds, ncols, cx0, cx1, cy0, cy1):
-    """CSR list of each rectangle's members in its boundary cells.
+    """CSR list of each rectangle's members in its boundary cells,
+    ascending, for at least one rectangle.
 
     Cells are sorted by (column, row), so a column's rows cy0..cy1 are
     one contiguous run of the cell-sorted points. The span's first and
@@ -113,14 +161,20 @@ def _edge_members(ix, bounds, ncols, cx0, cx1, cy0, cy1):
     hi_cell = col * ix.gy + cy1[rect]
     outer = (col == cx0[rect]) | (col == cx1[rect])
     start = ix.start
-    first_lo = start[lo_cell]
-    first_hi = np.where(outer, start[hi_cell + 1], start[lo_cell + 1])
+    del col
     skip = outer | (hi_cell == lo_cell)
-    last_lo = np.where(skip, 0, start[hi_cell])
-    last_hi = np.where(skip, 0, start[hi_cell + 1])
-    run_lo = np.column_stack((first_lo, last_lo)).ravel()
-    run_hi = np.column_stack((first_hi, last_hi)).ravel()
+    # Each column's two runs, filled in place; the per-column arrays are
+    # dropped before the member batches so that their scratch does not add.
+    run_lo = np.empty((len(rect), 2), dtype=np.int64)
+    run_hi = np.empty((len(rect), 2), dtype=np.int64)
+    run_lo[:, 0] = start[lo_cell]
+    run_hi[:, 0] = np.where(outer, start[hi_cell + 1], start[lo_cell + 1])
+    run_lo[:, 1] = np.where(skip, 0, start[hi_cell])
+    run_hi[:, 1] = np.where(skip, 0, start[hi_cell + 1])
+    del lo_cell, hi_cell, outer, skip
+    run_lo, run_hi = run_lo.ravel(), run_hi.ravel()
     run_rect = np.repeat(rect, 2)
+    del rect
     per_rect = np.bincount(run_rect, weights=run_hi - run_lo,
                            minlength=m).astype(np.int64)
     run_end = np.cumsum(np.bincount(run_rect, minlength=m))
@@ -128,21 +182,19 @@ def _edge_members(ix, bounds, ncols, cx0, cx1, cy0, cy1):
     cuts = np.concatenate(([0], np.flatnonzero(np.diff(batch)) + 1, [m]))
     members, counts = [], []
     for r0, r1 in zip(cuts[:-1], cuts[1:]):
-        if r0 == r1:
-            continue
         runs = slice(run_end[r0 - 1] if r0 else 0, run_end[r1 - 1])
         pos = _ranges(run_lo[runs], run_hi[runs])
         owner = np.repeat(run_rect[runs], run_hi[runs] - run_lo[runs])
         ids = ix.order[pos]
         keep = bounds_contain(bounds[owner].T, ix.xs[ids], ix.ys[ids],
                               ix.bbox)
-        members.append(ids[keep])
-        counts.append(np.bincount(owner[keep] - r0, minlength=r1 - r0))
+        owner = owner[keep] - r0
+        counts.append(np.bincount(owner, minlength=r1 - r0))
+        key = np.sort(owner * ix.N + ids[keep])  # ascending per rectangle
+        members.append(key - owner * ix.N)
     offsets = np.zeros(m + 1, dtype=np.int64)
-    if counts:
-        np.cumsum(np.concatenate(counts), out=offsets[1:])
-    return (np.concatenate(members) if members
-            else np.zeros(0, dtype=np.int64)), offsets
+    np.cumsum(np.concatenate(counts), out=offsets[1:])
+    return np.concatenate(members), offsets
 
 
 class CountPlan:
@@ -184,48 +236,51 @@ class CountPlan:
         self.bounds = np.concatenate(bounds)
         self.center_ids = np.concatenate(center_ids)
         rect_rows = np.flatnonzero(~np.concatenate(via_cells))
+        del bounds, center_ids, via_cells  # the per-family pieces
+        n_rows = len(self.bounds)
+        # Pass 1: each row's size and entry count.
+        self.n = np.zeros(n_rows, dtype=np.int64)
+        cells = _cells(ix, covering, self.n)
         members, offsets, run_rect, run_lo, run_hi = _rectangle_terms(
             ix, self.bounds[rect_rows])
-        run_rows = rect_rows[run_rect]
+        n_members = np.diff(offsets)
+        row_nnz = self.n.copy()
+        row_nnz[rect_rows] = n_members + 2 * np.bincount(
+            run_rect, minlength=len(rect_rows))
+        self.n[rect_rows] = n_members + np.bincount(
+            run_rect, weights=run_hi - run_lo,
+            minlength=len(rect_rows)).astype(np.int64)
         self._n_obs = ix.N
-        self._cell_order = ix.order if len(run_rows) else None
-        self.width = ix.N + (ix.N + 1 if len(run_rows) else 0)
-        # Member matrix entries as int32 (row, column, value) triples,
-        # written in place: every point once per covering partitioning, the
-        # rectangles' boundary-cell members, then each interior run as +1 at
-        # its end's running sum and -1 at its start's.
-        n_cells = len(covering) * ix.N
-        n_members = n_cells + len(members)
-        rows = np.empty(n_members + 2 * len(run_rows), dtype=np.int32)
-        cols = np.empty_like(rows)
-        cell_rows = rows[:n_cells].reshape(len(covering), ix.N)
-        for k, (first, part) in enumerate(covering):
-            np.add(_cell_of(ix, part), first, out=cell_rows[k])
-        cols[:n_cells].reshape(len(covering), ix.N)[:] = np.arange(ix.N)
-        rows[n_cells:n_members] = np.repeat(rect_rows, np.diff(offsets))
-        cols[n_cells:n_members] = members
-        rows[n_members:].reshape(2, -1)[:] = run_rows
-        cols[n_members:].reshape(2, -1)[:] = ix.N + np.stack((run_hi, run_lo))
-        values = np.ones(len(rows), dtype=np.int32)
-        values[n_members + len(run_rows):] = -1
-        n_rows = len(self.bounds)
-        self.n = np.bincount(rows[:n_members], minlength=n_rows)
-        self.n += np.bincount(run_rows, weights=run_hi - run_lo,
-                              minlength=n_rows).astype(np.int64)
+        self._cell_order = ix.order if len(run_rect) else None
+        self.width = ix.N + (ix.N + 1 if len(run_rect) else 0)
         # Rows are laid out in ascending size (stable), so one product gives
         # the counts already grouped by size, and the product itself runs
         # faster over runs of equal-length rows.
         self.order = np.argsort(self.n, kind="stable")
-        rank = np.empty(n_rows, dtype=np.int32)
-        rank[self.order] = np.arange(n_rows, dtype=np.int32)
-        for lo in range(0, len(rows), _EDGE_BATCH):
-            batch = rows[lo:lo + _EDGE_BATCH]
-            batch[:] = rank[batch]
-        # Each count is at most N, which int32 holds exactly; the values'
-        # dtype sets the product's.
-        self._members = sparse.csr_array((values, (rows, cols)),
+        self.nnz = int(row_nnz.sum())
+        indptr = np.zeros(n_rows + 1, dtype=np.int32)
+        np.cumsum(row_nnz[self.order], out=indptr[1:])
+        del row_nnz
+        free = np.empty(n_rows, dtype=np.int64)
+        free[self.order] = indptr[:-1]
+        # Pass 2: each entry straight into the int32 CSR arrays (counts are
+        # at most N; the values' dtype sets the product's). Columns ascend
+        # in a row: a cell's points, or a rectangle's members, then each
+        # run's -1 at column N + lo and +1 at N + hi.
+        indices = np.empty(self.nnz, dtype=np.int32)
+        data = np.ones(self.nnz, dtype=np.int32)
+        for (first, part), cell in zip(covering, cells):
+            _place(indices, data, free[first:first + len(part)], ix.N,
+                   lambda at: (cell[at], at, None))
+        free = free[rect_rows]
+        _place(indices, data, free, len(members), lambda at: (
+            np.searchsorted(offsets, at, side="right") - 1, members[at], None))
+        _place(indices, data, free, 2 * len(run_rect), lambda at: (
+            run_rect[at >> 1], ix.N + np.where(at & 1, run_hi[at >> 1],
+                                               run_lo[at >> 1]),
+            2 * (at & 1) - 1))
+        self._members = sparse.csr_array((data, indices, indptr),
                                          shape=(n_rows, self.width))
-        self.nnz = self._members.nnz
 
     def count_block(self, block: np.ndarray) -> np.ndarray:
         """Positives by size for the labelings in an int32 ``block``.
@@ -237,9 +292,11 @@ class CountPlan:
         """
         n_obs = self._n_obs
         if self._cell_order is not None:
+            sums = block[n_obs + 1:]
             block[n_obs] = 0
-            np.cumsum(block[:n_obs][self._cell_order], axis=0,
-                      dtype=np.int32, out=block[n_obs + 1:])
+            np.take(block[:n_obs], self._cell_order, axis=0, out=sums,
+                    mode="clip")  # a permutation; "raise" would buffer
+            np.cumsum(sums, axis=0, out=sums)
         return self._members @ block
 
     def count_by_size(self, labels: np.ndarray) -> np.ndarray:

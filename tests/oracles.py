@@ -6,8 +6,9 @@ running sums. These must never import from fairscan internals beyond plain
 data types, so a bug in the library cannot hide inside its own oracle.
 
 The last section holds small helpers that only tests use: rectangle areas
-and overlap, a checked one-region wrapper over fairscan's llr_vector, and
-the reader of a saved null distribution. They are not oracles.
+and overlap, a checked one-region wrapper over fairscan's llr_vector, the
+reader of a saved null distribution, and the member matrix built from
+(row, column, value) triples. They are not oracles.
 """
 
 from __future__ import annotations
@@ -117,6 +118,19 @@ def oracle_audit(regions, lons, lats, outcomes, bbox, rho: float,
             default=0.0))
     return ([n for n, _ in counts], [p for _, p in counts], tau,
             sorted(maxima, reverse=True))
+
+
+def oracle_region_counts_vec(region, lons, lats, outcomes, bbox
+                             ) -> tuple[int, int]:
+    """oracle_region_counts with the membership rule over whole arrays."""
+
+    def in_axis(v, lo, hi, box_hi):
+        return (v >= lo) & ((v < hi) | ((hi >= box_hi) & (v >= box_hi)
+                                        & (v <= hi)))
+
+    inside = (in_axis(lons, region.xmin, region.xmax, bbox.xmax)
+              & in_axis(lats, region.ymin, region.ymax, bbox.ymax))
+    return int(inside.sum()), int(outcomes[inside].sum())
 
 
 def oracle_pvariance(rates) -> float:
@@ -318,3 +332,59 @@ def distribution_from_json(doc: dict):
         seed=int(doc["seed"]),
         direction=Direction(doc["direction"]),
     )
+
+
+def oracle_member_matrix(ix, family):
+    """CountPlan's member matrix built from (row, column, value) triples.
+
+    A reference build, not an oracle: the rectangles' boundary members and
+    interior runs come from fairscan.scanner._rectangle_terms, a covering
+    partitioning's cells from searchsorted, and scipy's conversion from
+    triples sorts every row. Rows run in ascending size (stable). Returns
+    the CSR array and each candidate's size in family order.
+    """
+    from scipy import sparse
+    from fairscan.regions import Partitioning
+    from fairscan.scanner import _rectangle_terms
+
+    fams = family if isinstance(family, (list, tuple)) else [family]
+    b, bounds, covering, first = ix.bbox, [np.zeros((0, 4))], [], 0
+    for fam in fams:
+        if isinstance(fam, Partitioning):
+            bounds.append(fam.cell_bounds())
+            xb, yb = fam.xbounds, fam.ybounds
+            if (xb[0] <= b.xmin and xb[-1] >= b.xmax
+                    and yb[0] <= b.ymin and yb[-1] >= b.ymax):
+                covering.append((first, fam))
+        else:
+            bounds.append(fam.bounds)
+        first += len(fam)
+    bounds = np.concatenate(bounds)
+    rect = np.ones(len(bounds), dtype=bool)
+    rows, cols = [], []
+    for first, part in covering:
+        rect[first:first + len(part)] = False
+        ax = np.searchsorted(part.xbounds[1:-1], ix.xs, side="right")
+        ay = np.searchsorted(part.ybounds[1:-1], ix.ys, side="right")
+        rows.append(first + ay * (len(part.xbounds) - 1) + ax)
+        cols.append(np.arange(ix.N))
+    rect_rows = np.flatnonzero(rect)
+    members, offsets, run_rect, lo, hi = _rectangle_terms(ix,
+                                                          bounds[rect_rows])
+    run_rows = rect_rows[run_rect]
+    rows += [np.repeat(rect_rows, np.diff(offsets)), run_rows, run_rows]
+    cols += [members, ix.N + hi, ix.N + lo]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    values = np.ones(len(rows), dtype=np.int32)
+    values[len(rows) - len(run_rows):] = -1
+    n = np.bincount(rows[:len(rows) - 2 * len(run_rows)],
+                    minlength=len(bounds))
+    n += np.bincount(run_rows, weights=hi - lo,
+                     minlength=len(bounds)).astype(np.int64)
+    rank = np.empty(len(bounds), dtype=np.int64)
+    rank[np.argsort(n, kind="stable")] = np.arange(len(bounds))
+    width = ix.N + (ix.N + 1 if len(run_rows) else 0)
+    matrix = sparse.csr_array(
+        (values, (rank[rows].astype(np.int32), cols.astype(np.int32))),
+        shape=(len(bounds), width))
+    return matrix, n

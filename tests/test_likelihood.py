@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from fairscan.likelihood import (
 )
 from fairscan.geometry import Region
 from fairscan.regions import regular_grid
+from fairscan.scanner import _EDGE_BATCH, as_scanner
 from fairscan import synth
 
-from conftest import rectangles
+from conftest import random_dataset, rectangles
 from oracles import (
     llr_from_counts,
     oracle_llr,
@@ -249,3 +251,22 @@ class TestScanRegions:
     def test_empty_candidate_list(self, split400_index):
         scored, tau = scan_regions(split400_index, [])
         assert len(scored) == 0 and tau == 0.0
+
+    def test_slices_of_lanes_bound_the_scratch(self):
+        # 400,000 grid cells: 48 full slices of lanes and a short one.
+        d = random_dataset(np.random.default_rng(4), 20_000)
+        ix = build_index(d)
+        plan = as_scanner(ix, regular_grid(d.bbox, 800, 500))
+        tracemalloc.start()
+        try:
+            scored, tau = scan_regions(ix, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(scored.llr,
+                              llr_vector(plan.n, scored.p, d.N, d.P))
+        assert tau == scored.llr.max() > 0
+        # Kept: int64 positives and float64 scores; passing through: the
+        # int32 counts by size. 20 bytes a lane, and the scoring scratch of
+        # one slice of lanes, about _EDGE_BATCH float64 values.
+        assert peak < 20 * len(plan.n) + 16 * _EDGE_BATCH

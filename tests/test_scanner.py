@@ -1,18 +1,23 @@
 from __future__ import annotations
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fairscan import build_index
+from fairscan import build_index, scanner
 from fairscan.geometry import Region
+from fairscan.index import SpatialIndex
+from fairscan.likelihood import scan_regions
+from fairscan.montecarlo import simulate_worlds
 from fairscan.regions import (
     random_partitionings,
     regular_grid,
     square_scan_set,
 )
-from fairscan.scanner import CountPlan, as_scanner
+from fairscan.scanner import _EDGE_BATCH, CountPlan, as_scanner
 
 from conftest import (
     cell_regions,
@@ -21,7 +26,11 @@ from conftest import (
     random_region,
     rectangles,
 )
-from oracles import oracle_region_counts
+from oracles import (
+    oracle_member_matrix,
+    oracle_region_counts,
+    oracle_region_counts_vec,
+)
 
 
 @pytest.fixture(scope="module")
@@ -320,9 +329,200 @@ class TestPlanMemory:
             finally:
                 tracemalloc.stop()
             assert plan.nnz <= plan.n.sum() + 2 * len(squares) * ix.gx
-            # The build's int32 (row, column, value) triples, their CSR copy
-            # and the per-point index arrays take under 48 bytes per point
-            # and per entry.
+            # The build's int32 CSR arrays, its int64 boundary members and
+            # runs, and the per-point index arrays take under 48 bytes per
+            # point and per entry.
             assert peak < 48 * (n + plan.nnz)
             peaks.append(peak)
         assert peaks[1] <= 2.05 * peaks[0]
+
+    def test_random_partitionings_plan_grows_linearly(self):
+        # 100 random partitionings, as in the split benchmark, so nearly
+        # every entry is a point of a covering partitioning's cell.
+        peaks = []
+        for n in (100_000, 200_000):
+            d = random_dataset(np.random.default_rng(0), n)
+            ix = build_index(d)
+            parts = random_partitionings(d.bbox, 100, 10, 40, seed=1)
+            tracemalloc.start()
+            try:
+                plan = CountPlan(ix, parts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert plan.nnz == 100 * n
+            # Kept: an int32 column and value per entry. While building:
+            # each point's uint16 cell in every partitioning, a few arrays
+            # per candidate and per point, and the scratch of one batch of
+            # _EDGE_BATCH points.
+            assert peak < (12 * plan.nnz + 64 * len(plan.n)
+                           + 128 * _EDGE_BATCH)
+            peaks.append(peak)
+        assert peaks[1] <= 2.05 * peaks[0]
+
+
+def mixed_family(bbox):
+    """Every family kind: a grid, random partitionings, squares, a
+    partitioning that does not cover the box, and file rectangles that
+    overhang the box, miss it, have zero width or reach its max edges."""
+    w, h = bbox.xmax - bbox.xmin, bbox.ymax - bbox.ymin
+    half = Region(bbox.xmin, bbox.ymin, bbox.xmin + w / 2, bbox.ymax)
+    centers = np.random.default_rng(24).random((12, 2)) * (w, h)
+    centers += (bbox.xmin, bbox.ymin)
+    file_rows = rectangles([
+        Region(bbox.xmin - w, bbox.ymin + h / 4, bbox.xmin + w / 2,
+               bbox.ymax + h),
+        Region(bbox.xmax + 1, bbox.ymin, bbox.xmax + 2, bbox.ymax),
+        Region(bbox.xmin + w / 3, bbox.ymin, bbox.xmin + w / 3, bbox.ymax),
+        Region(bbox.xmin + w / 8, bbox.ymin + h / 8, bbox.xmax, bbox.ymax),
+    ])
+    return [regular_grid(bbox, 7, 5),
+            *random_partitionings(bbox, 3, 2, 12, seed=25),
+            square_scan_set(centers, [0.05 * w, 0.3 * w, 0.8 * w]),
+            regular_grid(half, 2, 3), file_rows]
+
+
+def assert_matches_reference(ix, family):
+    plan = CountPlan(ix, family)
+    want, n = oracle_member_matrix(ix, family)
+    got = plan._members
+    assert np.array_equal(plan.n, n)
+    assert got.shape == want.shape and plan.nnz == want.nnz
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.has_sorted_indices and want.has_sorted_indices
+    return plan
+
+
+_LATTICE = [i / 8 for i in range(9)]
+
+
+@st.composite
+def _plans(draw):
+    """Points on a 1/8 lattice (duplicates, inner bounds, the box's max
+    edges) and a mixed family, built in batches as small as 1."""
+    n = draw(st.integers(2, 60))
+    coord = st.sampled_from(_LATTICE) | st.floats(0.0, 1.0)
+    xs = [0.0, 1.0] + draw(st.lists(coord, min_size=n - 2, max_size=n - 2))
+    ys = [0.0, 1.0] + draw(st.lists(coord, min_size=n - 2, max_size=n - 2))
+    file_coord = st.sampled_from([-0.5, 0.0, 0.125, 0.5, 0.875, 1.0, 1.5])
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        x0, x1 = sorted(draw(st.lists(file_coord, min_size=2, max_size=2)))
+        y0, y1 = sorted(draw(st.lists(file_coord, min_size=2, max_size=2)))
+        rows.append(Region(x0, y0, x1, y1))
+    return dict(
+        xs=xs, ys=ys,
+        grid=(draw(st.sampled_from([1, 2, 4, 8])),
+              draw(st.sampled_from([1, 2, 4, 8]))),
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+        centers=draw(st.lists(st.tuples(st.sampled_from(_LATTICE),
+                                        st.sampled_from(_LATTICE)),
+                              max_size=3)),
+        sides=draw(st.lists(st.sampled_from([0.125, 0.3, 0.5, 2.0]),
+                            min_size=1, max_size=3)),
+        rows=rows,
+        resolution=(draw(st.sampled_from([1, 3, 8])),
+                    draw(st.sampled_from([1, 3, 8]))),
+        batch=draw(st.sampled_from([1, 2, 7, _EDGE_BATCH])),
+    )
+
+
+class TestInPlaceBuild:
+    """The CSR arrays equal those of the (row, column, value) triple build."""
+
+    def test_mixed_family(self, data_and_index):
+        d, ix = data_and_index
+        assert_matches_reference(ix, mixed_family(d.bbox))
+
+    def test_across_batch_seams(self):
+        # 150,000 points: each of the four covering partitionings takes
+        # three batches of points, and on a coarse index the rectangles'
+        # boundary members take more than two batches of entries.
+        d = random_dataset(np.random.default_rng(26), 150_000,
+                           duplicates=True)
+        ix = build_index(d, (20, 20))
+        plan = assert_matches_reference(ix, mixed_family(d.bbox))
+        assert ix.N > 2 * _EDGE_BATCH
+        assert plan.nnz - 4 * ix.N > 2 * _EDGE_BATCH
+
+    @pytest.mark.parametrize("mx", [256, 257])
+    def test_cell_dtype_limit(self, mx):
+        # 256 x 256 cells is the most a uint16 cell holds; the point on the
+        # box's max corner lands in the last one.
+        rng = np.random.default_rng(31)
+        xs, ys = rng.random(3_000), rng.random(3_000)
+        xs[:2] = ys[:2] = (0.0, 1.0)
+        d = make_dataset(xs, ys, rng.integers(0, 2, 3_000))
+        assert_matches_reference(build_index(d),
+                                 [regular_grid(d.bbox, mx, 256)])
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_plans())
+    def test_matches_triple_build(self, case):
+        d = make_dataset(case["xs"], case["ys"], [0] * len(case["xs"]))
+        ix = build_index(d, case["resolution"])
+        family = [regular_grid(d.bbox, *case["grid"]),
+                  *random_partitionings(d.bbox, 2, 1, 3, seed=case["seed"]),
+                  square_scan_set(np.array(case["centers"]).reshape(-1, 2),
+                                  case["sides"]),
+                  rectangles(case["rows"])]
+        with mock.patch.object(scanner, "_EDGE_BATCH", case["batch"]):
+            assert_matches_reference(ix, family)
+
+
+class TestLazyBucketing:
+    """Only rectangle rows read the index's cell order."""
+
+    @pytest.mark.parametrize("kind", ["grid", "random"])
+    def test_partitioning_audit_does_not_bucket(self, kind):
+        d = random_dataset(np.random.default_rng(27), 3_000)
+        ix = build_index(d)
+        family = ([regular_grid(d.bbox, 10, 5)] if kind == "grid"
+                  else random_partitionings(d.bbox, 5, 2, 8, seed=28))
+        plan = as_scanner(ix, family)
+        scan_regions(ix, plan)
+        simulate_worlds(ix, plan, d.rho, 20, seed=0)
+        assert not {"cell_id", "order", "start"} & set(vars(ix))
+
+    def test_rectangles_bucket(self, data_and_index):
+        d, _ = data_and_index
+        ix = build_index(d, (12, 9))
+        as_scanner(ix, rectangles([Region(0.1, 0.1, 0.8, 0.9)]))
+        assert {"cell_id", "order", "start"} <= set(vars(ix))
+
+
+class TestLargeN:
+    def test_sampled_candidates_on_a_million_points(self):
+        # A lattice share of the points sits on grid bounds, index cell
+        # edges and the box's max edges; squares straddle index cells, and
+        # some reach or overhang the max edges.
+        rng = np.random.default_rng(29)
+        n = 1_000_000
+        xs, ys = rng.random(n), rng.random(n)
+        snap = rng.random(n) < 0.05
+        xs[snap] = rng.integers(0, 101, snap.sum()) / 100
+        ys[snap] = rng.integers(0, 51, snap.sum()) / 50
+        xs[:2] = ys[:2] = (0.0, 1.0)
+        labels = (rng.random(n) < 0.3).astype(np.int8)
+        bbox = Region(0.0, 0.0, 1.0, 1.0)
+        ix = SpatialIndex(xs, ys, labels, bbox, 1000, 1000)
+        centers = np.vstack((rng.random((40, 2)),
+                             [[1.0, 1.0], [0.75, 0.75], [0.99, 0.4]]))
+        family = [regular_grid(bbox, 100, 50),
+                  *random_partitionings(bbox, 2, 10, 40, seed=30),
+                  square_scan_set(centers, [0.0123, 0.05, 0.5])]
+        plan = CountPlan(ix, family)
+        positives = plan.positives(labels)
+        sizes = [len(f) for f in family]
+        ends = np.cumsum(sizes)
+        picks = np.concatenate((
+            rng.choice(sizes[0], 100, replace=False),
+            rng.choice(np.arange(ends[0], ends[2]), 100, replace=False),
+            ends[2] + rng.choice(sizes[3], 100, replace=False)))
+        for i in picks:
+            want = oracle_region_counts_vec(plan.region(i), xs, ys, labels,
+                                            bbox)
+            assert (plan.n[i], positives[i]) == want
