@@ -2,8 +2,8 @@
 
 Locations are bucketed into a gx-by-gy grid over the dataset bounding box
 and laid out cell by cell (CSR: the point order sorted by (column, row)
-cell plus per-cell offsets), on the first read of ``cell_id``, ``order``
-or ``start``: only rectangle rows of a count plan need it. The plan in
+cell plus per-cell offsets), on the first read of ``order`` or ``start``:
+only rectangle rows of a count plan need it. The plan in
 fairscan.scanner counts a rectangle's cell-aligned interior as one run of
 that order per grid column and resolves only the points of cells a query
 boundary cuts, so counts do not depend on the grid resolution.
@@ -58,18 +58,22 @@ class SpatialIndex:
         self.labels = labels
         self.P = int(labels.sum())
 
-    @cached_property
+    @property
     def cell_id(self) -> np.ndarray:
         return self.cells_x(self.xs) * self.gy + self.cells_y(self.ys)
 
     @cached_property
     def order(self) -> np.ndarray:
-        return np.argsort(self.cell_id, kind="stable")
+        # Sets start too, from one cell id that is not kept (8 bytes a point).
+        cell = self.cell_id
+        self.start = np.concatenate(([0], np.cumsum(np.bincount(
+            cell, minlength=self.gx * self.gy))))
+        return np.argsort(cell, kind="stable")
 
     @cached_property
     def start(self) -> np.ndarray:
-        return np.concatenate(([0], np.cumsum(np.bincount(
-            self.cell_id, minlength=self.gx * self.gy))))
+        self.order  # bucketing sets start
+        return self.start
 
     def cells_x(self, vals) -> np.ndarray:
         return _axis_cells(vals, self.bbox.xmin, self.bbox.xmax, self.gx)

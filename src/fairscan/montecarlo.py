@@ -21,7 +21,7 @@ import numpy as np
 
 from .likelihood import Direction, ScanResult, ScoredRegion, llr_vector
 from .index import SpatialIndex
-from .scanner import as_scanner
+from . import scanner
 
 
 @dataclass(frozen=True)
@@ -59,24 +59,21 @@ class AuditVerdict:
 # Label values drawn per piece into a worker's reused float64 buffer, so a
 # world's draw scratch stays this chunk beyond its column of the block.
 _DRAW_CHUNK = 1 << 16
-# Worlds are scored in blocks of _BLOCK_WORLDS when a block's int32 scratch,
-# its (width, B) labels and running sums plus its (R, B) counts, stays
-# within _BLOCK_VALUES values (2 MiB), else one at a time. scipy's
-# multi-vector product saves little per world over its single-vector one
-# (split10k on 2 vCPUs: 0.81 ms for one vector against 1.35-1.60,
-# 0.71-1.04 and 0.63-0.76 ms per world at 2, 4 and 8), so blocks pay
-# through fewer numpy calls per world and through the threads. planted20k
-# gets blocks of 8; split10k and clustered1m, whose worlds are larger, run
-# one at a time and keep their memory.
-_BLOCK_WORLDS = 8
-_BLOCK_VALUES = 1 << 19
+# Worlds are counted in blocks of the largest power of two up to
+# _BLOCK_WORLDS whose (width, B) labels and running sums fit in _BLOCK_BYTES
+# (2 MiB): 32 on split10k, 16 on planted20k, 1 on clustered1m. On int16,
+# scipy's multi-vector kernel costs 2.5-4x less per world at 16-32 worlds
+# than one vector. _SCORE_WORLDS bounds llr_vector's temporaries.
+_BLOCK_WORLDS = 32
+_BLOCK_BYTES = 1 << 21
+_SCORE_WORLDS = 8
 # Values a block reads (B times its N labels plus the member matrix's
 # nonzeros) below which the blocks run on one thread. Small work is a
 # series of short numpy calls that hold the interpreter lock, so a second
 # thread mostly waits: on 2 CPUs, 999 worlds of 1k, 6k and 42k values took
 # 116, 147 and 214 ms on one thread against 185, 238 and 250 ms on two.
-# planted20k (8 x 133k values a block), split10k (1.01M values a world) and
-# clustered1m (2.0M) run on every CPU.
+# planted20k (16 x 133k values a block), split10k (32 x 1.01M) and
+# clustered1m (2.0M a world) run on every CPU.
 _PARALLEL_WORK = 1 << 18
 
 
@@ -112,10 +109,12 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
 
     Every world redraws all N labels as Bernoulli(rho) and is scanned over
     exactly the same candidate regions as the real world, using its own
-    positive total. Worlds are counted and scored in blocks, and large
+    positive total. Worlds are counted in blocks of up to _BLOCK_WORLDS,
+    one row band at a time, in the plan's int16 or int32, and large
     blocks run on one thread per CPU the process may use; world i draws
-    from its own stream and fills only entry i, so the result does not
-    depend on the block size or the number of threads.
+    from its own stream and fills only entry i, and its counts are exact,
+    so the result does not depend on the count width, the block size, the
+    band cap or the number of threads.
     """
     if num_worlds < 1:
         raise ValueError(f"num_worlds must be >= 1, got {num_worlds}")
@@ -128,7 +127,7 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
             f"rho must be strictly between 0 and 1, got {rho}; a degenerate "
             "rate makes every simulated world identical"
         )
-    plan = as_scanner(ix, regions)
+    plan = scanner.as_scanner(ix, regions)
     n_obs = ix.N
     values = np.zeros(num_worlds, dtype=np.float64)
     # Only the smallest and largest positive count among candidates of one
@@ -137,19 +136,21 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
     # that integer counts differ by far more than rounding; llr_vector
     # scores each lane on its own, so the max is bit-identical to scoring
     # every candidate. The plan counts in ascending size, so each size is
-    # one run of its counts.
-    n_sorted = plan.n[plan.order]
-    starts = np.flatnonzero(np.diff(n_sorted, prepend=-1))
-    sizes = np.tile(n_sorted[starts], 2)[:, None]
-    block = 1
-    if _BLOCK_WORLDS * (plan.width + len(plan.n)) <= _BLOCK_VALUES:
-        block = _BLOCK_WORLDS
+    # one run of its counts. Size 0 is skipped: it scores 0, and every
+    # score is at least 0.
+    starts, classes = plan.starts, len(plan.sizes)
+    sizes = np.tile(plan.sizes, 2)
+    fit = _BLOCK_BYTES // (plan.width * plan.dtype.itemsize)
+    block = min(_BLOCK_WORLDS, 1 << max(fit.bit_length() - 1, 0), num_worlds)
     n_blocks = -(-num_worlds // block)
 
     def score_blocks(tickets, stop: threading.Event) -> None:
         chunk = np.empty(min(n_obs, _DRAW_CHUNK), dtype=np.float64)
-        worlds = np.empty((plan.width, block), dtype=np.int32)
+        worlds = np.empty((plan.width, block), dtype=plan.dtype)
         positives = np.empty(block, dtype=np.int64)
+        # Per world, each size's largest count, then each size's smallest.
+        extremes = np.empty((block, 2 * classes), dtype=plan.dtype)
+        rows = np.empty(max(scanner._BAND_VALUES, block), dtype=plan.dtype)
         while not stop.is_set():
             k = next(tickets)
             if k >= n_blocks:
@@ -163,14 +164,27 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
                     np.random.SeedSequence(seed, spawn_key=(first + b,)))
                 positives[b] = _draw_labels(rng, rho, chunk,
                                             worlds[:n_obs, b])
-            # A short last block scores only the columns it drew.
-            counts = plan.count_block(worlds[:, :size])
-            extremes = np.concatenate((
-                np.maximum.reduceat(counts, starts, axis=0),
-                np.minimum.reduceat(counts, starts, axis=0)))
-            llr = llr_vector(sizes, extremes, n_obs, positives[:size],
-                             direction)
-            values[first:first + size] = llr.max(axis=0) if len(llr) else 0.0
+            top, bottom = extremes[:size, :classes], extremes[:size, classes:]
+            top.fill(np.iinfo(plan.dtype).min)
+            bottom.fill(np.iinfo(plan.dtype).max)
+            # A short last block counts only the columns it drew.
+            for lo, counts in plan.count_block(worlds[:, :size]):
+                hi = lo + len(counts)
+                c0 = np.searchsorted(starts, lo, side="right") - 1
+                cuts = starts[c0:np.searchsorted(starts, hi)] - lo
+                c1 = c0 + len(cuts)
+                cuts[0] = 0  # a band may start inside a split size class
+                band = rows[:counts.size].reshape(size, hi - lo)
+                np.copyto(band, counts.T)  # reduceat runs along rows
+                np.maximum(top[:, c0:c1], np.maximum.reduceat(
+                    band, cuts, axis=1), out=top[:, c0:c1])
+                np.minimum(bottom[:, c0:c1], np.minimum.reduceat(
+                    band, cuts, axis=1), out=bottom[:, c0:c1])
+            for w in range(0, size, _SCORE_WORLDS):
+                part = slice(w, min(w + _SCORE_WORLDS, size))
+                llr = llr_vector(sizes, extremes[part], n_obs,
+                                 positives[part, None], direction)
+                values[first:][part] = llr.max(axis=1, initial=0.0)
 
     workers = 1
     if block * (n_obs + plan.nnz) >= _PARALLEL_WORK:

@@ -19,15 +19,20 @@ is the N labels followed by those N + 1 running sums.
 The matrix is written in place, in two passes: the first finds every row's
 size (a covering partitioning's cells from one argsort per axis), the
 second writes each entry into its slot of the final CSR arrays,
-_EDGE_BATCH at a time. A plan keeps 8 bytes per entry, an int32 column
-and value; its build adds a uint16 cell per point and covering
-partitioning, a few arrays per candidate and one batch's scratch.
+_EDGE_BATCH at a time. A plan keeps an int32 column and a value per entry;
+its build adds a uint16 cell per point and covering partitioning, a few
+arrays per candidate and one batch's scratch. Every count, running sum and
+partial row sum lies in [-N, N], so below 2**15 points the values, labels
+and counts are int16, else int32. A block of labelings is counted by
+scipy's CSR kernels on the plan's own arrays, one band of rows at a time:
+whole size classes where they fit in _BAND_VALUES counts, without size 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .geometry import Region, bounds_contain
 from .index import SpatialIndex
@@ -36,6 +41,9 @@ from .regions import Partitioning, Rectangles
 # Points placed, boundary-cell points tested, or rectangle entries placed
 # per batch while a plan is built; bounds the scratch memory of a build.
 _EDGE_BATCH = 1 << 16
+# Counts (rows times labelings) per band of a counted block; bounds the
+# band buffer beside the block's labels.
+_BAND_VALUES = _EDGE_BATCH
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -204,12 +212,15 @@ class CountPlan:
     xmin, ymin, xmax, ymax, ``center_ids`` their center links (None for
     partitioning cells) and ``n`` their observation counts. ``order`` is the
     stable argsort of ``n``: ``count_by_size`` returns counts in that order,
-    ``positives`` in family order. ``width`` is the length of the product's
+    ``positives`` in family order. ``sizes`` are the distinct positive
+    sizes, ascending, and ``starts`` the first row of each in that order,
+    after the rows of size 0. ``width`` is the length of the product's
     vector: the N labels, then N + 1 running sums when rectangles have
     interior runs. ``nnz`` is the member matrix's entry count: one per
     boundary-cell member and per point of each covering partitioning, and
     two per interior run, so at most two per interior index column of a
-    rectangle. Counts match a brute-force scan under the half-open
+    rectangle. ``dtype`` is the counts' type: int16 below 2**15 points,
+    else int32. Counts match a brute-force scan under the half-open
     membership predicate with closed bounding-box max edges.
     """
 
@@ -257,18 +268,22 @@ class CountPlan:
         # the counts already grouped by size, and the product itself runs
         # faster over runs of equal-length rows.
         self.order = np.argsort(self.n, kind="stable")
+        per_size = np.bincount(self.n, minlength=1)
+        self.sizes = np.flatnonzero(per_size[1:]) + 1
+        self.starts = np.cumsum(per_size)[self.sizes - 1]
         self.nnz = int(row_nnz.sum())
         indptr = np.zeros(n_rows + 1, dtype=np.int32)
         np.cumsum(row_nnz[self.order], out=indptr[1:])
         del row_nnz
         free = np.empty(n_rows, dtype=np.int64)
         free[self.order] = indptr[:-1]
-        # Pass 2: each entry straight into the int32 CSR arrays (counts are
-        # at most N; the values' dtype sets the product's). Columns ascend
-        # in a row: a cell's points, or a rectangle's members, then each
-        # run's -1 at column N + lo and +1 at N + hi.
+        # Pass 2: each entry straight into the CSR arrays; the values'
+        # dtype is the product's. Columns ascend in a row: a cell's points,
+        # or a rectangle's members, then each run's -1 at column N + lo and
+        # +1 at N + hi, so a partial row sum stays in [-N, N].
+        self.dtype = np.dtype(np.int16 if ix.N < 1 << 15 else np.int32)
         indices = np.empty(self.nnz, dtype=np.int32)
-        data = np.ones(self.nnz, dtype=np.int32)
+        data = np.ones(self.nnz, dtype=self.dtype)
         for (first, part), cell in zip(covering, cells):
             _place(indices, data, free[first:first + len(part)], ix.N,
                    lambda at: (cell[at], at, None))
@@ -281,14 +296,37 @@ class CountPlan:
             2 * (at & 1) - 1))
         self._members = sparse.csr_array((data, indices, indptr),
                                          shape=(n_rows, self.width))
+        self._bands = {}
 
-    def count_block(self, block: np.ndarray) -> np.ndarray:
-        """Positives by size for the labelings in an int32 ``block``.
+    def bands(self, worlds: int) -> list[tuple[int, int]]:
+        """Row ranges [lo, hi) of the order ``self.order`` that
+        ``count_block`` counts at once for blocks of ``worlds`` labelings.
 
-        ``block`` is (width,) or (width, B): rows :N hold the labels, one
-        labeling per column, and the running sums are written into the
-        rows past N here. Returns the counts in the order ``self.order``,
-        shaped (R,) or (R, B), as int32.
+        A band holds at most max(1, _BAND_VALUES // worlds) rows, as many
+        whole size classes as fit; a larger class is split. Rows of size 0
+        are in no band.
+        """
+        cap = max(1, _BAND_VALUES // worlds)
+        if cap not in self._bands:
+            edges = [*self.starts.tolist(), len(self.n)]
+            cuts = edges[:1]
+            for last, edge in zip(edges[:-1], edges[1:]):
+                if edge - cuts[-1] > cap:
+                    cuts += [last] * (last > cuts[-1])
+                    cuts += range(cuts[-1] + cap, edge, cap)
+            self._bands[cap] = [(lo, hi) for lo, hi in zip(
+                cuts, [*cuts[1:], edges[-1]]) if hi > lo]
+        return self._bands[cap]
+
+    def count_block(self, block: np.ndarray):
+        """Positives by size for the labelings in ``block``, band by band.
+
+        ``block`` is (width,) or (width, B), copied unless it is contiguous
+        ``self.dtype``: rows :N hold the labels, one labeling per column,
+        and the running sums are written into the rows past N here. Yields
+        ``(lo, counts)`` for each band of ``self.bands(B)``: the counts of
+        the rows from lo of the order ``self.order``, (rows,) or (rows, B)
+        of ``self.dtype``, in one buffer that the next band overwrites.
         """
         n_obs = self._n_obs
         if self._cell_order is not None:
@@ -297,12 +335,25 @@ class CountPlan:
             np.take(block[:n_obs], self._cell_order, axis=0, out=sums,
                     mode="clip")  # a permutation; "raise" would buffer
             np.cumsum(sums, axis=0, out=sums)
-        return self._members @ block
+        labels = np.ascontiguousarray(block, dtype=self.dtype)
+        worlds = labels.size // self.width
+        bands = self.bands(worlds)
+        buf = np.empty(max((hi - lo for lo, hi in bands), default=0) * worlds,
+                       dtype=self.dtype)
+        m = self._members
+        kernel, vecs = ((_sparsetools.csr_matvec, ()) if worlds == 1
+                        else (_sparsetools.csr_matvecs, (worlds,)))
+        for lo, hi in bands:
+            out = buf[:(hi - lo) * worlds]
+            out.fill(0)  # the kernel adds to it
+            kernel(hi - lo, self.width, *vecs, m.indptr[lo:hi + 1], m.indices,
+                   m.data, labels, out)
+            yield lo, out.reshape((hi - lo,) + block.shape[1:])
 
     def count_by_size(self, labels: np.ndarray) -> np.ndarray:
         """Positives inside each candidate, in the order ``self.order``.
 
-        That is ascending observation count, as int32.
+        That is ascending observation count, as ``self.dtype``.
         """
         n_obs = self._n_obs
         if labels.shape != (n_obs,):
@@ -311,9 +362,12 @@ class CountPlan:
             )
         if len(labels) and (labels.min() < 0 or labels.max() > 1):
             raise ValueError("labels must be binary")
-        block = np.empty(self.width, dtype=np.int32)
+        block = np.empty(self.width, dtype=self.dtype)
         block[:n_obs] = labels
-        return self.count_block(block)
+        out = np.zeros(len(self.order), dtype=self.dtype)
+        for lo, counts in self.count_block(block):
+            out[lo:lo + len(counts)] = counts
+        return out
 
     def positives(self, labels: np.ndarray) -> np.ndarray:
         """Positives inside each candidate under a 0/1 labeling of the points."""

@@ -84,35 +84,3 @@ def gen_planted(n: int, rect: Region, plant: Region, rho_bg: float,
     rates = np.where(inside, rho_in, rho_bg)
     outcomes = (rng.random(n) < rates).astype(np.int8)
     return Dataset.from_arrays(_ids(n), xs, ys, outcomes)
-
-
-def gen_clustered_locations(n: int, rect: Region, clusters: int = 25,
-                            spread: float = 0.01, background: float = 0.2,
-                            seed: int = 0) -> np.ndarray:
-    """Location sampler mimicking settlement patterns: tight blobs plus noise.
-
-    A fraction ``background`` of points is uniform over rect; the rest are
-    Gaussian around ``clusters`` uniformly placed centers with standard
-    deviation ``spread`` (relative to the rect's width), clipped to rect.
-    Returns an (n, 2) array for use with gen_fair_bernoulli.
-    """
-    if n < 1 or clusters < 1:
-        raise ValueError("n and clusters must be positive")
-    rng = np.random.default_rng(seed)
-    centers = np.column_stack((
-        rng.uniform(rect.xmin, rect.xmax, size=clusters),
-        rng.uniform(rect.ymin, rect.ymax, size=clusters),
-    ))
-    n_bg = int(round(n * background))
-    n_cl = n - n_bg
-    which = rng.integers(0, clusters, size=n_cl)
-    sigma = spread * rect.width
-    pts_cl = centers[which] + rng.normal(0.0, sigma, size=(n_cl, 2))
-    pts_bg = np.column_stack((
-        rng.uniform(rect.xmin, rect.xmax, size=n_bg),
-        rng.uniform(rect.ymin, rect.ymax, size=n_bg),
-    ))
-    pts = np.vstack((pts_cl, pts_bg))
-    pts[:, 0] = np.clip(pts[:, 0], rect.xmin, rect.xmax)
-    pts[:, 1] = np.clip(pts[:, 1], rect.ymin, rect.ymax)
-    return pts

@@ -7,8 +7,9 @@ data types, so a bug in the library cannot hide inside its own oracle.
 
 The last section holds small helpers that only tests use: rectangle areas
 and overlap, a checked one-region wrapper over fairscan's llr_vector, the
-reader of a saved null distribution, and the member matrix built from
-(row, column, value) triples. They are not oracles.
+reader of a saved null distribution, the member matrix built from
+(row, column, value) triples, and a clustered location sampler. They are
+not oracles.
 """
 
 from __future__ import annotations
@@ -340,8 +341,9 @@ def oracle_member_matrix(ix, family):
     A reference build, not an oracle: the rectangles' boundary members and
     interior runs come from fairscan.scanner._rectangle_terms, a covering
     partitioning's cells from searchsorted, and scipy's conversion from
-    triples sorts every row. Rows run in ascending size (stable). Returns
-    the CSR array and each candidate's size in family order.
+    triples sorts every row. Rows run in ascending size (stable), and the
+    values are int16 below 2**15 points, else int32. Returns the CSR array
+    and each candidate's size in family order.
     """
     from scipy import sparse
     from fairscan.regions import Partitioning
@@ -375,7 +377,7 @@ def oracle_member_matrix(ix, family):
     rows += [np.repeat(rect_rows, np.diff(offsets)), run_rows, run_rows]
     cols += [members, ix.N + hi, ix.N + lo]
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-    values = np.ones(len(rows), dtype=np.int32)
+    values = np.ones(len(rows), dtype=np.int16 if ix.N < 1 << 15 else np.int32)
     values[len(rows) - len(run_rows):] = -1
     n = np.bincount(rows[:len(rows) - 2 * len(run_rows)],
                     minlength=len(bounds))
@@ -388,3 +390,35 @@ def oracle_member_matrix(ix, family):
         (values, (rank[rows].astype(np.int32), cols.astype(np.int32))),
         shape=(len(bounds), width))
     return matrix, n
+
+
+def gen_clustered_locations(n: int, rect: Region, clusters: int = 25,
+                            spread: float = 0.01, background: float = 0.2,
+                            seed: int = 0) -> np.ndarray:
+    """Location sampler mimicking settlement patterns: tight blobs plus noise.
+
+    A fraction ``background`` of points is uniform over rect; the rest are
+    Gaussian around ``clusters`` uniformly placed centers with standard
+    deviation ``spread`` (relative to the rect's width), clipped to rect.
+    Returns an (n, 2) array for fairscan.synth.gen_fair_bernoulli.
+    """
+    if n < 1 or clusters < 1:
+        raise ValueError("n and clusters must be positive")
+    rng = np.random.default_rng(seed)
+    centers = np.column_stack((
+        rng.uniform(rect.xmin, rect.xmax, size=clusters),
+        rng.uniform(rect.ymin, rect.ymax, size=clusters),
+    ))
+    n_bg = int(round(n * background))
+    n_cl = n - n_bg
+    which = rng.integers(0, clusters, size=n_cl)
+    sigma = spread * rect.width
+    pts_cl = centers[which] + rng.normal(0.0, sigma, size=(n_cl, 2))
+    pts_bg = np.column_stack((
+        rng.uniform(rect.xmin, rect.xmax, size=n_bg),
+        rng.uniform(rect.ymin, rect.ymax, size=n_bg),
+    ))
+    pts = np.vstack((pts_cl, pts_bg))
+    pts[:, 0] = np.clip(pts[:, 0], rect.xmin, rect.xmax)
+    pts[:, 1] = np.clip(pts[:, 1], rect.ymin, rect.ymax)
+    return pts

@@ -24,7 +24,6 @@ from fairscan.pipeline import export_report
 from fairscan.regions import random_partitionings
 from fairscan.synth import (
     DEFAULT_RECT,
-    gen_clustered_locations,
     gen_fair_bernoulli,
     gen_planted,
     gen_uniform_split,
@@ -32,6 +31,7 @@ from fairscan.synth import (
 
 from conftest import cell_regions, make_dataset, plan_counts, random_dataset
 from oracles import (
+    gen_clustered_locations,
     jaccard,
     llr_from_counts,
     oracle_llr,

@@ -267,6 +267,6 @@ class TestScanRegions:
                               llr_vector(plan.n, scored.p, d.N, d.P))
         assert tau == scored.llr.max() > 0
         # Kept: int64 positives and float64 scores; passing through: the
-        # int32 counts by size. 20 bytes a lane, and the scoring scratch of
-        # one slice of lanes, about _EDGE_BATCH float64 values.
+        # counts by size (int16 here). 20 bytes a lane, and the scoring
+        # scratch of one slice of lanes, about _EDGE_BATCH float64 values.
         assert peak < 20 * len(plan.n) + 16 * _EDGE_BATCH

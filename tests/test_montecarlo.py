@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import sys
 import threading
 import time
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from fairscan import build_index, montecarlo
+from fairscan import build_index, montecarlo, scanner
 from fairscan.geometry import Region
 from fairscan.likelihood import (
     Direction,
@@ -35,7 +36,8 @@ from fairscan.scanner import as_scanner
 from fairscan.synth import gen_fair_bernoulli, gen_uniform_split
 
 from conftest import make_dataset, random_dataset, rectangles
-from oracles import distribution_from_json, oracle_audit
+from oracles import (distribution_from_json, oracle_audit,
+                     oracle_region_counts)
 
 
 @pytest.fixture(scope="module")
@@ -128,12 +130,18 @@ class TestSimulateWorlds:
 
 @pytest.fixture
 def pool(monkeypatch):
-    """Set the worker count and the block size, with the gates forced open."""
-    def set_pool(workers: int, block: int = 1) -> None:
+    """Set the worker count, the block size and the band cap in rows (None
+    for the default), with the gates forced open."""
+    band_values = scanner._BAND_VALUES
+
+    def set_pool(workers: int, block: int = 1, band: int | None = None
+                 ) -> None:
         monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
         monkeypatch.setattr(montecarlo, "_PARALLEL_WORK", 0)
         monkeypatch.setattr(montecarlo, "_BLOCK_WORLDS", block)
-        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", sys.maxsize)
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", sys.maxsize)
+        monkeypatch.setattr(scanner, "_BAND_VALUES",
+                            band_values if band is None else band * block)
     return set_pool
 
 
@@ -192,14 +200,15 @@ class TestWorkerPool:
         monkeypatch.setattr(plan, "count_block", record)
         pool(1, 1)
         want = simulate_worlds(ix, plan, 0.4, num_worlds, seed=9).values
-        for block in (1, 2, 3, 8):
-            for workers in (1, 2):
-                pool(workers, block)
-                scored.clear()
-                got = simulate_worlds(ix, plan, 0.4, num_worlds, seed=9)
-                assert np.array_equal(got.values, want)
-                assert sum(scored) == num_worlds
-                assert max(scored) == min(block, num_worlds)
+        # Bands of 1 and 7 rows split size classes across bands.
+        for block, workers, band in itertools.product(
+                (1, 2, 3, 8, 32), (1, 2), (1, 7, None)):
+            pool(workers, block, band)
+            scored.clear()
+            got = simulate_worlds(ix, plan, 0.4, num_worlds, seed=9)
+            assert np.array_equal(got.values, want)
+            assert sum(scored) == num_worlds
+            assert max(scored) == min(block, num_worlds)
 
     def test_gate_keeps_small_worlds_serial(self, small_world, monkeypatch):
         d, ix, parts = small_world
@@ -265,28 +274,69 @@ class TestWorkerPool:
 
 class TestBlockMemory:
     def test_one_block_grows_linearly(self):
-        # One block of 8 worlds over squares with interior runs, on one
-        # thread: the block's int32 labels and running sums, the gathered
-        # labels and the counts.
+        # One block of _BLOCK_WORLDS over squares with interior runs, on one
+        # thread: the block's labels and running sums, one band of counts
+        # (the kernel's buffer and its transpose), and the scoring of
+        # _SCORE_WORLDS worlds' size extremes, about 16 float64 values a
+        # lane.
         squares = square_scan_set(np.random.default_rng(1).random((100, 2)),
                                   np.linspace(0.02, 0.4, 20))
         peaks = []
         for n in (100_000, 200_000):
             ix = build_index(random_dataset(np.random.default_rng(0), n))
             plan = as_scanner(ix, squares)
-            scratch = 4 * 8 * (plan.width + len(plan.n))
+            item, worlds = plan.dtype.itemsize, montecarlo._BLOCK_WORLDS
+            scratch = (item * worlds * plan.width
+                       + 2 * item * scanner._BAND_VALUES
+                       + 16 * 8 * montecarlo._SCORE_WORLDS
+                       * 2 * len(plan.sizes))
             with mock.patch.object(montecarlo, "_cpu_count", lambda: 1), \
-                    mock.patch.object(montecarlo, "_BLOCK_VALUES",
+                    mock.patch.object(montecarlo, "_BLOCK_BYTES",
                                       sys.maxsize):
                 tracemalloc.start()
                 try:
-                    simulate_worlds(ix, plan, 0.4, 8, seed=1)
+                    simulate_worlds(ix, plan, 0.4, worlds, seed=1)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-            assert peak < 2 * scratch + (1 << 20)
+            assert peak < scratch + (1 << 20)
             peaks.append(peak)
         assert peaks[1] <= 2.05 * peaks[0]
+
+
+class TestCountWidth:
+    """Plans count in int16 up to 32,767 points and in int32 beyond."""
+
+    @pytest.mark.parametrize("n, dtype", [(32_767, np.int16),
+                                          (32_768, np.int32)])
+    def test_matches_oracles_at_the_switch(self, n, dtype):
+        # Squares that overhang the box and one that nearly fills it: their
+        # interior runs read running sums up to N.
+        rng = np.random.default_rng(62)
+        xs, ys = rng.random(n), rng.random(n)
+        xs[:2] = ys[:2] = (0.0, 1.0)
+        d = make_dataset(xs, ys, (rng.random(n) < 0.9).astype(np.int8))
+        ix = build_index(d)
+        plan = as_scanner(ix, square_scan_set(np.array([[0.5, 0.5]]),
+                                              [0.98, 1.5, 3.0]))
+        regions = [plan.region(i) for i in range(len(plan.n))]
+        assert plan.dtype == dtype
+        ones = np.ones(n, dtype=np.int8)
+        block = np.zeros(plan.width, dtype=plan.dtype)
+        block[:n] = ones
+        list(plan.count_block(block))
+        assert block[-1] == n
+        assert [(int(c), int(p)) for c, p in zip(plan.n, plan.positives(
+            ones))] == [oracle_region_counts(r, xs, ys, ones, d.bbox)
+                        for r in regions]
+        count, positives, tau, maxima = oracle_audit(
+            regions, xs, ys, d.outcomes, d.bbox, 0.9, 2, 5)
+        scored, got_tau = scan_regions(ix, plan)
+        assert scored.n.tolist() == count
+        assert scored.p.tolist() == positives
+        assert abs(got_tau - tau) <= 1e-9
+        dist = simulate_worlds(ix, plan, 0.9, 2, seed=5)
+        assert np.abs(dist.values - maxima).max() <= 1e-9
 
 
 class TestGlobalPValue:
@@ -484,6 +534,7 @@ def _audits(draw):
         direction=draw(st.sampled_from(list(Direction))),
         workers=draw(st.sampled_from([1, 2])),
         block=draw(st.sampled_from([1, 3])),
+        band=draw(st.sampled_from([1, 7, None])),
     )
 
 
@@ -511,7 +562,7 @@ _RUNS_CASE = dict(
            ("file", [(-0.5, 0.125, 0.875, 1.5), (0.25, 0.25, 0.25, 0.75),
                      (1.125, 0.0, 3.0, 1.0), (0.125, 0.125, 0.875, 0.875)])],
     resolution=(8, 8), rho=0.3, worlds=40, seed=7,
-    direction=Direction.TWO_SIDED, workers=2, block=3)
+    direction=Direction.TWO_SIDED, workers=2, block=3, band=7)
 
 
 class TestOracleAudit:
@@ -536,10 +587,14 @@ class TestOracleAudit:
         assert scored.n.tolist() == n
         assert scored.p.tolist() == p
         assert abs(got_tau - tau) <= 1e-9
+        band = case["band"]
         with mock.patch.multiple(montecarlo, _PARALLEL_WORK=0,
                                  _BLOCK_WORLDS=case["block"],
-                                 _BLOCK_VALUES=sys.maxsize,
-                                 _cpu_count=lambda: case["workers"]):
+                                 _BLOCK_BYTES=sys.maxsize,
+                                 _cpu_count=lambda: case["workers"]), \
+                mock.patch.object(scanner, "_BAND_VALUES",
+                                  band * case["block"] if band
+                                  else scanner._BAND_VALUES):
             dist = simulate_worlds(ix, plan, case["rho"], case["worlds"],
                                    case["seed"], case["direction"])
         assert np.abs(dist.values - maxima).max() <= 1e-9

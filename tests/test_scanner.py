@@ -473,6 +473,45 @@ class TestInPlaceBuild:
             assert_matches_reference(ix, family)
 
 
+class TestBandKernel:
+    """count_block calls scipy's private CSR kernels on row bands of the
+    plan's arrays; a change to their calling convention fails here."""
+
+    @pytest.mark.parametrize("worlds", [1, 3, 16, 32])
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_bands_equal_the_csr_product(self, data_and_index, monkeypatch,
+                                         worlds, rows):
+        d, ix = data_and_index
+        plan = CountPlan(ix, mixed_family(d.bbox))
+        if rows is not None:
+            monkeypatch.setattr(scanner, "_BAND_VALUES", rows * worlds)
+        cap = max(1, scanner._BAND_VALUES // worlds)
+        shape = (plan.width,) if worlds == 1 else (plan.width, worlds)
+        block = np.zeros(shape, dtype=plan.dtype)
+        block[:d.N] = np.random.default_rng(32).integers(
+            0, 2, (d.N,) + shape[1:])
+        got = np.zeros((len(plan.n),) + shape[1:], dtype=np.int64)
+        lo_next = plan.starts[0]
+        for lo, counts in plan.count_block(block):
+            assert counts.dtype == plan.dtype
+            assert lo == lo_next and 0 < len(counts) <= cap
+            got[lo:lo + len(counts)] = counts
+            lo_next = lo + len(counts)
+        assert lo_next == len(plan.n)
+        # The running sums are in the block now; the rows of size 0 lead.
+        want = plan._members.astype(np.int64) @ block.astype(np.int64)
+        assert np.array_equal(got, want)
+        assert not got[:plan.starts[0]].any()
+        # A band ends inside a size class only where the class is longer
+        # than the cap.
+        ends = np.array([lo for lo, _ in plan.bands(worlds)[1:]], dtype=int)
+        sizes = plan.n[plan.order]
+        inside = ends[sizes[ends] == sizes[ends - 1]]
+        runs = np.diff([*plan.starts, len(plan.n)])
+        longest = runs[np.searchsorted(plan.starts, inside, side="right") - 1]
+        assert (longest > cap).all()
+
+
 class TestLazyBucketing:
     """Only rectangle rows read the index's cell order."""
 
@@ -491,7 +530,8 @@ class TestLazyBucketing:
         d, _ = data_and_index
         ix = build_index(d, (12, 9))
         as_scanner(ix, rectangles([Region(0.1, 0.1, 0.8, 0.9)]))
-        assert {"cell_id", "order", "start"} <= set(vars(ix))
+        assert {"order", "start"} == {"cell_id", "order", "start"} & set(
+            vars(ix))
 
 
 class TestLargeN:

@@ -6,11 +6,12 @@ import pytest
 from fairscan.geometry import Region, region_contains
 from fairscan.synth import (
     DEFAULT_RECT,
-    gen_clustered_locations,
     gen_fair_bernoulli,
     gen_planted,
     gen_uniform_split,
 )
+
+from oracles import gen_clustered_locations
 
 
 class TestUniformSplit:
