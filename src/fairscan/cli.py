@@ -134,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="simulated fair worlds; the real world is added on "
                          "top (default 999)")
     pa.add_argument("--seed", type=int, help="master PRNG seed (default 0)")
-    pa.add_argument("--resolution", metavar="GXxGY",
-                    help="index grid resolution (default: sqrt(N) per axis)")
+    pa.add_argument("--resolution", type=int, metavar="GX",
+                    help="index columns (default: sqrt(N), at most 1024)")
     pa.add_argument("--top-k", type=int, metavar="K",
                     help="keep only the K strongest evidence regions")
     pa.add_argument("--out", metavar="DIR",
@@ -280,7 +280,7 @@ def _audit_config(args: argparse.Namespace) -> AuditConfig:
         alpha=float(merged["alpha"]),
         num_worlds=_integer("worlds", merged["worlds"]) + 1,
         seed=_integer("seed", merged["seed"]),
-        resolution=_pair("resolution", merged["resolution"], _parse_grid),
+        resolution=_integer("resolution", merged["resolution"]),
         top_k=_integer("top_k", merged["top_k"]),
     )
 

@@ -62,7 +62,7 @@ class AuditConfig:
     alpha: float = 0.005
     num_worlds: int = 1000
     seed: int = 0
-    resolution: tuple[int, int] | None = None
+    resolution: int | None = None
     top_k: int | None = None
 
     def family_specs(self) -> list[dict]:
@@ -139,7 +139,7 @@ class AuditConfig:
             "alpha": self.alpha,
             "num_worlds": self.num_worlds,
             "seed": self.seed,
-            "resolution": list(self.resolution) if self.resolution else None,
+            "resolution": self.resolution,
             "top_k": self.top_k,
         }
 

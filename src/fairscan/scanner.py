@@ -9,21 +9,22 @@ the counts by size for the Monte Carlo loop and speeds up the product.
 
 A row of the matrix holds, for a cell of a partitioning that covers the
 bounding box, all of the cell's members. For any other rectangle it holds
-its members among the points of the index-grid cells its boundary cuts,
-plus its cell-aligned interior as column runs: the index sorts the points
-by (column, row) cell, so inside one index column the interior is one
-contiguous run of the sorted points, and its count is the difference of
-two running sums of the labels taken in that order. The product's vector
-is the N labels followed by those N + 1 running sums.
+its members among the points of its first and last index column, plus
+its other columns as runs: the plan sorts the points by (column, y), so
+inside one index column a rectangle's points are one contiguous run of
+the sorted points, and its count is the difference of two running sums
+of the labels taken in that order. The product's vector is the N labels
+followed by those N + 1 running sums.
 
 The matrix is written in place, in two passes: the first finds every row's
 size (a covering partitioning's cells from one argsort per axis), the
 second writes each entry into its slot of the final CSR arrays,
-_EDGE_BATCH at a time. A plan keeps an int32 column and a value per entry;
-its build adds a uint16 cell per point and covering partitioning, a few
-arrays per candidate and one batch's scratch. Every count, running sum and
-partial row sum lies in [-N, N], so below 2**15 points the values, labels
-and counts are int16, else int32. A block of labelings is counted by
+_EDGE_BATCH at a time. A plan keeps an int32 column and a value per entry,
+and with interior runs the int64 (column, y) order of the points; its
+build adds a uint16 cell per point and covering partitioning, a few arrays
+per candidate and per point and one batch's scratch. Every count, running
+sum and partial row sum lies in [-N, N], so below 2**15 points the values,
+labels and counts are int16, else int32. A block of labelings is counted by
 scipy's CSR kernels on the plan's own arrays, one band of rows at a time:
 whole size classes where they fit in _BAND_VALUES counts, without size 0.
 """
@@ -38,7 +39,7 @@ from .geometry import Region, bounds_contain
 from .index import SpatialIndex
 from .regions import Partitioning, Rectangles
 
-# Points placed, boundary-cell points tested, or rectangle entries placed
+# Points placed, edge-column points tested, or rectangle entries placed
 # per batch while a plan is built; bounds the scratch memory of a build.
 _EDGE_BATCH = 1 << 16
 # Counts (rows times labelings) per band of a counted block; bounds the
@@ -110,39 +111,49 @@ def _place(indices, data, free, total, entries):
 
 
 def _rectangle_terms(ix: SpatialIndex, bounds: np.ndarray):
-    """Boundary-cell members and interior column runs of rectangles.
+    """The points in (column, y) order, and rectangles' edge members and
+    interior column runs in it.
 
-    Returns the CSR list (members, offsets) of each rectangle's members,
-    ascending, among the points of the cells its boundary cuts, and its
-    interior as runs (rect, lo, hi): positions [lo, hi) of the cell-sorted
-    points, ascending per rectangle. Runs are non-empty and runs that touch
-    are merged, so a rectangle has at most one run per interior column.
-    Without rectangles the index is not read, so it never buckets.
+    ``order`` sorts the points by the key column * N + rank of y, so inside
+    one column a rectangle's points are one run of it: those with
+    ymin <= y < ymax, or y >= ymin when ymax reaches the box's max edge.
+    Returns ``order`` (None without rectangles), the CSR list (members,
+    offsets) of each rectangle's members, ascending, among the points of
+    the runs of its first and last column, and the runs (rect, lo, hi) of
+    its other columns: positions [lo, hi) of ``order``, ascending per
+    rectangle. Runs are non-empty and runs that touch are merged, so a
+    rectangle has at most one run per interior column.
     """
-    if not len(bounds):
+    m = len(bounds)
+    if not m:
         empty = np.zeros(0, dtype=np.int64)
-        return empty, np.zeros(1, dtype=np.int64), empty, empty, empty
+        return None, empty, np.zeros(1, dtype=np.int64), empty, empty, empty
+    by_y = np.argsort(ix.ys)
+    key = ix.columns(ix.xs) * ix.N
+    key[by_y] += np.arange(ix.N)
+    key.sort()
+    order = by_y[key % ix.N]
     xmin, ymin, xmax, ymax = bounds.T
     b = ix.bbox
-    # Cell spans that could hold points of each rectangle. Monotone
-    # bucketing guarantees coverage; rectangles strictly disjoint from
-    # the bounding box get no span.
-    hit = ~((xmax < b.xmin) | (xmin > b.xmax)
-            | (ymax < b.ymin) | (ymin > b.ymax))
-    cx0 = ix.cells_x(np.maximum(xmin, b.xmin))
-    cx1 = ix.cells_x(np.minimum(xmax, b.xmax))
-    cy0 = ix.cells_y(np.maximum(ymin, b.ymin))
-    cy1 = ix.cells_y(np.minimum(ymax, b.ymax))
-    members, offsets = _edge_members(
-        ix, bounds, np.where(hit, cx1 - cx0 + 1, 0), cx0, cx1, cy0, cy1)
-    # The interior is the columns cx0 < col < cx1 by the rows cy0 < row <
-    # cy1, one run of cell-sorted points per column.
-    inner = np.where(hit & (cy1 - cy0 >= 2), np.maximum(cx1 - cx0 - 1, 0), 0)
-    rect = np.repeat(np.arange(len(bounds)), inner)
-    col = _ranges(cx0 + 1, cx0 + 1 + inner) * ix.gy
-    lo = ix.start[col + cy0[rect] + 1]
-    hi = ix.start[col + cy1[rect]]
-    keep = hi > lo
+    # Monotone columns cover every point of a rectangle; rectangles left or
+    # right of the bounding box get no column.
+    cx0 = ix.columns(np.maximum(xmin, b.xmin))
+    cx1 = ix.columns(np.minimum(xmax, b.xmax))
+    ncols = np.where((xmax >= b.xmin) & (xmin <= b.xmax), cx1 - cx0 + 1, 0)
+    y0 = np.searchsorted(ix.ys, ymin, sorter=by_y)
+    y1 = np.where(ymax >= b.ymax, ix.N,
+                  np.searchsorted(ix.ys, ymax, sorter=by_y))
+    del by_y
+    rect = np.repeat(np.arange(m), ncols)
+    col = _ranges(cx0, cx0 + ncols)
+    edge = (col == cx0[rect]) | (col == cx1[rect])
+    col *= ix.N
+    lo = np.searchsorted(key, col + y0[rect])
+    hi = np.searchsorted(key, col + y1[rect])
+    del key, col
+    members, offsets = _edge_members(ix, order, bounds, rect[edge], lo[edge],
+                                     hi[edge])
+    keep = ~edge & (hi > lo)
     rect, lo, hi = rect[keep], lo[keep], hi[keep]
     # A run ending where the rectangle's next run starts joins it; their
     # +1 and -1 would otherwise meet in one matrix entry of value 0.
@@ -150,50 +161,23 @@ def _rectangle_terms(ix: SpatialIndex, bounds: np.ndarray):
     first[1:-1] = (rect[1:] != rect[:-1]) | (lo[1:] != hi[:-1])
     last = first[1:]
     first = first[:-1]
-    return members, offsets, rect[first], lo[first], hi[last]
+    return order, members, offsets, rect[first], lo[first], hi[last]
 
 
-def _edge_members(ix, bounds, ncols, cx0, cx1, cy0, cy1):
-    """CSR list of each rectangle's members in its boundary cells,
-    ascending, for at least one rectangle.
-
-    Cells are sorted by (column, row), so a column's rows cy0..cy1 are
-    one contiguous run of the cell-sorted points. The span's first and
-    last columns contribute that whole run, inner columns the runs of
-    their first and last row only.
-    """
+def _edge_members(ix, order, bounds, rect, lo, hi):
+    """CSR list of each rectangle's members among the points of its runs
+    (rect, lo, hi) of ``order``, ascending; ``rect`` ascends."""
     m = len(bounds)
-    rect = np.repeat(np.arange(m), ncols)
-    col = _ranges(cx0, cx0 + ncols)
-    lo_cell = col * ix.gy + cy0[rect]
-    hi_cell = col * ix.gy + cy1[rect]
-    outer = (col == cx0[rect]) | (col == cx1[rect])
-    start = ix.start
-    del col
-    skip = outer | (hi_cell == lo_cell)
-    # Each column's two runs, filled in place; the per-column arrays are
-    # dropped before the member batches so that their scratch does not add.
-    run_lo = np.empty((len(rect), 2), dtype=np.int64)
-    run_hi = np.empty((len(rect), 2), dtype=np.int64)
-    run_lo[:, 0] = start[lo_cell]
-    run_hi[:, 0] = np.where(outer, start[hi_cell + 1], start[lo_cell + 1])
-    run_lo[:, 1] = np.where(skip, 0, start[hi_cell])
-    run_hi[:, 1] = np.where(skip, 0, start[hi_cell + 1])
-    del lo_cell, hi_cell, outer, skip
-    run_lo, run_hi = run_lo.ravel(), run_hi.ravel()
-    run_rect = np.repeat(rect, 2)
-    del rect
-    per_rect = np.bincount(run_rect, weights=run_hi - run_lo,
+    per_rect = np.bincount(rect, weights=hi - lo,
                            minlength=m).astype(np.int64)
-    run_end = np.cumsum(np.bincount(run_rect, minlength=m))
+    run_end = np.cumsum(np.bincount(rect, minlength=m))
     batch = np.cumsum(per_rect) // _EDGE_BATCH
     cuts = np.concatenate(([0], np.flatnonzero(np.diff(batch)) + 1, [m]))
     members, counts = [], []
     for r0, r1 in zip(cuts[:-1], cuts[1:]):
         runs = slice(run_end[r0 - 1] if r0 else 0, run_end[r1 - 1])
-        pos = _ranges(run_lo[runs], run_hi[runs])
-        owner = np.repeat(run_rect[runs], run_hi[runs] - run_lo[runs])
-        ids = ix.order[pos]
+        owner = np.repeat(rect[runs], hi[runs] - lo[runs])
+        ids = order[_ranges(lo[runs], hi[runs])]
         keep = bounds_contain(bounds[owner].T, ix.xs[ids], ix.ys[ids],
                               ix.bbox)
         owner = owner[keep] - r0
@@ -211,13 +195,13 @@ class CountPlan:
     Candidates keep family order. ``bounds`` is the (R, 4) array of their
     xmin, ymin, xmax, ymax, ``center_ids`` their center links (None for
     partitioning cells) and ``n`` their observation counts. ``order`` is the
-    stable argsort of ``n``: ``count_by_size`` returns counts in that order,
+    stable argsort of ``n``: ``count_block`` counts in that order,
     ``positives`` in family order. ``sizes`` are the distinct positive
     sizes, ascending, and ``starts`` the first row of each in that order,
     after the rows of size 0. ``width`` is the length of the product's
     vector: the N labels, then N + 1 running sums when rectangles have
     interior runs. ``nnz`` is the member matrix's entry count: one per
-    boundary-cell member and per point of each covering partitioning, and
+    edge-column member and per point of each covering partitioning, and
     two per interior run, so at most two per interior index column of a
     rectangle. ``dtype`` is the counts' type: int16 below 2**15 points,
     else int32. Counts match a brute-force scan under the half-open
@@ -252,8 +236,8 @@ class CountPlan:
         # Pass 1: each row's size and entry count.
         self.n = np.zeros(n_rows, dtype=np.int64)
         cells = _cells(ix, covering, self.n)
-        members, offsets, run_rect, run_lo, run_hi = _rectangle_terms(
-            ix, self.bounds[rect_rows])
+        (point_order, members, offsets, run_rect, run_lo,
+         run_hi) = _rectangle_terms(ix, self.bounds[rect_rows])
         n_members = np.diff(offsets)
         row_nnz = self.n.copy()
         row_nnz[rect_rows] = n_members + 2 * np.bincount(
@@ -262,7 +246,7 @@ class CountPlan:
             run_rect, weights=run_hi - run_lo,
             minlength=len(rect_rows)).astype(np.int64)
         self._n_obs = ix.N
-        self._cell_order = ix.order if len(run_rect) else None
+        self._point_order = point_order if len(run_rect) else None
         self.width = ix.N + (ix.N + 1 if len(run_rect) else 0)
         # Rows are laid out in ascending size (stable), so one product gives
         # the counts already grouped by size, and the product itself runs
@@ -329,10 +313,10 @@ class CountPlan:
         of ``self.dtype``, in one buffer that the next band overwrites.
         """
         n_obs = self._n_obs
-        if self._cell_order is not None:
+        if self._point_order is not None:
             sums = block[n_obs + 1:]
             block[n_obs] = 0
-            np.take(block[:n_obs], self._cell_order, axis=0, out=sums,
+            np.take(block[:n_obs], self._point_order, axis=0, out=sums,
                     mode="clip")  # a permutation; "raise" would buffer
             np.cumsum(sums, axis=0, out=sums)
         labels = np.ascontiguousarray(block, dtype=self.dtype)
@@ -350,11 +334,9 @@ class CountPlan:
                    m.data, labels, out)
             yield lo, out.reshape((hi - lo,) + block.shape[1:])
 
-    def count_by_size(self, labels: np.ndarray) -> np.ndarray:
-        """Positives inside each candidate, in the order ``self.order``.
-
-        That is ascending observation count, as ``self.dtype``.
-        """
+    def positives(self, labels: np.ndarray) -> np.ndarray:
+        """Positives inside each candidate under a 0/1 labeling of the
+        points, in family order, as int64."""
         n_obs = self._n_obs
         if labels.shape != (n_obs,):
             raise ValueError(
@@ -364,15 +346,9 @@ class CountPlan:
             raise ValueError("labels must be binary")
         block = np.empty(self.width, dtype=self.dtype)
         block[:n_obs] = labels
-        out = np.zeros(len(self.order), dtype=self.dtype)
+        out = np.zeros(len(self.order), dtype=np.int64)
         for lo, counts in self.count_block(block):
-            out[lo:lo + len(counts)] = counts
-        return out
-
-    def positives(self, labels: np.ndarray) -> np.ndarray:
-        """Positives inside each candidate under a 0/1 labeling of the points."""
-        out = np.empty(len(self.order), dtype=np.int64)
-        out[self.order] = self.count_by_size(labels)
+            out[self.order[lo:lo + len(counts)]] = counts
         return out
 
     def region(self, i: int) -> Region:

@@ -338,7 +338,7 @@ def distribution_from_json(doc: dict):
 def oracle_member_matrix(ix, family):
     """CountPlan's member matrix built from (row, column, value) triples.
 
-    A reference build, not an oracle: the rectangles' boundary members and
+    A reference build, not an oracle: the rectangles' edge members and
     interior runs come from fairscan.scanner._rectangle_terms, a covering
     partitioning's cells from searchsorted, and scipy's conversion from
     triples sorts every row. Rows run in ascending size (stable), and the
@@ -371,8 +371,8 @@ def oracle_member_matrix(ix, family):
         rows.append(first + ay * (len(part.xbounds) - 1) + ax)
         cols.append(np.arange(ix.N))
     rect_rows = np.flatnonzero(rect)
-    members, offsets, run_rect, lo, hi = _rectangle_terms(ix,
-                                                          bounds[rect_rows])
+    _, members, offsets, run_rect, lo, hi = _rectangle_terms(
+        ix, bounds[rect_rows])
     run_rows = rect_rows[run_rect]
     rows += [np.repeat(rect_rows, np.diff(offsets)), run_rows, run_rows]
     cols += [members, ix.N + hi, ix.N + lo]

@@ -186,7 +186,7 @@ def test_criterion_8_invariant_suites(tmp_path):
 
     # Range counting vs brute force on 1,000 random queries.
     d = random_dataset(rng, 500, duplicates=True)
-    ix = build_index(d, (13, 7))
+    ix = build_index(d, 13)
     snap = (d.lons, d.lats)
     from conftest import random_region
     for _ in range(1000):

@@ -375,7 +375,7 @@ class TestAuditConfigFile:
 
 
     @pytest.mark.parametrize("values", [
-        {"grid": 5}, {"resolution": 7, "grid": "4x4"},
+        {"grid": 5}, {"resolution": "7x7", "grid": "4x4"},
         {"splits": 5, "random_partitionings": 10},
         {"squares": True, "sides": 3}, {"mode": "bogus", "grid": "4x4"},
         {"direction": "up", "grid": "4x4"}, {"mode": ["x"], "grid": "4x4"},

@@ -526,8 +526,7 @@ def _audits(draw):
             specs.append((kind, draw(_file_rectangles())))
     return dict(
         xs=xs, ys=ys, outcomes=outcomes, specs=specs,
-        resolution=(draw(st.sampled_from([8, 5, 3, 1])),
-                    draw(st.sampled_from([8, 5, 3, 1]))),
+        resolution=draw(st.sampled_from([8, 5, 3, 1])),
         rho=draw(st.sampled_from([0.1, 0.3, 0.5, 0.8])),
         worlds=draw(st.integers(1, 40)),
         seed=draw(st.integers(0, 2 ** 32 - 1)),
@@ -551,7 +550,7 @@ def _family(spec, bbox):
 
 
 _rng = np.random.default_rng(61)
-# Every family kind at once on a fine index grid: many interior runs, scored
+# Every family kind at once on many index columns: many interior runs, scored
 # in blocks of 3 on two workers with a short last block.
 _RUNS_CASE = dict(
     xs=[0.0, 1.0] + _rng.choice(_LATTICE, 58).tolist(),
@@ -561,7 +560,7 @@ _RUNS_CASE = dict(
            ("squares", [(0.5, 0.5), (0.25, 0.75)], [0.3, 0.5, 0.75]),
            ("file", [(-0.5, 0.125, 0.875, 1.5), (0.25, 0.25, 0.25, 0.75),
                      (1.125, 0.0, 3.0, 1.0), (0.125, 0.125, 0.875, 0.875)])],
-    resolution=(8, 8), rho=0.3, worlds=40, seed=7,
+    resolution=8, rho=0.3, worlds=40, seed=7,
     direction=Direction.TWO_SIDED, workers=2, block=3, band=7)
 
 

@@ -37,7 +37,7 @@ from oracles import (
 def data_and_index():
     rng = np.random.default_rng(20)
     d = random_dataset(rng, 400, duplicates=True)
-    return d, build_index(d, (12, 9))
+    return d, build_index(d, 12)
 
 
 def random_labelings(n, count=4, seed=0):
@@ -49,7 +49,7 @@ def random_labelings(n, count=4, seed=0):
 
 
 class TestPlannedScanner:
-    """The rectangle path: interior column runs plus boundary-cell members."""
+    """The rectangle path: interior column runs plus edge-column members."""
 
     def test_counts_match_range_count(self, data_and_index):
         d, ix = data_and_index
@@ -89,7 +89,7 @@ class TestPlannedScanner:
 
     def test_large_rectangles_span_build_batches(self, monkeypatch,
                                                  data_and_index):
-        # A tiny batch forces the boundary-member build through many
+        # A tiny batch forces the edge-member build through many
         # batches, including rectangles larger than one batch.
         import fairscan.scanner as scanner
         d, ix = data_and_index
@@ -145,7 +145,7 @@ class TestPartitionScanner:
     def test_point_exactly_on_inner_bound(self):
         # Points sitting on the midline must land in the upper cell.
         d = make_dataset([0.0, 0.5, 1.0], [0.0, 0.0, 0.0], [1, 1, 0])
-        ix = build_index(d, (4, 1))
+        ix = build_index(d, 4)
         part = regular_grid(d.bbox, 2, 1)
         sc = CountPlan(ix, [part])
         assert sc.n.tolist() == [1, 2]
@@ -187,11 +187,11 @@ class TestComposite:
                     r, d.lons, d.lats, labels, d.bbox)
 
     def test_counts_past_narrow_integer_range(self):
-        # 70,000 points on a 1x1 index grid: the covering cell's row and the
-        # rectangle's boundary-member row each sum more than 32,767 labels.
+        # 70,000 points in one index column: the covering cell's row and the
+        # rectangle's edge-member row each sum more than 32,767 labels.
         rng = np.random.default_rng(23)
         d = random_dataset(rng, 70_000)
-        ix = build_index(d, (1, 1))
+        ix = build_index(d, 1)
         labels = (rng.random(d.N) < 0.9).astype(np.int8)
         cell = regular_grid(d.bbox, 1, 1)
         rect = Region(0.1, 0.0, 0.9, 1.0)
@@ -242,18 +242,22 @@ class TestSizeOrder:
                                             d.bbox)
                 assert (plan.n[i], p[i]) == want
 
-    def test_count_by_size_is_positives_in_order(self, mixed):
+    def test_positives_are_count_block_in_family_order(self, mixed):
         d, plan, _ = mixed
         for labels in random_labelings(d.N, seed=6):
-            assert np.array_equal(plan.count_by_size(labels),
-                                  plan.positives(labels)[plan.order])
+            block = np.zeros(plan.width, dtype=plan.dtype)
+            block[:d.N] = labels
+            by_size = np.zeros(len(plan.n), dtype=np.int64)
+            for lo, counts in plan.count_block(block):
+                by_size[lo:lo + len(counts)] = counts
+            assert np.array_equal(by_size, plan.positives(labels)[plan.order])
 
-    def test_count_by_size_checks_labels(self, mixed):
+    def test_positives_check_labels(self, mixed):
         d, plan, _ = mixed
         with pytest.raises(ValueError, match="shape"):
-            plan.count_by_size(np.zeros(d.N + 1, dtype=np.int8))
+            plan.positives(np.zeros(d.N + 1, dtype=np.int8))
         with pytest.raises(ValueError, match="binary"):
-            plan.count_by_size(np.full(d.N, 2, dtype=np.int8))
+            plan.positives(np.full(d.N, 2, dtype=np.int8))
 
 
 class TestAsScanner:
@@ -312,11 +316,43 @@ class TestAsScanner:
                 r, d.lons, d.lats, d.outcomes, d.bbox)
 
 
+class TestRankSearch:
+    """A rectangle's run in a column is found by y rank: ties on its y
+    bounds, infinite bounds and the box's closed max edge."""
+
+    @pytest.mark.parametrize("columns", [1, 2, None])
+    def test_ties_on_y_bounds(self, columns):
+        rng = np.random.default_rng(33)
+        n = 600
+        levels = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        xs = np.concatenate(([0.0, 1.0], rng.random(n - 2)))
+        ys = np.where(rng.random(n) < 0.7, rng.choice(levels, n),
+                      rng.random(n))
+        d = make_dataset(xs, ys, rng.integers(0, 2, n))
+        ix = build_index(d, columns)
+        inf = np.inf
+        regions = [Region(x0, y0, x1, y1)
+                   for x0, x1 in ((0.0, 1.0), (0.1, 0.9), (0.3, 0.7),
+                                  (-inf, 0.6), (0.45, inf))
+                   for y0, y1 in ((0.25, 0.75), (0.25, 1.0), (0.5, 1.0),
+                                  (0.0, 0.25), (-inf, 0.5), (0.75, inf),
+                                  (-inf, inf), (0.5, 0.5), (1.0, 1.0))]
+        plan = CountPlan(ix, rectangles(regions))
+        p = plan.positives(d.outcomes)
+        for i, region in enumerate(regions):
+            want = oracle_region_counts(region, d.lons, d.lats, d.outcomes,
+                                        d.bbox)
+            assert (plan.n[i], p[i]) == want, region
+        # The zero-height row on the max edge holds every point on it.
+        assert plan.n[regions.index(Region(0.0, 1.0, 1.0, 1.0))] == (
+            ys == 1.0).sum() > 10
+
+
 class TestPlanMemory:
     def test_squares_plan_grows_linearly(self):
         # 2,000 squares as in the planted benchmark. Entries: each point of
-        # a boundary cell inside a square, plus at most two per interior
-        # index column of a square.
+        # a square's first and last index column inside it, plus at most
+        # two per interior index column of a square.
         squares = square_scan_set(np.random.default_rng(1).random((100, 2)),
                                   np.linspace(0.02, 0.4, 20))
         peaks = []
@@ -329,8 +365,8 @@ class TestPlanMemory:
             finally:
                 tracemalloc.stop()
             assert plan.nnz <= plan.n.sum() + 2 * len(squares) * ix.gx
-            # The build's int32 CSR arrays, its int64 boundary members and
-            # runs, and the per-point index arrays take under 48 bytes per
+            # The build's int32 CSR arrays, its int64 edge members and runs,
+            # and the per-point order and sort keys take under 48 bytes per
             # point and per entry.
             assert peak < 48 * (n + plan.nnz)
             peaks.append(peak)
@@ -423,8 +459,7 @@ def _plans(draw):
         sides=draw(st.lists(st.sampled_from([0.125, 0.3, 0.5, 2.0]),
                             min_size=1, max_size=3)),
         rows=rows,
-        resolution=(draw(st.sampled_from([1, 3, 8])),
-                    draw(st.sampled_from([1, 3, 8]))),
+        resolution=draw(st.sampled_from([1, 3, 8])),
         batch=draw(st.sampled_from([1, 2, 7, _EDGE_BATCH])),
     )
 
@@ -439,10 +474,10 @@ class TestInPlaceBuild:
     def test_across_batch_seams(self):
         # 150,000 points: each of the four covering partitionings takes
         # three batches of points, and on a coarse index the rectangles'
-        # boundary members take more than two batches of entries.
+        # edge members take more than two batches of entries.
         d = random_dataset(np.random.default_rng(26), 150_000,
                            duplicates=True)
-        ix = build_index(d, (20, 20))
+        ix = build_index(d, 20)
         plan = assert_matches_reference(ix, mixed_family(d.bbox))
         assert ix.N > 2 * _EDGE_BATCH
         assert plan.nnz - 4 * ix.N > 2 * _EDGE_BATCH
@@ -512,8 +547,14 @@ class TestBandKernel:
         assert (longest > cap).all()
 
 
+def per_point_arrays(ix):
+    return {name for name, value in vars(ix).items()
+            if isinstance(value, np.ndarray) and len(value) == ix.N}
+
+
 class TestLazyBucketing:
-    """Only rectangle rows read the index's cell order."""
+    """Only rectangle rows order the points by column, and the plan, not
+    the index, keeps that order."""
 
     @pytest.mark.parametrize("kind", ["grid", "random"])
     def test_partitioning_audit_does_not_bucket(self, kind):
@@ -524,20 +565,21 @@ class TestLazyBucketing:
         plan = as_scanner(ix, family)
         scan_regions(ix, plan)
         simulate_worlds(ix, plan, d.rho, 20, seed=0)
-        assert not {"cell_id", "order", "start"} & set(vars(ix))
+        assert plan._point_order is None and plan.width == d.N
+        assert per_point_arrays(ix) == {"xs", "ys", "labels"}
 
     def test_rectangles_bucket(self, data_and_index):
         d, _ = data_and_index
-        ix = build_index(d, (12, 9))
-        as_scanner(ix, rectangles([Region(0.1, 0.1, 0.8, 0.9)]))
-        assert {"order", "start"} == {"cell_id", "order", "start"} & set(
-            vars(ix))
+        ix = build_index(d, 12)
+        plan = as_scanner(ix, rectangles([Region(0.1, 0.1, 0.8, 0.9)]))
+        assert len(plan._point_order) == d.N
+        assert per_point_arrays(ix) == {"xs", "ys", "labels"}
 
 
 class TestLargeN:
     def test_sampled_candidates_on_a_million_points(self):
-        # A lattice share of the points sits on grid bounds, index cell
-        # edges and the box's max edges; squares straddle index cells, and
+        # A lattice share of the points sits on grid bounds, index column
+        # edges and the box's max edges; squares straddle index columns, and
         # some reach or overhang the max edges.
         rng = np.random.default_rng(29)
         n = 1_000_000
@@ -548,7 +590,7 @@ class TestLargeN:
         xs[:2] = ys[:2] = (0.0, 1.0)
         labels = (rng.random(n) < 0.3).astype(np.int8)
         bbox = Region(0.0, 0.0, 1.0, 1.0)
-        ix = SpatialIndex(xs, ys, labels, bbox, 1000, 1000)
+        ix = SpatialIndex(xs, ys, labels, bbox, 1000)
         centers = np.vstack((rng.random((40, 2)),
                              [[1.0, 1.0], [0.75, 0.75], [0.99, 0.4]]))
         family = [regular_grid(bbox, 100, 50),
