@@ -27,7 +27,13 @@ class RegionCounts:
 
 class SpatialIndex:
     """Fixed locations in gx columns over the bounding box, with the
-    observed labeling."""
+    observed labeling.
+
+    The columns are the index's only cells: it has gy = 1 row, so
+    gx * gy is its cell count.
+    """
+
+    gy = 1
 
     def __init__(self, lons: np.ndarray, lats: np.ndarray, labels: np.ndarray,
                  bbox: Region, gx: int):

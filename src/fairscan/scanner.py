@@ -116,7 +116,8 @@ def _rectangle_terms(ix: SpatialIndex, bounds: np.ndarray):
 
     ``order`` sorts the points by the key column * N + rank of y, so inside
     one column a rectangle's points are one run of it: those with
-    ymin <= y < ymax, or y >= ymin when ymax reaches the box's max edge.
+    ymin <= y < ymax, or ymin <= y <= ymax when ymax reaches the box's max
+    edge.
     Returns ``order`` (None without rectangles), the CSR list (members,
     offsets) of each rectangle's members, ascending, among the points of
     the runs of its first and last column, and the runs (rect, lo, hi) of
@@ -141,8 +142,9 @@ def _rectangle_terms(ix: SpatialIndex, bounds: np.ndarray):
     cx1 = ix.columns(np.minimum(xmax, b.xmax))
     ncols = np.where((xmax >= b.xmin) & (xmin <= b.xmax), cx1 - cx0 + 1, 0)
     y0 = np.searchsorted(ix.ys, ymin, sorter=by_y)
-    y1 = np.where(ymax >= b.ymax, ix.N,
-                  np.searchsorted(ix.ys, ymax, sorter=by_y))
+    y1 = np.searchsorted(ix.ys, ymax, sorter=by_y)
+    top = ymax >= b.ymax
+    y1[top] = np.searchsorted(ix.ys, ymax[top], side="right", sorter=by_y)
     del by_y
     rect = np.repeat(np.arange(m), ncols)
     col = _ranges(cx0, cx0 + ncols)

@@ -347,6 +347,28 @@ class TestRankSearch:
         assert plan.n[regions.index(Region(0.0, 1.0, 1.0, 1.0))] == (
             ys == 1.0).sum() > 10
 
+    @pytest.mark.parametrize("gx", [3, 16])
+    def test_points_above_the_box(self, gx):
+        # An index over a box that stops short of the data's top: a
+        # rectangle reaching the box's max edge holds the points up to its
+        # own ymax in its interior columns too, not every point above ymin.
+        rng = np.random.default_rng(34)
+        n = 400
+        xs = rng.random(n)
+        ys = rng.choice(np.array([0.0, 0.5, 0.8, 0.9, 1.0]), n)
+        labels = rng.integers(0, 2, n)
+        box = Region(0.0, 0.0, 1.0, 0.8)
+        ix = SpatialIndex(xs, ys, labels, box, gx)
+        regions = [Region(x0, y0, x1, y1)
+                   for x0, x1 in ((0.0, 1.0), (0.2, 0.7))
+                   for y0, y1 in ((0.5, 0.8), (0.5, 0.9), (0.0, 1.0),
+                                  (0.8, 0.8), (0.9, np.inf))]
+        plan = CountPlan(ix, rectangles(regions))
+        p = plan.positives(labels)
+        for i, region in enumerate(regions):
+            want = oracle_region_counts(region, xs, ys, labels, box)
+            assert (plan.n[i], p[i]) == want, region
+
 
 class TestPlanMemory:
     def test_squares_plan_grows_linearly(self):
