@@ -134,8 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="simulated fair worlds; the real world is added on "
                          "top (default 999)")
     pa.add_argument("--seed", type=int, help="master PRNG seed (default 0)")
-    pa.add_argument("--resolution", type=int, metavar="GX",
-                    help="index columns (default: sqrt(N), at most 1024)")
     pa.add_argument("--top-k", type=int, metavar="K",
                     help="keep only the K strongest evidence regions")
     pa.add_argument("--out", metavar="DIR",
@@ -219,7 +217,7 @@ def _audit_config(args: argparse.Namespace) -> AuditConfig:
         "grid": None, "random_partitionings": None, "splits": None,
         "squares": False, "centers": 100, "sides": None,
         "regions_file": None, "alpha": 0.005, "worlds": 999, "seed": 0,
-        "resolution": None, "top_k": None,
+        "top_k": None,
     }
     merged = dict(defaults)
     config = getattr(args, "config", None)
@@ -280,7 +278,6 @@ def _audit_config(args: argparse.Namespace) -> AuditConfig:
         alpha=float(merged["alpha"]),
         num_worlds=_integer("worlds", merged["worlds"]) + 1,
         seed=_integer("seed", merged["seed"]),
-        resolution=_integer("resolution", merged["resolution"]),
         top_k=_integer("top_k", merged["top_k"]),
     )
 
@@ -367,7 +364,7 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
         # both would tie each label to its own coordinate draw.
         loc_seed, label_seed = _derive_seeds(args.seed)
         if args.locations is not None:
-            pts = np.column_stack(read_columns(args.locations)[1:3])
+            pts = np.column_stack(read_columns(args.locations)[0:2])
             if args.n is not None:
                 if args.n > len(pts):
                     raise ValueError(

@@ -1,9 +1,10 @@
 """Dataset ingestion and outcome-measure filtering.
 
-A dataset is one array per column, one entry per observation: ``ids``,
-planar locations ``lons``/``lats`` (decimal degrees treated as plain x/y),
-the audited binary ``outcomes`` and the ground-truth ``labels`` that the
-label-conditioned measures need (-1 where missing).
+A dataset is one array per column, one entry per observation: planar
+locations ``lons``/``lats`` (decimal degrees treated as plain x/y), the
+audited binary ``outcomes`` and the ground-truth ``labels`` that the
+label-conditioned measures need (-1 where missing). The CSV's id field is
+checked but not kept: an audit never reads it.
 
 ``read_columns`` parses the CSV with numpy's C reader, chunk by chunk, and
 falls back to the stdlib csv reader and per-row checks for any chunk that
@@ -22,8 +23,6 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from .geometry import Region, bounding_box
-
-_ID = np.dtypes.StringDType()  # variable-width strings, no object per row
 
 
 class DatasetError(ValueError):
@@ -48,7 +47,6 @@ class MeasureMode(str, Enum):
 class Dataset:
     """Immutable audited dataset: one column per field, one entry per row."""
 
-    ids: np.ndarray
     lons: np.ndarray
     lats: np.ndarray
     outcomes: np.ndarray
@@ -59,21 +57,20 @@ class Dataset:
     bbox: Region
 
     @classmethod
-    def from_arrays(cls, ids, lons, lats, outcomes, labels=None) -> "Dataset":
+    def from_arrays(cls, lons, lats, outcomes, labels=None) -> "Dataset":
         """Validate and copy the columns; ``labels=None`` means all missing."""
-        ids = np.array(ids, dtype=_ID)
-        labels = np.full(ids.shape, -1) if labels is None else np.array(labels)
-        return cls._from_columns(ids, np.array(lons, np.float64),
-                                 np.array(lats, np.float64),
+        lons = np.array(lons, np.float64)
+        labels = np.full(lons.shape, -1) if labels is None else np.array(labels)
+        return cls._from_columns(lons, np.array(lats, np.float64),
                                  np.array(outcomes), labels)
 
     @classmethod
-    def _from_columns(cls, ids, lons, lats, outcomes, labels) -> "Dataset":
+    def _from_columns(cls, lons, lats, outcomes, labels) -> "Dataset":
         """Validate arrays the Dataset may own without copying them."""
-        if ids.ndim != 1 or any(c.shape != ids.shape
-                                for c in (lons, lats, outcomes, labels)):
+        if lons.ndim != 1 or any(c.shape != lons.shape
+                                 for c in (lats, outcomes, labels)):
             raise DatasetError("dataset columns must be 1-D and of equal length")
-        if not len(ids):
+        if not len(lons):
             raise DatasetError("dataset is empty")
         if not (np.isfinite(lons).all() and np.isfinite(lats).all()):
             raise DatasetError("non-finite coordinate in dataset")
@@ -89,9 +86,8 @@ class Dataset:
             )
         outcomes = outcomes.astype(np.int8, copy=False)
         labels = labels.astype(np.int8, copy=False)
-        n, p = len(ids), int(outcomes.sum())
-        return cls(ids, lons, lats, outcomes, labels, N=n, P=p, rho=p / n,
-                   bbox=bbox)
+        n, p = len(lons), int(outcomes.sum())
+        return cls(lons, lats, outcomes, labels, N=n, P=p, rho=p / n, bbox=bbox)
 
     @property
     def points(self) -> np.ndarray:
@@ -99,7 +95,7 @@ class Dataset:
         return np.column_stack((self.lons, self.lats))
 
 
-def apply_measure_mode(ids, labels, mode: MeasureMode) -> np.ndarray:
+def apply_measure_mode(labels, mode: MeasureMode) -> np.ndarray:
     """Boolean mask of the rows the measure mode audits.
 
     statistical_parity keeps every row. The label-conditioned modes raise
@@ -112,7 +108,7 @@ def apply_measure_mode(ids, labels, mode: MeasureMode) -> np.ndarray:
     elif (missing := np.flatnonzero(labels < 0)).size:
         raise DatasetError(
             f"measure mode {mode.value} needs a label on every row, "
-            f"but row {missing[0]} (id={ids[missing[0]]!r}) has none"
+            f"but row {missing[0]} has none"
         )
     else:
         keep = labels == (1 if mode is MeasureMode.EQUAL_OPPORTUNITY else 0)
@@ -174,7 +170,7 @@ def _load_chunk(lines: list[str], width: int):
             and ((outcomes == 0) | (outcomes == 1)).all()
             and (labels <= 1).all()):
         return None
-    return table["id"].astype(_ID), lons, lats, outcomes, labels
+    return lons, lats, outcomes, labels
 
 
 def _checked_chunk(lines: list[str], fh, lineno: int, width: int):
@@ -202,8 +198,7 @@ def _columns(rows: list[list[str]], width: int):
     fields = list(zip(*rows)) if rows else [()] * width
     labels = (_codes(fields[4]) if width == 5
               else np.full(len(rows), -1, np.int8))
-    return (np.array(fields[0], dtype=_ID),
-            np.fromiter(map(float, fields[1]), np.float64, len(rows)),
+    return (np.fromiter(map(float, fields[1]), np.float64, len(rows)),
             np.fromiter(map(float, fields[2]), np.float64, len(rows)),
             _codes(fields[3]), labels)
 
@@ -283,23 +278,23 @@ def _not_utf8(path: str) -> str | None:
 
 
 def read_columns(path: str) -> list[np.ndarray]:
-    """Parse a CSV into its ids, lons, lats, outcomes and labels columns.
+    """Parse a CSV into its lons, lats, outcomes and labels columns.
 
     Expected header: ``id,lon,lat,outcome`` with an optional trailing
     ``label`` column. Errors name the physical line on which the offending
     record starts (header is line 1, blank lines are skipped but counted).
 
     The lines are read in chunks of _CHUNK_ROWS, each parsed by numpy's C
-    reader (``np.loadtxt``; text fields are read as objects, because
-    loading them straight into ``StringDType`` makes numpy 2.4 report
-    failed deallocations). A chunk takes the checked path instead when
-    numpy refuses it (a wrong field count, or a number only ``float()``
-    reads, such as ``1_0``), when a value fails the row checks, when a
-    quoted field holds a line break, or when a line is longer than
-    ``csv.field_size_limit()``. The checked path rereads the chunk with
-    the stdlib csv reader and raises the first bad row's message, or
-    accepts the rows and converts them with ``float()``. Both paths give
-    the same columns and errors, whatever the chunk size.
+    reader (``np.loadtxt``; text fields are read as objects). Every field
+    is read, so a row with a field too many or too few is refused, but
+    the id field is dropped with its chunk. A chunk takes the checked
+    path instead when numpy refuses it (a wrong field count, or a number
+    only ``float()`` reads, such as ``1_0``), when a value fails the row
+    checks, when a quoted field holds a line break, or when a line is
+    longer than ``csv.field_size_limit()``. The checked path rereads the
+    chunk with the stdlib csv reader and raises the first bad row's
+    message, or accepts the rows and converts them with ``float()``. Both
+    paths give the same columns and errors, whatever the chunk size.
 
     A byte that is not UTF-8 is reported with the line that holds it. The
     lines are decoded as they are read, a chunk (and up to 8 kB more)
@@ -324,20 +319,21 @@ def load_dataset(
     the measure-mode filter, not the raw file.
     """
     columns = read_columns(path)
-    keep = apply_measure_mode(columns[0], columns[4], mode)
+    keep = apply_measure_mode(columns[3], mode)
     if not keep.all():
         columns = [c[keep] for c in columns]
     return Dataset._from_columns(*columns)
 
 
 def write_csv(d: Dataset, path: str) -> None:
-    """Emit a dataset in the standard CSV schema (label column only if present)."""
+    """Emit a dataset in the standard CSV schema (label column only if
+    present), with the ids s0, s1, ... in row order."""
     has_label = bool((d.labels >= 0).any())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_BASE_HEADER + (["label"] if has_label else []))
-        columns = [d.ids, map(repr, d.lons.tolist()), map(repr, d.lats.tolist()),
-                   d.outcomes.tolist()]
+        columns = [map("s{}".format, range(d.N)), map(repr, d.lons.tolist()),
+                   map(repr, d.lats.tolist()), d.outcomes.tolist()]
         if has_label:
             columns.append(["" if v < 0 else v for v in d.labels.tolist()])
         writer.writerows(zip(*columns))

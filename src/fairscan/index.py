@@ -38,7 +38,7 @@ class SpatialIndex:
     def __init__(self, lons: np.ndarray, lats: np.ndarray, labels: np.ndarray,
                  bbox: Region, gx: int):
         if bbox.xmax > bbox.xmin and (bbox.xmax - bbox.xmin) / gx == 0.0:
-            raise ValueError(f"grid resolution {gx} on the x axis underflows "
+            raise ValueError(f"column count {gx} on the x axis underflows "
                              "to zero cell extent")
         self.bbox = bbox
         self.gx = gx
@@ -62,16 +62,13 @@ def default_resolution(n: int) -> int:
     return min(MAX_RESOLUTION, int(np.ceil(np.sqrt(n))))
 
 
-def build_index(d: Dataset, resolution: int | None = None) -> SpatialIndex:
-    """Index a dataset's locations and outcomes.
+def build_index(d: Dataset, gx: int | None = None) -> SpatialIndex:
+    """Index a dataset's locations and outcomes in gx columns.
 
-    resolution is the column count gx, at most 1024**2; the default is
-    ceil(sqrt(N)), capped at 1024.
+    Counts do not depend on gx; the default is ceil(sqrt(N)), capped at
+    1024.
     """
-    gx = default_resolution(d.N) if resolution is None else resolution
+    gx = default_resolution(d.N) if gx is None else gx
     if gx < 1:
-        raise ValueError(f"grid resolution must be positive, got {gx}")
-    if gx > MAX_RESOLUTION ** 2:
-        raise ValueError(f"grid resolution {gx} exceeds "
-                         f"{MAX_RESOLUTION ** 2} columns")
+        raise ValueError(f"column count must be positive, got {gx}")
     return SpatialIndex(d.lons, d.lats, d.outcomes, d.bbox, gx)

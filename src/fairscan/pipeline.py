@@ -62,7 +62,6 @@ class AuditConfig:
     alpha: float = 0.005
     num_worlds: int = 1000
     seed: int = 0
-    resolution: int | None = None
     top_k: int | None = None
 
     def family_specs(self) -> list[dict]:
@@ -139,7 +138,6 @@ class AuditConfig:
             "alpha": self.alpha,
             "num_worlds": self.num_worlds,
             "seed": self.seed,
-            "resolution": self.resolution,
             "top_k": self.top_k,
         }
 
@@ -228,7 +226,7 @@ def run_audit(d: Dataset, cfg: AuditConfig) -> AuditReport:
     cfg.validate()
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    ix = build_index(d, cfg.resolution)
+    ix = build_index(d)
     timings["index_s"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -388,5 +386,5 @@ def check_meanvar(cfg: AuditConfig) -> None:
 def run_meanvar(d: Dataset, cfg: AuditConfig, top_k: int = 50
                 ) -> MeanVarReport:
     check_meanvar(cfg)
-    ix = build_index(d, cfg.resolution)
+    ix = build_index(d)
     return mean_var(ix, build_family(cfg, d.bbox, d), top_k=top_k)

@@ -10,10 +10,6 @@ from .geometry import Region, region_contains
 DEFAULT_RECT = Region(0.0, 0.0, 1.0, 1.0)
 
 
-def _ids(n: int) -> list[str]:
-    return [f"s{i}" for i in range(n)]
-
-
 def gen_uniform_split(n: int, rect: Region = DEFAULT_RECT, seed: int = 0
                       ) -> Dataset:
     """Uniform locations with a rate step across the vertical midline.
@@ -42,7 +38,7 @@ def gen_uniform_split(n: int, rect: Region = DEFAULT_RECT, seed: int = 0
     xs = np.concatenate((xs_left, xs_right))
     ys = np.concatenate((ys_left, ys_right))
     outcomes = np.concatenate((out_left, out_right))
-    return Dataset.from_arrays(_ids(n), xs, ys, outcomes)
+    return Dataset.from_arrays(xs, ys, outcomes)
 
 
 def gen_fair_bernoulli(locations, rho: float, seed: int = 0) -> Dataset:
@@ -58,7 +54,7 @@ def gen_fair_bernoulli(locations, rho: float, seed: int = 0) -> Dataset:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     rng = np.random.default_rng(seed)
     outcomes = (rng.random(len(pts)) < rho).astype(np.int8)
-    return Dataset.from_arrays(_ids(len(pts)), pts[:, 0], pts[:, 1], outcomes)
+    return Dataset.from_arrays(pts[:, 0], pts[:, 1], outcomes)
 
 
 def gen_planted(n: int, rect: Region, plant: Region, rho_bg: float,
@@ -83,4 +79,4 @@ def gen_planted(n: int, rect: Region, plant: Region, rho_bg: float,
     inside = region_contains(plant, xs, ys, rect)
     rates = np.where(inside, rho_in, rho_bg)
     outcomes = (rng.random(n) < rates).astype(np.int8)
-    return Dataset.from_arrays(_ids(n), xs, ys, outcomes)
+    return Dataset.from_arrays(xs, ys, outcomes)

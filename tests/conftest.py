@@ -8,8 +8,7 @@ from fairscan.geometry import Region
 
 
 def make_dataset(lons, lats, outcomes, labels=None) -> Dataset:
-    ids = [f"t{i}" for i in range(len(lons))]
-    return Dataset.from_arrays(ids, lons, lats, outcomes, labels)
+    return Dataset.from_arrays(lons, lats, outcomes, labels)
 
 
 def cell_regions(part) -> list[Region]:

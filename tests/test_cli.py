@@ -211,6 +211,30 @@ class TestAudit:
             main(["audit", "--data", unfair_csv, "--bogus"])
         assert exc.value.code == 2
 
+    def test_resolution_flag_is_unknown(self, capsys, unfair_csv):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--data", unfair_csv, "--grid", "4x4",
+                  "--resolution", "8"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: fairscan ")
+        assert captured.err.endswith(
+            "fairscan: error: unrecognized arguments: --resolution 8\n")
+        assert "Traceback" not in captured.err
+
+    def test_missing_label_in_opportunity_mode(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("id,lon,lat,outcome,label\n"
+                        "a,0,0,1,1\nb,1,0,0,0\nc,0,1,1,\nd,1,1,0,1\n")
+        code, _, err = run(capsys, "audit", "--data", str(path), "--mode",
+                           "opportunity", "--grid", "2x2", "--worlds", "99",
+                           "--alpha", "0.05")
+        assert code == 1
+        assert err == ("error: measure mode equal_opportunity needs a label "
+                       "on every row, but row 2 has none\n")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("chunk", [1, 3, 4, 64])
     def test_valid_load_is_silent(self, capsys, monkeypatch, tmp_path, chunk):
         # \r\n line ends, runs of blank lines that fill whole chunks and 48
@@ -375,8 +399,7 @@ class TestAuditConfigFile:
 
 
     @pytest.mark.parametrize("values", [
-        {"grid": 5}, {"resolution": "7x7", "grid": "4x4"},
-        {"splits": 5, "random_partitionings": 10},
+        {"grid": 5}, {"splits": 5, "random_partitionings": 10},
         {"squares": True, "sides": 3}, {"mode": "bogus", "grid": "4x4"},
         {"direction": "up", "grid": "4x4"}, {"mode": ["x"], "grid": "4x4"},
         {"top_k": "5", "grid": "4x4"}, {"random_partitionings": "3"},
@@ -392,6 +415,17 @@ class TestAuditConfigFile:
         assert not lines
         assert err.startswith("error: config ")
         assert "Traceback" not in err
+
+    def test_resolution_key_is_unknown(self, capsys, unfair_csv, tmp_path):
+        # The index's column count is not an option: counts never depend
+        # on it.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"data": unfair_csv, "grid": "4x4", "worlds": 99, "alpha": 0.05,
+             "resolution": 8}))
+        code, lines, err = run(capsys, "audit", "--config", str(cfg_path))
+        assert (code, lines) == (1, [])
+        assert err == "error: unknown keys in config file: resolution\n"
 
     def test_config_must_be_object(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -735,6 +769,6 @@ class TestHelp:
         for flag in ("--config", "--data", "--mode", "--direction",
                      "--grid", "--random-partitionings", "--splits",
                      "--squares", "--centers", "--sides", "--regions-file",
-                     "--alpha", "--worlds", "--seed", "--resolution",
-                     "--top-k", "--out", "--fail-on-unfair"):
+                     "--alpha", "--worlds", "--seed", "--top-k", "--out",
+                     "--fail-on-unfair"):
             assert flag in text

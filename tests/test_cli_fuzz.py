@@ -117,8 +117,7 @@ _VALUED = {
                                      "lower-inside"], ["x"])),
               *_FAMILY, ("--alpha", _FLOAT),
               ("--worlds", _text(["1", "9", "49"], ["0", "-1", "x"])),
-              ("--seed", _SEED), ("--resolution", _INT),
-              ("--top-k", _INT), ("--out", _PATHS)],
+              ("--seed", _SEED), ("--top-k", _INT), ("--out", _PATHS)],
     "meanvar": [("--data", _PATHS),
                 ("--mode", _text(["parity", "opportunity"], ["x"])),
                 ("--grid", _GRID), ("--random-partitionings", _INT),

@@ -29,8 +29,8 @@ class TestReadRows:
     def test_basic_file(self, tmp_path):
         p = write_text(tmp_path / "d.csv",
                        "id,lon,lat,outcome\na,0.5,1.5,1\nb,-2.0,3.0,0\n")
-        ids, lons, lats, outcomes, labels = read_columns(p)
-        assert ids.tolist() == ["a", "b"]
+        lons, lats, outcomes, labels = read_columns(p)
+        assert lons.tolist() == [0.5, -2.0]
         assert lons[0] == 0.5 and lats[0] == 1.5
         assert outcomes[0] == 1 and outcomes[1] == 0
         assert labels[0] == -1
@@ -38,7 +38,7 @@ class TestReadRows:
     def test_label_column(self, tmp_path):
         p = write_text(tmp_path / "d.csv",
                        "id,lon,lat,outcome,label\na,0,0,1,1\nb,1,1,0,\n")
-        labels = read_columns(p)[4]
+        labels = read_columns(p)[3]
         assert labels[0] == 1
         assert labels[1] == -1
 
@@ -136,8 +136,8 @@ class TestReadRows:
         p.write_bytes(text.encode("utf-8"))
         with mock.patch.object(dataset_module, "_CHUNK_ROWS", chunk):
             got = [c.tolist() for c in read_columns(str(p))]
-        assert got == list(oracle_read_csv(str(p)))
-        assert got[0] == ["a", "b\n\nc", 'x"y', 'p"qr']
+        assert got == list(oracle_read_csv(str(p)))[1:]  # all but the ids
+        assert got[0] == [0.5, 1.5, 1.0, 3.0]
 
     def test_bad_row_before_an_oversized_field_wins(self, tmp_path):
         p = write_text(tmp_path / "d.csv", "id,lon,lat,outcome\na,0,0,7\n"
@@ -251,7 +251,6 @@ class TestParserMatchesReference:
                         load_dataset(path)
                 else:
                     d = load_dataset(path)
-                    assert d.ids.tolist() == want[0]
                     assert d.lons.tolist() == want[1]
                     assert d.lats.tolist() == want[2]
                     assert d.outcomes.tolist() == want[3]
@@ -279,7 +278,7 @@ class TestLoadMemory:
                 enumerate(rng.random((n, 2)).tolist())))
             with mock.patch.object(dataset_module, "_CHUNK_ROWS", chunk):
                 peak, d = self.traced_peak(str(path))
-            columns = (d.ids, d.lons, d.lats, d.outcomes, d.labels)
+            columns = (d.lons, d.lats, d.outcomes, d.labels)
             # A line, its id object and its table row take well under 512
             # bytes here, so the chunk's transient share is below this.
             assert peak < 2 * sum(c.nbytes for c in columns) + 512 * chunk
@@ -288,44 +287,42 @@ class TestLoadMemory:
 
 
 class TestMeasureMode:
-    def columns(self):
-        ids = np.array([str(i) for i in range(10)], dtype=object)
-        labels = np.array([1 if i < 6 else 0 for i in range(10)], np.int8)
-        return ids, labels
+    @staticmethod
+    def labels():
+        return np.array([1 if i < 6 else 0 for i in range(10)], np.int8)
 
     def test_parity_is_identity(self):
-        ids, labels = self.columns()
-        assert apply_measure_mode(ids, labels,
+        assert apply_measure_mode(self.labels(),
                                   MeasureMode.STATISTICAL_PARITY).all()
 
     def test_equal_opportunity_keeps_label_1(self):
-        ids, labels = self.columns()
-        kept = apply_measure_mode(ids, labels, MeasureMode.EQUAL_OPPORTUNITY)
+        labels = self.labels()
+        kept = apply_measure_mode(labels, MeasureMode.EQUAL_OPPORTUNITY)
         assert kept.sum() == 6
         assert (labels[kept] == 1).all()
-        assert ids[kept].tolist() == [str(i) for i in range(6)]
+        assert np.flatnonzero(kept).tolist() == list(range(6))
 
     def test_predictive_equality_keeps_label_0(self):
-        ids, labels = self.columns()
-        kept = apply_measure_mode(ids, labels, MeasureMode.PREDICTIVE_EQUALITY)
+        labels = self.labels()
+        kept = apply_measure_mode(labels, MeasureMode.PREDICTIVE_EQUALITY)
         assert kept.sum() == 4
         assert (labels[kept] == 0).all()
 
     def test_missing_label_rejected(self):
-        ids, labels = self.columns()
+        labels = self.labels()
         labels[3] = -1
-        with pytest.raises(DatasetError, match=r"row 3 \(id='3'\)"):
-            apply_measure_mode(ids, labels, MeasureMode.EQUAL_OPPORTUNITY)
+        with pytest.raises(DatasetError) as err:
+            apply_measure_mode(labels, MeasureMode.EQUAL_OPPORTUNITY)
+        assert str(err.value) == ("measure mode equal_opportunity needs a "
+                                  "label on every row, but row 3 has none")
 
     def test_mode_accepts_string_value(self):
-        ids, labels = self.columns()
-        assert apply_measure_mode(ids, labels, "statistical_parity").all()
+        assert apply_measure_mode(self.labels(), "statistical_parity").all()
 
     def test_no_rows_remain(self):
-        ids, labels = self.columns()
         with pytest.raises(DatasetError, match="no rows remain after applying "
                            "measure mode predictive_equality"):
-            apply_measure_mode(ids, np.ones(10, np.int8),
+            apply_measure_mode(np.ones(10, np.int8),
                                MeasureMode.PREDICTIVE_EQUALITY)
 
 
@@ -357,8 +354,7 @@ class TestLoadDataset:
 class TestDatasetInvariants:
     def test_validation_takes_few_bytes_per_row(self):
         n = 100_000
-        columns = (np.array(["r"] * n, dtype=np.dtypes.StringDType()),
-                   np.zeros(n), np.zeros(n), np.ones(n, np.int8),
+        columns = (np.zeros(n), np.zeros(n), np.ones(n, np.int8),
                    np.full(n, -1, np.int8))
         tracemalloc.start()
         try:
@@ -374,7 +370,7 @@ class TestDatasetInvariants:
     def test_values_outside_the_codes_rejected(self, column, value):
         values = {"outcomes": [1], "labels": [0], column: [value]}
         with pytest.raises(DatasetError, match="must be 0"):
-            Dataset.from_arrays(["a"], [0.0], [0.0], **values)
+            Dataset.from_arrays([0.0], [0.0], **values)
 
     def test_counts_and_rate(self):
         rng = np.random.default_rng(3)
@@ -400,7 +396,7 @@ class TestDatasetInvariants:
 
     def test_empty_rejected(self):
         with pytest.raises(DatasetError):
-            Dataset.from_arrays([], [], [], [])
+            Dataset.from_arrays([], [], [])
 
     def test_overflowing_extent_rejected(self):
         with pytest.raises(DatasetError, match="extent is not finite"):
@@ -433,4 +429,11 @@ class TestWriteCsv:
         d = make_dataset([0.0, 1.0], [0.0, 1.0], [1, 0], labels=[1, 0])
         path = tmp_path / "out.csv"
         write_csv(d, str(path))
-        assert read_columns(str(path))[4].tolist() == [1, 0]
+        assert read_columns(str(path))[3].tolist() == [1, 0]
+
+    def test_golden_csv_round_trips_byte_for_byte(self, tmp_path):
+        # write_csv numbers the rows s0, s1, ... as gen-synth wrote them.
+        golden = Path(__file__).parent / "golden" / "outputs" / "data.csv"
+        path = tmp_path / "out.csv"
+        write_csv(load_dataset(str(golden)), str(path))
+        assert path.read_bytes() == golden.read_bytes()

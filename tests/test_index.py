@@ -66,14 +66,6 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_index(d, 0)
 
-    def test_too_many_cells_rejected(self):
-        # A rectangle's plan arrays follow its column span, so the column
-        # count is capped at 1024**2.
-        d = make_dataset([0.0, 1.0], [0.0, 1.0], [0, 1])
-        with pytest.raises(ValueError, match="exceeds 1048576 columns"):
-            build_index(d, 2**20 + 1)
-        assert column_order(build_index(d, 2**20)).tolist() == [0, 1]
-
     def test_underflow_resolution_rejected(self):
         # Column width rounds to zero: no point could be given a column.
         d = make_dataset([0.0, 1e-320], [0.0, 1.0], [0, 1])

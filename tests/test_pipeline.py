@@ -93,7 +93,7 @@ class TestAuditConfig:
         cfg = fast_cfg()
         doc = cfg.echo()
         assert set(doc) == {"data", "mode", "direction", "family", "alpha",
-                            "num_worlds", "seed", "resolution", "top_k"}
+                            "num_worlds", "seed", "top_k"}
         assert doc["mode"] == "statistical_parity"
         assert doc["direction"] == "two_sided"
         assert doc["family"]["kind"] == "random_partitionings"
