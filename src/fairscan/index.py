@@ -37,9 +37,6 @@ class SpatialIndex:
 
     def __init__(self, lons: np.ndarray, lats: np.ndarray, labels: np.ndarray,
                  bbox: Region, gx: int):
-        if bbox.xmax > bbox.xmin and (bbox.xmax - bbox.xmin) / gx == 0.0:
-            raise ValueError(f"column count {gx} on the x axis underflows "
-                             "to zero cell extent")
         self.bbox = bbox
         self.gx = gx
         self.xs = lons
@@ -49,12 +46,13 @@ class SpatialIndex:
         self.P = int(labels.sum())
 
     def columns(self, xs) -> np.ndarray:
-        """The column of each x, clipped to 0..gx - 1; monotone in x."""
+        """The column of each x, clipped to 0..gx - 1; monotone in x, and
+        finite for an extent of a few denormals (divided before scaled)."""
         xs = np.asarray(xs, dtype=np.float64)
         lo, hi = self.bbox.xmin, self.bbox.xmax
         if hi <= lo:
             return np.zeros(xs.shape, dtype=np.int64)
-        idx = np.floor((xs - lo) * (self.gx / (hi - lo))).astype(np.int64)
+        idx = np.floor((xs - lo) / (hi - lo) * self.gx).astype(np.int64)
         return np.clip(idx, 0, self.gx - 1)
 
 

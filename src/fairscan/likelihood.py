@@ -20,8 +20,8 @@ from enum import Enum
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
+from ._kernels import xlogy
 from .geometry import Region
 from .index import RegionCounts, SpatialIndex
 from .scanner import _EDGE_BATCH, as_scanner

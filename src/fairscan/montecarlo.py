@@ -62,8 +62,9 @@ _DRAW_CHUNK = 1 << 16
 # Worlds are counted in blocks of the largest power of two up to
 # _BLOCK_WORLDS whose (width, B) labels and running sums fit in _BLOCK_BYTES
 # (2 MiB): 32 on split10k, 16 on planted20k, 1 on clustered1m. On int16,
-# scipy's multi-vector kernel costs 2.5-4x less per world at 16-32 worlds
-# than one vector. _SCORE_WORLDS bounds llr_vector's temporaries.
+# scipy's multi-vector kernel (csr_matvecs, which fairscan._kernels loads
+# without scipy.sparse) costs 2.5-4x less per world at 16-32 worlds than
+# one vector. _SCORE_WORLDS bounds llr_vector's temporaries.
 _BLOCK_WORLDS = 32
 _BLOCK_BYTES = 1 << 21
 _SCORE_WORLDS = 8

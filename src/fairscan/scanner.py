@@ -27,14 +27,14 @@ sum and partial row sum lies in [-N, N], so below 2**15 points the values,
 labels and counts are int16, else int32. A block of labelings is counted by
 scipy's CSR kernels on the plan's own arrays, one band of rows at a time:
 whole size classes where they fit in _BAND_VALUES counts, without size 0.
+fairscan._kernels loads those kernels without importing scipy.sparse.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import _sparsetools
 
+from ._kernels import sparsetools
 from .geometry import Region, bounds_contain
 from .index import SpatialIndex
 from .regions import Partitioning, Rectangles
@@ -205,9 +205,11 @@ class CountPlan:
     interior runs. ``nnz`` is the member matrix's entry count: one per
     edge-column member and per point of each covering partitioning, and
     two per interior run, so at most two per interior index column of a
-    rectangle. ``dtype`` is the counts' type: int16 below 2**15 points,
-    else int32. Counts match a brute-force scan under the half-open
-    membership predicate with closed bounding-box max edges.
+    rectangle. ``indptr``, ``indices`` (int32) and ``data`` are its CSR
+    arrays, rows in the order ``order``. ``dtype`` is the counts' and the
+    values' type: int16 below 2**15 points, else int32. Counts match a
+    brute-force scan under the half-open membership predicate with closed
+    bounding-box max edges.
     """
 
     def __init__(self, ix: SpatialIndex, family):
@@ -280,8 +282,7 @@ class CountPlan:
             run_rect[at >> 1], ix.N + np.where(at & 1, run_hi[at >> 1],
                                                run_lo[at >> 1]),
             2 * (at & 1) - 1))
-        self._members = sparse.csr_array((data, indices, indptr),
-                                         shape=(n_rows, self.width))
+        self.indptr, self.indices, self.data = indptr, indices, data
         self._bands = {}
 
     def bands(self, worlds: int) -> list[tuple[int, int]]:
@@ -326,14 +327,13 @@ class CountPlan:
         bands = self.bands(worlds)
         buf = np.empty(max((hi - lo for lo, hi in bands), default=0) * worlds,
                        dtype=self.dtype)
-        m = self._members
-        kernel, vecs = ((_sparsetools.csr_matvec, ()) if worlds == 1
-                        else (_sparsetools.csr_matvecs, (worlds,)))
+        kernel, vecs = ((sparsetools.csr_matvec, ()) if worlds == 1
+                        else (sparsetools.csr_matvecs, (worlds,)))
         for lo, hi in bands:
             out = buf[:(hi - lo) * worlds]
             out.fill(0)  # the kernel adds to it
-            kernel(hi - lo, self.width, *vecs, m.indptr[lo:hi + 1], m.indices,
-                   m.data, labels, out)
+            kernel(hi - lo, self.width, *vecs, self.indptr[lo:hi + 1],
+                   self.indices, self.data, labels, out)
             yield lo, out.reshape((hi - lo,) + block.shape[1:])
 
     def positives(self, labels: np.ndarray) -> np.ndarray:

@@ -235,6 +235,27 @@ class TestAudit:
                        "on every row, but row 2 has none\n")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("family", [
+        ["--grid", "2x2"], ["--random-partitionings", "3"],
+        ["--squares", "--centers", "2"]])
+    def test_denormal_x_extent(self, capsys, tmp_path, family):
+        # An x extent of one denormal is a valid box: its columns neither
+        # vanish nor overflow, and no step of the audit warns.
+        path = tmp_path / "d.csv"
+        path.write_text("id,lon,lat,outcome\n"
+                        "a,0,0,1\nb,5e-324,0,0\nc,0,1,0\nd,5e-324,1,1\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, lines, err = run(capsys, "audit", "--data", str(path),
+                                   *family, "--worlds", "99", "--alpha",
+                                   "0.05", "--out", str(out))
+        assert (code, err) == (0, "")
+        assert VERDICT_RE.match(lines[1])
+        assert len([ln for ln in lines if ln.startswith("wrote ")]) == 3
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["verdict"]["fair"] is True
+
     @pytest.mark.parametrize("chunk", [1, 3, 4, 64])
     def test_valid_load_is_silent(self, capsys, monkeypatch, tmp_path, chunk):
         # \r\n line ends, runs of blank lines that fill whole chunks and 48

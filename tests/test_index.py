@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -66,11 +68,25 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_index(d, 0)
 
-    def test_underflow_resolution_rejected(self):
-        # Column width rounds to zero: no point could be given a column.
-        d = make_dataset([0.0, 1e-320], [0.0, 1.0], [0, 1])
-        with pytest.raises(ValueError, match="underflow"):
-            build_index(d, 10**6)
+    def test_denormal_extent_gets_columns(self):
+        # A column width that rounds to zero (1e-320 / 10**6) still gives
+        # every point a column in 0..gx - 1, monotone in x, without a
+        # warning; counts do not depend on the columns.
+        rng = np.random.default_rng(5)
+        xs = np.sort(rng.integers(0, 2025, 40)) * 5e-324
+        xs[[0, -1]] = 0.0, 1e-320
+        d = make_dataset(xs, rng.random(40), rng.integers(0, 2, 40))
+        for gx in (1, 2, 7, 10**6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ix = build_index(d, gx)
+                cols = ix.columns(ix.xs)
+                assert cols[0] == 0 and cols[-1] == gx - 1
+                assert (np.diff(cols) >= 0).all()
+                column_order(ix)
+                for _ in range(20):
+                    assert_matches_bruteforce(ix, d, random_region(
+                        rng, d.bbox, snap_points=(d.lons, d.lats)))
 
     def test_zero_extent_axis_ok(self):
         d = make_dataset([2.0, 2.0, 2.0], [0.0, 0.5, 1.0], [1, 0, 1])
