@@ -25,7 +25,6 @@ from .likelihood import (
     ScanResult,
     ScoredRegion,
     llr_vector,
-    log_lik_null_max,
     scan_regions,
 )
 from .meanvar import MeanVarReport, mean_var
@@ -89,7 +88,6 @@ __all__ = [
     "llr_vector",
     "load_dataset",
     "load_region_families",
-    "log_lik_null_max",
     "mean_var",
     "random_partitionings",
     "regions_overlap",

@@ -24,11 +24,11 @@ import numpy as np
 from ._kernels import xlogy
 from .geometry import Region
 from .index import RegionCounts, SpatialIndex
-from .scanner import _EDGE_BATCH, as_scanner
+from .scanner import as_scanner
 
 # Scoring a lane takes about ten float64 temporaries, so slices of this many
-# lanes hold the real scan's scratch near _EDGE_BATCH values.
-_SCAN_LANES = _EDGE_BATCH // 8
+# lanes hold the real scan's scratch near 2**16 values.
+_SCAN_LANES = 1 << 13
 
 
 class Direction(str, Enum):
@@ -83,15 +83,6 @@ class ScanResult(Sequence):
 
 def _null_max(N, P):
     return xlogy(P, P / N) + xlogy(N - P, (N - P) / N)
-
-
-def log_lik_null_max(N: int, P: int) -> float:
-    """Maximized log-likelihood of the single-rate (fair) model."""
-    if N <= 0:
-        raise ValueError(f"N must be positive, got {N}")
-    if not 0 <= P <= N:
-        raise ValueError(f"P must be in [0, {N}], got {P}")
-    return float(_null_max(N, P))
 
 
 def llr_vector(n, p, N: int, P,

@@ -59,14 +59,7 @@ class AuditVerdict:
 # Label values drawn per piece into a worker's reused float64 buffer, so a
 # world's draw scratch stays this chunk beyond its column of the block.
 _DRAW_CHUNK = 1 << 16
-# Worlds are counted in blocks of the largest power of two up to
-# _BLOCK_WORLDS whose (width, B) labels and running sums fit in _BLOCK_BYTES
-# (2 MiB): 32 on split10k, 16 on planted20k, 1 on clustered1m. On int16,
-# scipy's multi-vector kernel (csr_matvecs, which fairscan._kernels loads
-# without scipy.sparse) costs 2.5-4x less per world at 16-32 worlds than
-# one vector. _SCORE_WORLDS bounds llr_vector's temporaries.
-_BLOCK_WORLDS = 32
-_BLOCK_BYTES = 1 << 21
+# Worlds scored at once; bounds llr_vector's temporaries.
 _SCORE_WORLDS = 8
 # Values a block reads (B times its N labels plus the member matrix's
 # nonzeros) below which the blocks run on one thread. Small work is a
@@ -110,12 +103,12 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
 
     Every world redraws all N labels as Bernoulli(rho) and is scanned over
     exactly the same candidate regions as the real world, using its own
-    positive total. Worlds are counted in blocks of up to _BLOCK_WORLDS,
-    one row band at a time, in the plan's int16 or int32, and large
-    blocks run on one thread per CPU the process may use; world i draws
-    from its own stream and fills only entry i, and its counts are exact,
-    so the result does not depend on the count width, the block size, the
-    band cap or the number of threads.
+    positive total. Worlds are counted in blocks of up to the plan's
+    ``worlds``, in its int16 or int32, and large blocks run on one thread
+    per CPU the process may use; world i draws from its own stream and
+    fills only entry i, and its counts are exact, so the result does not
+    depend on the count width, the block size, the band cap or the number
+    of threads.
     """
     if num_worlds < 1:
         raise ValueError(f"num_worlds must be >= 1, got {num_worlds}")
@@ -136,28 +129,25 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
     # monotone in p and the two-sided score is convex in p, strictly enough
     # that integer counts differ by far more than rounding; llr_vector
     # scores each lane on its own, so the max is bit-identical to scoring
-    # every candidate. The plan counts in ascending size, so each size is
-    # one run of its counts. Size 0 is skipped: it scores 0, and every
-    # score is at least 0.
-    starts, classes = plan.starts, len(plan.sizes)
-    sizes = np.tile(plan.sizes, 2)
-    fit = _BLOCK_BYTES // (plan.width * plan.dtype.itemsize)
-    block = min(_BLOCK_WORLDS, 1 << max(fit.bit_length() - 1, 0), num_worlds)
+    # every candidate. Size 0 is skipped: it scores 0, and every score is
+    # at least 0.
+    sizes = np.tile(plan.sizes, 2)[:, None]
+    block = min(plan.worlds, num_worlds)
     n_blocks = -(-num_worlds // block)
 
     def score_blocks(tickets, stop: threading.Event) -> None:
         chunk = np.empty(min(n_obs, _DRAW_CHUNK), dtype=np.float64)
-        worlds = np.empty((plan.width, block), dtype=plan.dtype)
+        labels = np.empty(plan.width * block, dtype=plan.dtype)
         positives = np.empty(block, dtype=np.int64)
-        # Per world, each size's largest count, then each size's smallest.
-        extremes = np.empty((block, 2 * classes), dtype=plan.dtype)
-        rows = np.empty(max(scanner._BAND_VALUES, block), dtype=plan.dtype)
+        extremes = np.empty((len(sizes), block), dtype=plan.dtype)
         while not stop.is_set():
             k = next(tickets)
             if k >= n_blocks:
                 return
             first = k * block
             size = min(block, num_worlds - first)
+            # A short last block is a contiguous (width, size) block too.
+            worlds = labels[:plan.width * size].reshape(plan.width, size)
             for b in range(size):
                 # spawn_key (i,) is SeedSequence(seed).spawn(...)[i], built
                 # on demand: memory stays O(1) in the number of worlds.
@@ -165,27 +155,12 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
                     np.random.SeedSequence(seed, spawn_key=(first + b,)))
                 positives[b] = _draw_labels(rng, rho, chunk,
                                             worlds[:n_obs, b])
-            top, bottom = extremes[:size, :classes], extremes[:size, classes:]
-            top.fill(np.iinfo(plan.dtype).min)
-            bottom.fill(np.iinfo(plan.dtype).max)
-            # A short last block counts only the columns it drew.
-            for lo, counts in plan.count_block(worlds[:, :size]):
-                hi = lo + len(counts)
-                c0 = np.searchsorted(starts, lo, side="right") - 1
-                cuts = starts[c0:np.searchsorted(starts, hi)] - lo
-                c1 = c0 + len(cuts)
-                cuts[0] = 0  # a band may start inside a split size class
-                band = rows[:counts.size].reshape(size, hi - lo)
-                np.copyto(band, counts.T)  # reduceat runs along rows
-                np.maximum(top[:, c0:c1], np.maximum.reduceat(
-                    band, cuts, axis=1), out=top[:, c0:c1])
-                np.minimum(bottom[:, c0:c1], np.minimum.reduceat(
-                    band, cuts, axis=1), out=bottom[:, c0:c1])
+            plan.extremes(worlds, extremes[:, :size])
             for w in range(0, size, _SCORE_WORLDS):
                 part = slice(w, min(w + _SCORE_WORLDS, size))
-                llr = llr_vector(sizes, extremes[part], n_obs,
-                                 positives[part, None], direction)
-                values[first:][part] = llr.max(axis=1, initial=0.0)
+                llr = llr_vector(sizes, extremes[:, part], n_obs,
+                                 positives[part], direction)
+                values[first:][part] = llr.max(axis=0, initial=0.0)
 
     workers = 1
     if block * (n_obs + plan.nnz) >= _PARALLEL_WORK:

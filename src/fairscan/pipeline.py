@@ -116,15 +116,17 @@ class AuditConfig:
         self.family_spec()
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.num_worlds < 2:
+        worlds = self.num_worlds - 1  # what --worlds and the key worlds set
+        if worlds < 1:
             raise ValueError(
-                f"num_worlds must be >= 2 (real world plus at least one "
-                f"simulated), got {self.num_worlds}"
+                f"--worlds (config key worlds) must be at least 1, got "
+                f"{worlds}; num_worlds = worlds + 1 counts the real world"
             )
         if self.alpha * self.num_worlds < 1.0:
             raise ValueError(
-                f"alpha*num_worlds = {self.alpha * self.num_worlds:.3f} < 1; "
-                "raise num_worlds or alpha"
+                f"--worlds {worlds} is too few for alpha {self.alpha}: "
+                f"alpha*(worlds + 1) = {self.alpha * self.num_worlds:.3f} "
+                "< 1; raise --worlds (config key worlds) or alpha"
             )
         self.check_families()
 

@@ -24,10 +24,11 @@ and with interior runs the int64 (column, y) order of the points; its
 build adds a uint16 cell per point and covering partitioning, a few arrays
 per candidate and per point and one batch's scratch. Every count, running
 sum and partial row sum lies in [-N, N], so below 2**15 points the values,
-labels and counts are int16, else int32. A block of labelings is counted by
-scipy's CSR kernels on the plan's own arrays, one band of rows at a time:
-whole size classes where they fit in _BAND_VALUES counts, without size 0.
-fairscan._kernels loads those kernels without importing scipy.sparse.
+labels and counts are int16, else int32. scipy's CSR kernels, which
+fairscan._kernels loads without importing scipy.sparse, run the product
+on the plan's own arrays: over every row for ``positives``, and for
+``extremes`` over a block of labelings one band of rows at a time, whole
+size classes where they fit in _BAND_VALUES counts, without size 0.
 """
 
 from __future__ import annotations
@@ -45,6 +46,13 @@ _EDGE_BATCH = 1 << 16
 # Counts (rows times labelings) per band of a counted block; bounds the
 # band buffer beside the block's labels.
 _BAND_VALUES = _EDGE_BATCH
+# A block holds the largest power of two up to _BLOCK_WORLDS labelings
+# whose (width, B) labels and running sums fit in _BLOCK_BYTES (2 MiB): 32
+# on split10k, 16 on planted20k, 1 on clustered1m. On int16, scipy's
+# multi-vector kernel (csr_matvecs) costs 2.5-4x less per labeling at 16-32
+# labelings than one vector (csr_matvec).
+_BLOCK_WORLDS = 32
+_BLOCK_BYTES = 1 << 21
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -191,25 +199,46 @@ def _edge_members(ix, order, bounds, rect, lo, hi):
     return np.concatenate(members), offsets
 
 
+def _band_table(starts: np.ndarray, rows: int, cap: int) -> list:
+    """The bands of rows [starts[0], rows) of a plan's order, as
+    (lo, hi, c0, cuts): rows [lo, hi) hold size classes c0 onwards, from
+    rows lo + cuts (cuts[0] is 0). A band holds at most ``cap`` rows, as
+    many whole size classes as fit; a larger class is split."""
+    edges = [*starts.tolist(), rows]
+    cuts = edges[:1]
+    for last, edge in zip(edges[:-1], edges[1:]):
+        if edge - cuts[-1] > cap:
+            cuts += [last] * (last > cuts[-1])
+            cuts += range(cuts[-1] + cap, edge, cap)
+    table = []
+    for lo, hi in zip(cuts, [*cuts[1:], rows]):
+        if hi > lo:  # a plan without positive sizes has no band
+            c0 = int(np.searchsorted(starts, lo, side="right")) - 1
+            inside = starts[c0:np.searchsorted(starts, hi)] - lo
+            inside[0] = 0  # a band may start inside a split size class
+            table.append((lo, hi, c0, inside))
+    return table
+
+
 class CountPlan:
     """Per-candidate observation and positive counts under any labeling.
 
     Candidates keep family order. ``bounds`` is the (R, 4) array of their
     xmin, ymin, xmax, ymax, ``center_ids`` their center links (None for
     partitioning cells) and ``n`` their observation counts. ``order`` is the
-    stable argsort of ``n``: ``count_block`` counts in that order,
-    ``positives`` in family order. ``sizes`` are the distinct positive
-    sizes, ascending, and ``starts`` the first row of each in that order,
-    after the rows of size 0. ``width`` is the length of the product's
-    vector: the N labels, then N + 1 running sums when rectangles have
-    interior runs. ``nnz`` is the member matrix's entry count: one per
-    edge-column member and per point of each covering partitioning, and
-    two per interior run, so at most two per interior index column of a
-    rectangle. ``indptr``, ``indices`` (int32) and ``data`` are its CSR
-    arrays, rows in the order ``order``. ``dtype`` is the counts' and the
-    values' type: int16 below 2**15 points, else int32. Counts match a
-    brute-force scan under the half-open membership predicate with closed
-    bounding-box max edges.
+    stable argsort of ``n``, the order of the matrix rows, and ``sizes`` are
+    the distinct positive sizes, ascending. ``positives`` counts one
+    labeling, in family order; ``extremes`` gives each size's largest and
+    smallest count under each labeling of a block of up to ``worlds``.
+    ``width`` is the length of the product's vector: the N labels, then
+    N + 1 running sums when rectangles have interior runs. ``nnz`` is the
+    member matrix's entry count: one per edge-column member and per point
+    of each covering partitioning, and two per interior run, so at most two
+    per interior index column of a rectangle. ``indptr``, ``indices``
+    (int32) and ``data`` are its CSR arrays, rows in the order ``order``.
+    ``dtype`` is the counts' and the values' type: int16 below 2**15
+    points, else int32. Counts match a brute-force scan under the half-open
+    membership predicate with closed bounding-box max edges.
     """
 
     def __init__(self, ix: SpatialIndex, family):
@@ -258,7 +287,7 @@ class CountPlan:
         self.order = np.argsort(self.n, kind="stable")
         per_size = np.bincount(self.n, minlength=1)
         self.sizes = np.flatnonzero(per_size[1:]) + 1
-        self.starts = np.cumsum(per_size)[self.sizes - 1]
+        starts = np.cumsum(per_size)[self.sizes - 1]
         self.nnz = int(row_nnz.sum())
         indptr = np.zeros(n_rows + 1, dtype=np.int32)
         np.cumsum(row_nnz[self.order], out=indptr[1:])
@@ -283,58 +312,52 @@ class CountPlan:
                                                run_lo[at >> 1]),
             2 * (at & 1) - 1))
         self.indptr, self.indices, self.data = indptr, indices, data
-        self._bands = {}
+        fit = _BLOCK_BYTES // (self.width * self.dtype.itemsize)
+        self.worlds = min(_BLOCK_WORLDS, 1 << max(fit.bit_length() - 1, 0))
+        self._bands = _band_table(starts, n_rows,
+                                  max(1, _BAND_VALUES // self.worlds))
 
-    def bands(self, worlds: int) -> list[tuple[int, int]]:
-        """Row ranges [lo, hi) of the order ``self.order`` that
-        ``count_block`` counts at once for blocks of ``worlds`` labelings.
-
-        A band holds at most max(1, _BAND_VALUES // worlds) rows, as many
-        whole size classes as fit; a larger class is split. Rows of size 0
-        are in no band.
-        """
-        cap = max(1, _BAND_VALUES // worlds)
-        if cap not in self._bands:
-            edges = [*self.starts.tolist(), len(self.n)]
-            cuts = edges[:1]
-            for last, edge in zip(edges[:-1], edges[1:]):
-                if edge - cuts[-1] > cap:
-                    cuts += [last] * (last > cuts[-1])
-                    cuts += range(cuts[-1] + cap, edge, cap)
-            self._bands[cap] = [(lo, hi) for lo, hi in zip(
-                cuts, [*cuts[1:], edges[-1]]) if hi > lo]
-        return self._bands[cap]
-
-    def count_block(self, block: np.ndarray):
-        """Positives by size for the labelings in ``block``, band by band.
-
-        ``block`` is (width,) or (width, B), copied unless it is contiguous
-        ``self.dtype``: rows :N hold the labels, one labeling per column,
-        and the running sums are written into the rows past N here. Yields
-        ``(lo, counts)`` for each band of ``self.bands(B)``: the counts of
-        the rows from lo of the order ``self.order``, (rows,) or (rows, B)
-        of ``self.dtype``, in one buffer that the next band overwrites.
-        """
-        n_obs = self._n_obs
+    def _running_sums(self, block: np.ndarray) -> None:
+        """Write the running sums of the labels in rows :N of ``block``,
+        taken in (column, y) order, into its rows past N."""
         if self._point_order is not None:
+            n_obs = self._n_obs
             sums = block[n_obs + 1:]
             block[n_obs] = 0
             np.take(block[:n_obs], self._point_order, axis=0, out=sums,
                     mode="clip")  # a permutation; "raise" would buffer
             np.cumsum(sums, axis=0, out=sums)
-        labels = np.ascontiguousarray(block, dtype=self.dtype)
-        worlds = labels.size // self.width
-        bands = self.bands(worlds)
-        buf = np.empty(max((hi - lo for lo, hi in bands), default=0) * worlds,
-                       dtype=self.dtype)
+
+    def extremes(self, block: np.ndarray, out: np.ndarray) -> None:
+        """Each size's largest and smallest positive count under each
+        labeling of ``block``, band by band.
+
+        ``block`` is (width, B) of ``self.dtype``, B at most ``worlds``:
+        rows :N hold the labels, one labeling per column, and the running
+        sums are written into the rows past N here. ``out`` is
+        (2 * len(sizes), B): the largest count of each size, then the
+        smallest.
+        """
+        worlds = block.shape[1]
+        self._running_sums(block)
+        top, bottom = np.split(out, 2)
+        top.fill(np.iinfo(self.dtype).min)
+        bottom.fill(np.iinfo(self.dtype).max)
+        buf = np.empty(max((hi - lo for lo, hi, _, _ in self._bands),
+                           default=0) * worlds, dtype=self.dtype)
         kernel, vecs = ((sparsetools.csr_matvec, ()) if worlds == 1
                         else (sparsetools.csr_matvecs, (worlds,)))
-        for lo, hi in bands:
-            out = buf[:(hi - lo) * worlds]
-            out.fill(0)  # the kernel adds to it
+        for lo, hi, c0, cuts in self._bands:
+            counts = buf[:(hi - lo) * worlds]
+            counts.fill(0)  # the kernel adds to it
             kernel(hi - lo, self.width, *vecs, self.indptr[lo:hi + 1],
-                   self.indices, self.data, labels, out)
-            yield lo, out.reshape((hi - lo,) + block.shape[1:])
+                   self.indices, self.data, block, counts)
+            counts = counts.reshape(hi - lo, worlds)
+            part = slice(c0, c0 + len(cuts))
+            np.maximum(top[part], np.maximum.reduceat(counts, cuts),
+                       out=top[part])
+            np.minimum(bottom[part], np.minimum.reduceat(counts, cuts),
+                       out=bottom[part])
 
     def positives(self, labels: np.ndarray) -> np.ndarray:
         """Positives inside each candidate under a 0/1 labeling of the
@@ -348,9 +371,12 @@ class CountPlan:
             raise ValueError("labels must be binary")
         block = np.empty(self.width, dtype=self.dtype)
         block[:n_obs] = labels
-        out = np.zeros(len(self.order), dtype=np.int64)
-        for lo, counts in self.count_block(block):
-            out[self.order[lo:lo + len(counts)]] = counts
+        self._running_sums(block)
+        counts = np.zeros(len(self.n), dtype=self.dtype)
+        sparsetools.csr_matvec(len(self.n), self.width, self.indptr,
+                               self.indices, self.data, block, counts)
+        out = np.empty(len(self.n), dtype=np.int64)
+        out[self.order] = counts
         return out
 
     def region(self, i: int) -> Region:

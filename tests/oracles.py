@@ -6,7 +6,8 @@ running sums. These must never import from fairscan internals beyond plain
 data types, so a bug in the library cannot hide inside its own oracle.
 
 The last section holds small helpers that only tests use: rectangle areas
-and overlap, a checked one-region wrapper over fairscan's llr_vector, the
+and overlap, checked wrappers over fairscan's null log-likelihood and its
+one-region llr_vector, the
 reader of a saved null distribution, the member matrix built from
 (row, column, value) triples, and a clustered location sampler. They are
 not oracles.
@@ -297,6 +298,18 @@ def jaccard(a, b) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def log_lik_null_max(N: int, P: int) -> float:
+    """fairscan's maximized log-likelihood of the single-rate (fair) model,
+    with validation."""
+    from fairscan.likelihood import _null_max
+
+    if N <= 0:
+        raise ValueError(f"N must be positive, got {N}")
+    if not 0 <= P <= N:
+        raise ValueError(f"P must be in [0, {N}], got {P}")
+    return float(_null_max(N, P))
 
 
 def llr_from_counts(n: int, p: int, N: int, P: int,

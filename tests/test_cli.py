@@ -345,6 +345,28 @@ class TestAudit:
                            "--worlds", "99", "--alpha", "0.05", *argv)
         assert (code, err) == (1, f"error: {message}\n")
 
+    @pytest.mark.parametrize("worlds, message", [
+        (0, "--worlds (config key worlds) must be at least 1, got 0; "
+            "num_worlds = worlds + 1 counts the real world"),
+        (-5, "--worlds (config key worlds) must be at least 1, got -5; "
+             "num_worlds = worlds + 1 counts the real world"),
+        (19, "--worlds 19 is too few for alpha 0.005: alpha*(worlds + 1) = "
+             "0.100 < 1; raise --worlds (config key worlds) or alpha"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_world_count_errors_quote_the_option(self, capsys, tmp_path,
+                                                 unfair_csv, worlds, message,
+                                                 source):
+        if source == "flag":
+            argv = ["--worlds", str(worlds)]
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"worlds": worlds}))
+            argv = ["--config", str(config)]
+        code, lines, err = run(capsys, "audit", "--data", unfair_csv,
+                               "--grid", "2x2", *argv)
+        assert (code, lines, err) == (1, [], f"error: {message}\n")
+
     @needs_rlimit_as
     def test_huge_world_count_fails_fast(self, tmp_path):
         # The world seeds are derived one at a time, so the first allocation

@@ -8,19 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairscan import build_index, scan_regions
-from fairscan.likelihood import (
-    Direction,
-    llr_vector,
-    log_lik_null_max,
-)
+from fairscan.likelihood import _SCAN_LANES, Direction, llr_vector
 from fairscan.geometry import Region
 from fairscan.regions import regular_grid
-from fairscan.scanner import _EDGE_BATCH, as_scanner
+from fairscan.scanner import as_scanner
 from fairscan import synth
 
 from conftest import random_dataset, rectangles
 from oracles import (
     llr_from_counts,
+    log_lik_null_max,
     oracle_llr,
     oracle_null,
     oracle_region_counts,
@@ -268,5 +265,6 @@ class TestScanRegions:
         assert tau == scored.llr.max() > 0
         # Kept: int64 positives and float64 scores; passing through: the
         # counts by size (int16 here). 20 bytes a lane, and the scoring
-        # scratch of one slice of lanes, about _EDGE_BATCH float64 values.
-        assert peak < 20 * len(plan.n) + 16 * _EDGE_BATCH
+        # scratch of one slice of lanes, about 8 * _SCAN_LANES float64
+        # values.
+        assert peak < 20 * len(plan.n) + 128 * _SCAN_LANES

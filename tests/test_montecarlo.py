@@ -131,15 +131,16 @@ class TestSimulateWorlds:
 @pytest.fixture
 def pool(monkeypatch):
     """Set the worker count, the block size and the band cap in rows (None
-    for the default), with the gates forced open."""
+    for the default), with the gates forced open. Plans built afterwards
+    use the block size and the band cap."""
     band_values = scanner._BAND_VALUES
 
     def set_pool(workers: int, block: int = 1, band: int | None = None
                  ) -> None:
         monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
         monkeypatch.setattr(montecarlo, "_PARALLEL_WORK", 0)
-        monkeypatch.setattr(montecarlo, "_BLOCK_WORLDS", block)
-        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", sys.maxsize)
+        monkeypatch.setattr(scanner, "_BLOCK_WORLDS", block)
+        monkeypatch.setattr(scanner, "_BLOCK_BYTES", sys.maxsize)
         monkeypatch.setattr(scanner, "_BAND_VALUES",
                             band_values if band is None else band * block)
     return set_pool
@@ -150,19 +151,8 @@ class TestWorkerPool:
     def test_values_independent_of_worker_count(self, small_world, pool,
                                                 monkeypatch, num_worlds):
         d, ix, parts = small_world
-        plan = as_scanner(ix, parts)
-        count_block = plan.count_block
         threads = set()
         barrier = []
-
-        def concurrent_count(block):
-            # Each worker's first block waits until every worker holds one.
-            if threading.get_ident() not in threads:
-                threads.add(threading.get_ident())
-                barrier[0].wait(timeout=10)
-            return count_block(block)
-
-        monkeypatch.setattr(plan, "count_block", concurrent_count)
         runs = []
         # More workers than CPUs and a short switch interval: a lost or
         # repeated block ticket would change the maxima.
@@ -171,6 +161,18 @@ class TestWorkerPool:
         try:
             for workers in (1, 2, 3):
                 pool(workers)
+                plan = as_scanner(ix, parts)
+                extremes = plan.extremes
+
+                def concurrent_extremes(block, out, extremes=extremes):
+                    # Each worker's first block waits until every worker
+                    # holds one.
+                    if threading.get_ident() not in threads:
+                        threads.add(threading.get_ident())
+                        barrier[0].wait(timeout=10)
+                    extremes(block, out)
+
+                monkeypatch.setattr(plan, "extremes", concurrent_extremes)
                 threads.clear()
                 barrier[:] = [threading.Barrier(min(workers, num_worlds))]
                 runs.append(simulate_worlds(ix, plan, 0.4, num_worlds, seed=9))
@@ -186,24 +188,30 @@ class TestWorkerPool:
         # Squares with interior runs, so every block also fills the
         # running-sum rows; a short last block must score only its worlds.
         d, ix, parts = small_world
-        plan = as_scanner(ix, [*parts, rectangles(
+        family = [*parts, rectangles(
             [Region(x, y, x + 0.45, y + 0.45)
-             for x in (0.05, 0.3, 0.5) for y in (0.1, 0.4)])])
-        assert plan.width == 2 * d.N + 1
-        count_block = plan.count_block
+             for x in (0.05, 0.3, 0.5) for y in (0.1, 0.4)])]
         scored = []
 
-        def record(block):
-            scored.append(block.shape[1])
-            return count_block(block)
+        def planned():
+            plan = as_scanner(ix, family)
+            extremes = plan.extremes
 
-        monkeypatch.setattr(plan, "count_block", record)
+            def record(block, out):
+                scored.append(block.shape[1])
+                extremes(block, out)
+
+            monkeypatch.setattr(plan, "extremes", record)
+            return plan
+
         pool(1, 1)
-        want = simulate_worlds(ix, plan, 0.4, num_worlds, seed=9).values
+        want = simulate_worlds(ix, planned(), 0.4, num_worlds, seed=9).values
         # Bands of 1 and 7 rows split size classes across bands.
         for block, workers, band in itertools.product(
                 (1, 2, 3, 8, 32), (1, 2), (1, 7, None)):
             pool(workers, block, band)
+            plan = planned()
+            assert plan.width == 2 * d.N + 1 and plan.worlds == block
             scored.clear()
             got = simulate_worlds(ix, plan, 0.4, num_worlds, seed=9)
             assert np.array_equal(got.values, want)
@@ -213,17 +221,16 @@ class TestWorkerPool:
     def test_gate_keeps_small_worlds_serial(self, small_world, monkeypatch):
         d, ix, parts = small_world
         plan = as_scanner(ix, parts)
-        assert (montecarlo._BLOCK_WORLDS * (d.N + plan.nnz)
-                < montecarlo._PARALLEL_WORK)
+        assert plan.worlds * (d.N + plan.nnz) < montecarlo._PARALLEL_WORK
         monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 4)
-        count_block = plan.count_block
+        extremes = plan.extremes
         threads = set()
 
-        def record(block):
+        def record(block, out):
             threads.add(threading.get_ident())
-            return count_block(block)
+            extremes(block, out)
 
-        monkeypatch.setattr(plan, "count_block", record)
+        monkeypatch.setattr(plan, "extremes", record)
         simulate_worlds(ix, plan, 0.4, 20, seed=9)
         assert threads == {threading.get_ident()}
 
@@ -244,15 +251,16 @@ class TestWorkerPool:
     def test_failure_stops_the_other_worker(self, small_world, pool,
                                             monkeypatch, exc):
         d, ix, parts = small_world
-        plan = as_scanner(ix, parts)
         rho, seed = 0.4, 12
         world5 = (np.random.default_rng(np.random.SeedSequence(seed).spawn(
             6)[5]).random(d.N) < rho).astype(np.int8)
-        count_block = plan.count_block
+        pool(2, 2)
+        plan = as_scanner(ix, parts)
+        extremes = plan.extremes
         failed = threading.Event()
         after = []
 
-        def failing(block):
+        def failing(block, out):
             if failed.is_set():
                 after.append(threading.get_ident())
             if any(np.array_equal(labels, world5)
@@ -260,10 +268,9 @@ class TestWorkerPool:
                 failed.set()
                 raise exc("world 5")
             time.sleep(0.002)
-            return count_block(block)
+            extremes(block, out)
 
-        monkeypatch.setattr(plan, "count_block", failing)
-        pool(2, 2)
+        monkeypatch.setattr(plan, "extremes", failing)
         running = threading.active_count()
         with pytest.raises(exc, match="world 5"):
             simulate_worlds(ix, plan, rho, 200, seed=seed)
@@ -275,24 +282,23 @@ class TestWorkerPool:
 class TestBlockMemory:
     def test_one_block_grows_linearly(self):
         # One block of _BLOCK_WORLDS over squares with interior runs, on one
-        # thread: the block's labels and running sums, one band of counts
-        # (the kernel's buffer and its transpose), and the scoring of
-        # _SCORE_WORLDS worlds' size extremes, about 16 float64 values a
-        # lane.
+        # thread: the block's labels and running sums, one band of counts,
+        # and the scoring of _SCORE_WORLDS worlds' size extremes, about 16
+        # float64 values a lane.
         squares = square_scan_set(np.random.default_rng(1).random((100, 2)),
                                   np.linspace(0.02, 0.4, 20))
         peaks = []
         for n in (100_000, 200_000):
             ix = build_index(random_dataset(np.random.default_rng(0), n))
-            plan = as_scanner(ix, squares)
-            item, worlds = plan.dtype.itemsize, montecarlo._BLOCK_WORLDS
+            with mock.patch.object(scanner, "_BLOCK_BYTES", sys.maxsize):
+                plan = as_scanner(ix, squares)
+            item, worlds = plan.dtype.itemsize, plan.worlds
+            assert worlds == scanner._BLOCK_WORLDS
             scratch = (item * worlds * plan.width
-                       + 2 * item * scanner._BAND_VALUES
+                       + item * scanner._BAND_VALUES
                        + 16 * 8 * montecarlo._SCORE_WORLDS
                        * 2 * len(plan.sizes))
-            with mock.patch.object(montecarlo, "_cpu_count", lambda: 1), \
-                    mock.patch.object(montecarlo, "_BLOCK_BYTES",
-                                      sys.maxsize):
+            with mock.patch.object(montecarlo, "_cpu_count", lambda: 1):
                 tracemalloc.start()
                 try:
                     simulate_worlds(ix, plan, 0.4, worlds, seed=1)
@@ -322,10 +328,10 @@ class TestCountWidth:
         regions = [plan.region(i) for i in range(len(plan.n))]
         assert plan.dtype == dtype
         ones = np.ones(n, dtype=np.int8)
-        block = np.zeros(plan.width, dtype=plan.dtype)
-        block[:n] = ones
-        list(plan.count_block(block))
-        assert block[-1] == n
+        block = np.zeros((plan.width, 1), dtype=plan.dtype)
+        block[:n, 0] = ones
+        plan.extremes(block, np.empty((2 * len(plan.sizes), 1), plan.dtype))
+        assert block[-1, 0] == n
         assert [(int(c), int(p)) for c, p in zip(plan.n, plan.positives(
             ones))] == [oracle_region_counts(r, xs, ys, ones, d.bbox)
                         for r in regions]
@@ -575,7 +581,12 @@ class TestOracleAudit:
         d = make_dataset(case["xs"], case["ys"], case["outcomes"])
         ix = build_index(d, case["resolution"])
         family = [f for spec in case["specs"] for f in _family(spec, d.bbox)]
-        plan = as_scanner(ix, family)
+        band = case["band"]
+        with mock.patch.multiple(scanner, _BLOCK_WORLDS=case["block"],
+                                 _BLOCK_BYTES=sys.maxsize,
+                                 _BAND_VALUES=(band * case["block"] if band
+                                               else scanner._BAND_VALUES)):
+            plan = as_scanner(ix, family)
         regions = [plan.region(i) for i in range(len(plan.n))]
         if case is _RUNS_CASE:
             assert plan.width == 2 * d.N + 1
@@ -586,14 +597,8 @@ class TestOracleAudit:
         assert scored.n.tolist() == n
         assert scored.p.tolist() == p
         assert abs(got_tau - tau) <= 1e-9
-        band = case["band"]
         with mock.patch.multiple(montecarlo, _PARALLEL_WORK=0,
-                                 _BLOCK_WORLDS=case["block"],
-                                 _BLOCK_BYTES=sys.maxsize,
-                                 _cpu_count=lambda: case["workers"]), \
-                mock.patch.object(scanner, "_BAND_VALUES",
-                                  band * case["block"] if band
-                                  else scanner._BAND_VALUES):
+                                 _cpu_count=lambda: case["workers"]):
             dist = simulate_worlds(ix, plan, case["rho"], case["worlds"],
                                    case["seed"], case["direction"])
         assert np.abs(dist.values - maxima).max() <= 1e-9

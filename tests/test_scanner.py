@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import ast
+import textwrap
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -243,15 +246,15 @@ class TestSizeOrder:
                                             d.bbox)
                 assert (plan.n[i], p[i]) == want
 
-    def test_positives_are_count_block_in_family_order(self, mixed):
+    def test_extremes_are_positives_by_size(self, mixed):
         d, plan, _ = mixed
-        for labels in random_labelings(d.N, seed=6):
-            block = np.zeros(plan.width, dtype=plan.dtype)
-            block[:d.N] = labels
-            by_size = np.zeros(len(plan.n), dtype=np.int64)
-            for lo, counts in plan.count_block(block):
-                by_size[lo:lo + len(counts)] = counts
-            assert np.array_equal(by_size, plan.positives(labels)[plan.order])
+        labelings = np.column_stack(list(random_labelings(d.N, seed=6)))
+        block = np.zeros((plan.width, labelings.shape[1]), dtype=plan.dtype)
+        block[:d.N] = labelings
+        out = np.empty((2 * len(plan.sizes), labelings.shape[1]),
+                       dtype=plan.dtype)
+        plan.extremes(block, out)
+        assert np.array_equal(out, extremes_of_positives(plan, labelings))
 
     def test_positives_check_labels(self, mixed):
         d, plan, _ = mixed
@@ -538,7 +541,7 @@ class TestInPlaceBuild:
 
 
 class TestBandKernel:
-    """count_block calls scipy's private CSR kernels on row bands of the
+    """extremes calls scipy's private CSR kernels on row bands of the
     plan's arrays; a change to their calling convention fails here."""
 
     @pytest.mark.parametrize("worlds", [1, 3, 16, 32])
@@ -546,34 +549,94 @@ class TestBandKernel:
     def test_bands_equal_the_csr_product(self, data_and_index, monkeypatch,
                                          worlds, rows):
         d, ix = data_and_index
-        plan = CountPlan(ix, mixed_family(d.bbox))
+        monkeypatch.setattr(scanner, "_BLOCK_WORLDS", worlds)
         if rows is not None:
             monkeypatch.setattr(scanner, "_BAND_VALUES", rows * worlds)
+        plan = CountPlan(ix, mixed_family(d.bbox))
+        assert plan.worlds == worlds
         cap = max(1, scanner._BAND_VALUES // worlds)
-        shape = (plan.width,) if worlds == 1 else (plan.width, worlds)
-        block = np.zeros(shape, dtype=plan.dtype)
-        block[:d.N] = np.random.default_rng(32).integers(
-            0, 2, (d.N,) + shape[1:])
-        got = np.zeros((len(plan.n),) + shape[1:], dtype=np.int64)
-        lo_next = plan.starts[0]
-        for lo, counts in plan.count_block(block):
-            assert counts.dtype == plan.dtype
-            assert lo == lo_next and 0 < len(counts) <= cap
-            got[lo:lo + len(counts)] = counts
-            lo_next = lo + len(counts)
-        assert lo_next == len(plan.n)
+        block = np.zeros((plan.width, worlds), dtype=plan.dtype)
+        block[:d.N] = np.random.default_rng(32).integers(0, 2, (d.N, worlds))
+        out = np.empty((2 * len(plan.sizes), worlds), dtype=plan.dtype)
+        plan.extremes(block, out)
         # The running sums are in the block now; the rows of size 0 lead.
         want = member_matrix(plan).astype(np.int64) @ block.astype(np.int64)
-        assert np.array_equal(got, want)
-        assert not got[:plan.starts[0]].any()
+        sizes = plan.n[plan.order]
+        starts = np.searchsorted(sizes, plan.sizes)
+        assert not want[:starts[0]].any()
+        assert np.array_equal(out, np.concatenate([
+            reduce.reduceat(want, starts) for reduce in (np.maximum,
+                                                          np.minimum)]))
+        # The bands run from the first positive size to the last row, each
+        # naming its first size class and the classes that start in it.
+        lo_next = starts[0]
+        for lo, hi, c0, cuts in plan._bands:
+            assert lo == lo_next and 0 < hi - lo <= cap
+            assert sizes[lo] == plan.sizes[c0] and cuts[0] == 0
+            assert np.array_equal(lo + cuts[1:],
+                                  starts[c0 + 1:c0 + len(cuts)])
+            lo_next = hi
+        assert lo_next == len(plan.n)
         # A band ends inside a size class only where the class is longer
         # than the cap.
-        ends = np.array([lo for lo, _ in plan.bands(worlds)[1:]], dtype=int)
-        sizes = plan.n[plan.order]
+        ends = np.array([lo for lo, *_ in plan._bands[1:]], dtype=int)
         inside = ends[sizes[ends] == sizes[ends - 1]]
-        runs = np.diff([*plan.starts, len(plan.n)])
-        longest = runs[np.searchsorted(plan.starts, inside, side="right") - 1]
+        runs = np.diff([*starts, len(plan.n)])
+        longest = runs[np.searchsorted(starts, inside, side="right") - 1]
         assert (longest > cap).all()
+
+
+def extremes_of_positives(plan, labelings):
+    """Each size's largest positives, then each size's smallest, under the
+    labelings (one per column), from ``positives``."""
+    p = np.column_stack([plan.positives(labels) for labels in labelings.T])
+    by_size = [p[plan.n == size] for size in plan.sizes]
+    return np.array([c.max(axis=0) for c in by_size]
+                    + [c.min(axis=0) for c in by_size]
+                    ).reshape(-1, labelings.shape[1])
+
+
+class TestExtremes:
+    """extremes against each size's max and min of positives, at both count
+    widths, with a one-row band cap that splits every size class of two or
+    more candidates across bands."""
+
+    FAMILIES = {
+        "covering": lambda bbox: random_partitionings(bbox, 3, 2, 6,
+                                                      seed=60) * 2,
+        "runs": lambda bbox: [square_scan_set(
+            np.random.default_rng(61).random((8, 2)), [0.2, 0.5])] * 2,
+        "mixed": lambda bbox: mixed_family(bbox) * 2,
+        "single": lambda bbox: [rectangles([Region(0.2, 0.3, 0.7, 0.6)])],
+        "empty": lambda bbox: [rectangles([Region(2.0, 2.0, 3.0, 3.0),
+                                           Region(-3.0, 0.0, -2.0, 1.0)])],
+    }
+
+    @pytest.fixture(scope="class", params=[32_767, 32_768])
+    def wide(self, request):
+        d = random_dataset(np.random.default_rng(62), request.param)
+        return d, build_index(d)
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_matches_positives(self, wide, monkeypatch, kind):
+        d, ix = wide
+        monkeypatch.setattr(scanner, "_BAND_VALUES", 1)
+        plan = CountPlan(ix, self.FAMILIES[kind](d.bbox))
+        assert plan.dtype == (np.int16 if d.N < 1 << 15 else np.int32)
+        assert (plan.width == d.N) == (kind in ("covering", "empty"))
+        if kind in ("covering", "runs", "mixed"):
+            assert len(plan._bands) > len(plan.sizes)
+        else:
+            assert len(plan.sizes) == (kind == "single")
+        rng = np.random.default_rng(63)
+        for worlds in (1, 3, plan.worlds):
+            labelings = (rng.random((d.N, worlds)) < 0.5).astype(np.int8)
+            labelings[:, 0] = 1  # counts and running sums up to N
+            block = np.empty((plan.width, worlds), dtype=plan.dtype)
+            block[:d.N] = labelings
+            out = np.empty((2 * len(plan.sizes), worlds), dtype=plan.dtype)
+            plan.extremes(block, out)
+            assert np.array_equal(out, extremes_of_positives(plan, labelings))
 
 
 def per_point_arrays(ix):
@@ -637,3 +700,41 @@ class TestLargeN:
             want = oracle_region_counts_vec(plan.region(i), xs, ys, labels,
                                             bbox)
             assert (plan.n[i], positives[i]) == want
+
+
+def private_scanner_reads(source: str) -> list[str]:
+    """Every private name of fairscan.scanner that ``source`` imports from
+    it, or reads as an attribute of a name bound to the module."""
+    tree = ast.parse(source)
+    found, modules = [], {"fairscan.scanner"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            if (node.module or "").split(".")[-1] == "scanner":
+                found += [f"{node.lineno}: {name}" for name in names
+                          if name.startswith("_")]
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "scanner"}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name.split(".")[-1] == "scanner"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and ast.unparse(node.value) in modules):
+            found.append(f"{node.lineno}: {node.attr}")
+    return sorted(found, key=lambda line: int(line.split(":")[0]))
+
+
+def test_only_the_scanner_reads_its_private_names():
+    assert private_scanner_reads(textwrap.dedent("""
+        from .scanner import _EDGE_BATCH, as_scanner
+        from . import scanner as sc
+        import fairscan.scanner
+        def cap():
+            return sc._BAND_VALUES + fairscan.scanner._BLOCK_WORLDS
+        sc.as_scanner
+    """)) == ["2: _EDGE_BATCH", "6: _BAND_VALUES", "6: _BLOCK_WORLDS"]
+    src = Path(scanner.__file__).parent
+    found = {path.name: private_scanner_reads(path.read_text("utf-8"))
+             for path in sorted(src.glob("*.py")) if path.name != "scanner.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
