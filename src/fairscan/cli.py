@@ -18,10 +18,10 @@ from .pipeline import (
     audit,
     build_family,
     check_meanvar,
+    derive_seeds,
     export_meanvar,
     export_report,
     run_meanvar,
-    _derive_seeds,
 )
 from .regions import MAX_FLOATS, save_region_families
 from . import synth
@@ -362,7 +362,7 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
     elif args.kind == "fair":
         # Locations and labels need distinct streams: reusing one seed for
         # both would tie each label to its own coordinate draw.
-        loc_seed, label_seed = _derive_seeds(args.seed)
+        loc_seed, label_seed = derive_seeds(args.seed)
         if args.locations is not None:
             pts = np.column_stack(read_columns(args.locations)[0:2])
             if args.n is not None:

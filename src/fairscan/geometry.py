@@ -11,9 +11,8 @@ import numpy as np
 class Region:
     """Rectangle with half-open membership: [xmin, xmax) x [ymin, ymax).
 
-    The enclosing audit bounding box is the one exception to the half-open
-    rule: its max edges count as closed, so observations sitting exactly on
-    them are never lost (see :func:`region_contains`).
+    The one exception: a max edge at or past the audit bounding box's max
+    edge is closed, so points on the box are never lost (see closed_bounds).
 
     ``center_id`` optionally links a scan square back to the center that
     spawned it; partitioning cells leave it unset.
@@ -41,28 +40,27 @@ class Region:
         return self.ymax - self.ymin
 
 
-def region_contains(region: Region, xs, ys, bbox: Region):
+def closed_bounds(bounds, bbox: Region):
+    """Bounds, which may be arrays, with each max edge at or past the box's
+    moved up one float: for finite v, ``v < xmax or bbox.xmax <= v <= xmax``
+    is then ``v <= xmax``, which is ``v < nextafter(xmax, inf)``."""
+    xmin, ymin, xmax, ymax = bounds
+    with np.errstate(over="ignore"):  # the largest float steps up to inf
+        xmax = np.where(xmax >= bbox.xmax, np.nextafter(xmax, np.inf), xmax)
+        ymax = np.where(ymax >= bbox.ymax, np.nextafter(ymax, np.inf), ymax)
+    return xmin, ymin, xmax, ymax
+
+
+def bounds_contain(bounds, xs, ys, bbox: Region):
     """Point-in-region test under the shared membership semantics.
 
     Bounds are half-open, except that a region whose max edge reaches the
     bounding box's max edge also includes points lying exactly on that edge.
     Accepts scalars or numpy arrays and broadcasts.
     """
-    return bounds_contain(region.bounds(), xs, ys, bbox)
-
-
-def bounds_contain(bounds, xs, ys, bbox: Region):
-    """region_contains for (xmin, ymin, xmax, ymax) bounds, which may be arrays."""
-    xmin, ymin, xmax, ymax = bounds
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
-    in_x = (xs >= xmin) & (
-        (xs < xmax) | ((xmax >= bbox.xmax) & (xs >= bbox.xmax) & (xs <= xmax))
-    )
-    in_y = (ys >= ymin) & (
-        (ys < ymax) | ((ymax >= bbox.ymax) & (ys >= bbox.ymax) & (ys <= ymax))
-    )
-    return in_x & in_y
+    xmin, ymin, xmax, ymax = closed_bounds(bounds, bbox)
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    return (xs >= xmin) & (xs < xmax) & (ys >= ymin) & (ys < ymax)
 
 
 def regions_overlap(a: Region, b: Region) -> bool:
@@ -70,18 +68,14 @@ def regions_overlap(a: Region, b: Region) -> bool:
 
     Regions that merely share an edge or a corner do not overlap.
     """
-    return (
-        min(a.xmax, b.xmax) > max(a.xmin, b.xmin)
-        and min(a.ymax, b.ymax) > max(a.ymin, b.ymin)
-    )
+    return (min(a.xmax, b.xmax) > max(a.xmin, b.xmin)
+            and min(a.ymax, b.ymax) > max(a.ymin, b.ymin))
 
 
 def bounding_box(xs, ys) -> Region:
     """Tight axis-aligned bounding box of a nonempty point set."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if xs.size == 0:
         raise ValueError("cannot bound an empty point set")
-    return Region(
-        float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max())
-    )
+    return Region(float(xs.min()), float(ys.min()), float(xs.max()),
+                  float(ys.max()))

@@ -1,6 +1,6 @@
 """Column bucketing of observation locations.
 
-The bounding box is cut into gx columns of equal width. The plan in
+The points' bounding box is cut into gx columns of equal width. The plan in
 fairscan.scanner lays the points out by (column, y) and counts a
 rectangle's points inside one column as one run of that order, testing
 only the points of its first and last column one by one, so counts do not
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .geometry import Region
+from .geometry import bounding_box
 
 MAX_RESOLUTION = 1024
 
@@ -26,7 +26,7 @@ class RegionCounts:
 
 
 class SpatialIndex:
-    """Fixed locations in gx columns over the bounding box, with the
+    """Fixed locations in gx columns over their own bounding box, with the
     observed labeling.
 
     The columns are the index's only cells: it has gy = 1 row, so
@@ -36,13 +36,10 @@ class SpatialIndex:
     gy = 1
 
     def __init__(self, lons: np.ndarray, lats: np.ndarray, labels: np.ndarray,
-                 bbox: Region, gx: int):
-        self.bbox = bbox
-        self.gx = gx
-        self.xs = lons
-        self.ys = lats
+                 gx: int):
+        self.xs, self.ys, self.labels, self.gx = lons, lats, labels, gx
+        self.bbox = bounding_box(lons, lats)
         self.N = len(lons)
-        self.labels = labels
         self.P = int(labels.sum())
 
     def columns(self, xs) -> np.ndarray:
@@ -69,4 +66,4 @@ def build_index(d: Dataset, gx: int | None = None) -> SpatialIndex:
     gx = default_resolution(d.N) if gx is None else gx
     if gx < 1:
         raise ValueError(f"column count must be positive, got {gx}")
-    return SpatialIndex(d.lons, d.lats, d.outcomes, d.bbox, gx)
+    return SpatialIndex(d.lons, d.lats, d.outcomes, gx)

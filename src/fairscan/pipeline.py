@@ -188,7 +188,7 @@ def _scored_json(s: ScoredRegion, rank: int) -> dict:
     }
 
 
-def _derive_seeds(seed: int) -> tuple[int, int]:
+def derive_seeds(seed: int) -> tuple[int, int]:
     """Independent sub-seeds for region generation and world simulation.
 
     Both consumers spawn their own child streams by index, so they must not
@@ -203,7 +203,7 @@ def build_family(cfg: AuditConfig, bbox: Region,
     """Every family the config names over bbox, in family_specs order:
     Partitionings and Rectangles. Squares need data for their k-means
     centers."""
-    region_seed, _ = _derive_seeds(cfg.seed)
+    region_seed, _ = derive_seeds(cfg.seed)
     family = []
     for spec in cfg.family_specs():
         kind = spec["kind"]
@@ -245,7 +245,7 @@ def run_audit(d: Dataset, cfg: AuditConfig) -> AuditReport:
     timings["scan_s"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()
-    _, sim_seed = _derive_seeds(cfg.seed)
+    _, sim_seed = derive_seeds(cfg.seed)
     if 0.0 < d.rho < 1.0:
         dist = simulate_worlds(
             ix, plan, d.rho, cfg.num_worlds - 1, seed=sim_seed,

@@ -7,14 +7,15 @@ one sparse member matrix, so a block of labelings costs one sparse
 product. The matrix rows run in ascending candidate size, which groups
 the counts by size for the Monte Carlo loop and speeds up the product.
 
-A row of the matrix holds, for a cell of a partitioning that covers the
-bounding box, all of the cell's members. For any other rectangle it holds
-its members among the points of its first and last index column, plus
-its other columns as runs: the plan sorts the points by (column, y), so
-inside one index column a rectangle's points are one contiguous run of
-the sorted points, and its count is the difference of two running sums
-of the labels taken in that order. The product's vector is the N labels
-followed by those N + 1 running sums.
+A row of the matrix holds all of the members of a cell of a partitioning
+that covers the points' bounding box with no inner bound on its max
+edges. For any other rectangle it holds its members among the points of
+its first and last index column, plus its other columns as runs: the
+plan sorts the points by (column, y), so inside one index column a
+rectangle's points are one contiguous run of the sorted points, and its
+count is the difference of two running sums of the labels taken in that
+order. The product's vector is the N labels followed by those N + 1
+running sums.
 
 The matrix is written in place, in two passes: the first finds every row's
 size (a covering partitioning's cells from one argsort per axis), the
@@ -36,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import sparsetools
-from .geometry import Region, bounds_contain
+from .geometry import Region, bounds_contain, closed_bounds
 from .index import SpatialIndex
 from .regions import Partitioning, Rectangles
 
@@ -53,6 +54,7 @@ _BAND_VALUES = _EDGE_BATCH
 # labelings than one vector (csr_matvec).
 _BLOCK_WORLDS = 32
 _BLOCK_BYTES = 1 << 21
+_INDEX_MAX = np.iinfo(np.int32).max  # of the CSR arrays' entries and columns
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -63,9 +65,12 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _covers(part: Partitioning, bbox: Region) -> bool:
+    """Whether ``_cells`` gives each cell its members: the partitioning
+    covers the box and no inner bound lies on the box's max edge."""
     xb, yb = part.xbounds, part.ybounds
     return bool(xb[0] <= bbox.xmin and xb[-1] >= bbox.xmax
-                and yb[0] <= bbox.ymin and yb[-1] >= bbox.ymax)
+                and yb[0] <= bbox.ymin and yb[-1] >= bbox.ymax
+                and bbox.xmax not in xb[1:-1] and bbox.ymax not in yb[1:-1])
 
 
 def _cells(ix: SpatialIndex, covering, n) -> np.ndarray:
@@ -124,8 +129,7 @@ def _rectangle_terms(ix: SpatialIndex, bounds: np.ndarray):
 
     ``order`` sorts the points by the key column * N + rank of y, so inside
     one column a rectangle's points are one run of it: those with
-    ymin <= y < ymax, or ymin <= y <= ymax when ymax reaches the box's max
-    edge.
+    ymin <= y < ymax, ymax as ``closed_bounds`` gives it.
     Returns ``order`` (None without rectangles), the CSR list (members,
     offsets) of each rectangle's members, ascending, among the points of
     the runs of its first and last column, and the runs (rect, lo, hi) of
@@ -142,8 +146,8 @@ def _rectangle_terms(ix: SpatialIndex, bounds: np.ndarray):
     key[by_y] += np.arange(ix.N)
     key.sort()
     order = by_y[key % ix.N]
-    xmin, ymin, xmax, ymax = bounds.T
     b = ix.bbox
+    xmin, ymin, xmax, ymax = closed_bounds(bounds.T, b)
     # Monotone columns cover every point of a rectangle; rectangles left or
     # right of the bounding box get no column.
     cx0 = ix.columns(np.maximum(xmin, b.xmin))
@@ -151,8 +155,6 @@ def _rectangle_terms(ix: SpatialIndex, bounds: np.ndarray):
     ncols = np.where((xmax >= b.xmin) & (xmin <= b.xmax), cx1 - cx0 + 1, 0)
     y0 = np.searchsorted(ix.ys, ymin, sorter=by_y)
     y1 = np.searchsorted(ix.ys, ymax, sorter=by_y)
-    top = ymax >= b.ymax
-    y1[top] = np.searchsorted(ix.ys, ymax[top], side="right", sorter=by_y)
     del by_y
     rect = np.repeat(np.arange(m), ncols)
     col = _ranges(cx0, cx0 + ncols)
@@ -237,8 +239,9 @@ class CountPlan:
     per interior index column of a rectangle. ``indptr``, ``indices``
     (int32) and ``data`` are its CSR arrays, rows in the order ``order``.
     ``dtype`` is the counts' and the values' type: int16 below 2**15
-    points, else int32. Counts match a brute-force scan under the half-open
-    membership predicate with closed bounding-box max edges.
+    points, else int32. Counts match ``geometry.bounds_contain`` over the
+    index's box, the points' own. Past 2**31 - 1 entries or columns a plan
+    raises ValueError before its CSR arrays are allocated.
     """
 
     def __init__(self, ix: SpatialIndex, family):
@@ -278,9 +281,13 @@ class CountPlan:
         self.n[rect_rows] = n_members + np.bincount(
             run_rect, weights=run_hi - run_lo,
             minlength=len(rect_rows)).astype(np.int64)
+        self.nnz = int(row_nnz.sum())
+        self.width = ix.N + (ix.N + 1 if len(run_rect) else 0)
+        if max(self.nnz, self.width - 1) > _INDEX_MAX:
+            raise ValueError(f"count plan too large for int32: {self.nnz:,} "
+                             f"entries over {self.width:,} columns")
         self._n_obs = ix.N
         self._point_order = point_order if len(run_rect) else None
-        self.width = ix.N + (ix.N + 1 if len(run_rect) else 0)
         # Rows are laid out in ascending size (stable), so one product gives
         # the counts already grouped by size, and the product itself runs
         # faster over runs of equal-length rows.
@@ -288,7 +295,6 @@ class CountPlan:
         per_size = np.bincount(self.n, minlength=1)
         self.sizes = np.flatnonzero(per_size[1:]) + 1
         starts = np.cumsum(per_size)[self.sizes - 1]
-        self.nnz = int(row_nnz.sum())
         indptr = np.zeros(n_rows + 1, dtype=np.int32)
         np.cumsum(row_nnz[self.order], out=indptr[1:])
         del row_nnz

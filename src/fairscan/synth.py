@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Dataset
-from .geometry import Region, region_contains
+from .geometry import Region, bounds_contain
 
 DEFAULT_RECT = Region(0.0, 0.0, 1.0, 1.0)
 
@@ -76,7 +76,7 @@ def gen_planted(n: int, rect: Region, plant: Region, rho_bg: float,
     rng = np.random.default_rng(seed)
     xs = rng.uniform(rect.xmin, rect.xmax, size=n)
     ys = rng.uniform(rect.ymin, rect.ymax, size=n)
-    inside = region_contains(plant, xs, ys, rect)
+    inside = bounds_contain(plant.bounds(), xs, ys, rect)
     rates = np.where(inside, rho_in, rho_bg)
     outcomes = (rng.random(n) < rates).astype(np.int8)
     return Dataset.from_arrays(xs, ys, outcomes)

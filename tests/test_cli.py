@@ -345,6 +345,15 @@ class TestAudit:
                            "--worlds", "99", "--alpha", "0.05", *argv)
         assert (code, err) == (1, f"error: {message}\n")
 
+    def test_plan_too_large_for_int32(self, capsys, monkeypatch, unfair_csv):
+        monkeypatch.setattr("fairscan.scanner._INDEX_MAX", 1000)
+        code, lines, err = run(capsys, "audit", "--data", unfair_csv,
+                               "--grid", "2x2", "--worlds", "99",
+                               "--alpha", "0.05")
+        assert (code, lines[1:]) == (1, [])
+        assert err == ("error: count plan too large for int32: 2,000 "
+                       "entries over 2,000 columns\n")
+
     @pytest.mark.parametrize("worlds, message", [
         (0, "--worlds (config key worlds) must be at least 1, got 0; "
             "num_worlds = worlds + 1 counts the real world"),
@@ -619,6 +628,38 @@ class TestRegions:
         assert replayed["evidence"]
         for key in ("verdict", "evidence", "non_overlapping"):
             assert replayed[key] == built[key]
+
+    def test_grid_over_a_wider_box(self, capsys, tmp_path):
+        # The grid's inner bound x = 1 is the data's max x: the cell below
+        # it is closed there, so it holds all six points and is no
+        # evidence, as when the same cells are given as a regions family.
+        data = tmp_path / "six.csv"
+        data.write_text("id,lon,lat,outcome\na,0.25,0.5,1\nb,0.5,0.5,0\n"
+                        "c,1.0,0.5,1\nd,1.0,0.25,1\ne,0.75,0.3,0\n"
+                        "f,0.3,0.45,0\n")
+        part = tmp_path / "part.json"
+        assert run(capsys, "regions", "--bbox", "0,0,2,2", "--grid", "2x1",
+                   "--out", str(part))[0] == 0
+        assert [f.xbounds.tolist() for f in load_region_families(
+            str(part))] == [[0.0, 1.0, 2.0]]
+        cells = tmp_path / "cells.json"
+        cells.write_text(json.dumps({"schema": 1, "families": [{
+            "kind": "regions", "regions": [
+                {"xmin": x0, "ymin": 0.0, "xmax": x1, "ymax": 2.0}
+                for x0, x1 in ((0.0, 1.0), (1.0, 2.0))]}]}))
+        reports = []
+        for name, family in (("part", part), ("cells", cells)):
+            code, _, _ = run(capsys, "audit", "--data", str(data),
+                             "--regions-file", str(family), "--worlds", "199",
+                             "--alpha", "0.5", "--out", str(tmp_path / name))
+            assert code == 0
+            reports.append(json.loads(
+                (tmp_path / name / "report.json").read_text()))
+        evidence = reports[0]["evidence"]
+        assert [(e["xmin"], e["xmax"], e["n"], e["p"]) for e in evidence] == [
+            (1.0, 2.0, 2, 2)]
+        for key in ("verdict", "evidence", "non_overlapping"):
+            assert reports[0][key] == reports[1][key]
 
     def test_squares_need_data(self, capsys, tmp_path):
         code, _, err = run(capsys, "regions", "--bbox", "0,0,1,1",

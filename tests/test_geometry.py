@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +9,8 @@ from hypothesis import given, strategies as st
 from fairscan.geometry import (
     Region,
     bounding_box,
-    region_contains,
+    bounds_contain,
+    closed_bounds,
     regions_overlap,
 )
 from oracles import area, intersection_area, jaccard, oracle_contains
@@ -40,31 +43,31 @@ class TestRegion:
 class TestContains:
     def test_half_open_interior_edges(self):
         r = Region(0.2, 0.2, 0.6, 0.6)
-        assert region_contains(r, 0.2, 0.2, UNIT)
-        assert not region_contains(r, 0.6, 0.4, UNIT)
-        assert not region_contains(r, 0.4, 0.6, UNIT)
-        assert region_contains(r, 0.59, 0.59, UNIT)
+        assert bounds_contain(r.bounds(), 0.2, 0.2, UNIT)
+        assert not bounds_contain(r.bounds(), 0.6, 0.4, UNIT)
+        assert not bounds_contain(r.bounds(), 0.4, 0.6, UNIT)
+        assert bounds_contain(r.bounds(), 0.59, 0.59, UNIT)
 
     def test_bbox_max_edges_closed(self):
         # A region reaching the bounding box keeps boundary observations.
-        assert region_contains(UNIT, 1.0, 0.5, UNIT)
-        assert region_contains(UNIT, 0.5, 1.0, UNIT)
-        assert region_contains(UNIT, 1.0, 1.0, UNIT)
+        assert bounds_contain(UNIT.bounds(), 1.0, 0.5, UNIT)
+        assert bounds_contain(UNIT.bounds(), 0.5, 1.0, UNIT)
+        assert bounds_contain(UNIT.bounds(), 1.0, 1.0, UNIT)
 
     def test_interior_region_stays_half_open_at_its_own_edge(self):
         r = Region(0.0, 0.0, 0.5, 1.0)
-        assert not region_contains(r, 0.5, 0.5, UNIT)
+        assert not bounds_contain(r.bounds(), 0.5, 0.5, UNIT)
 
     def test_region_overhanging_bbox_keeps_boundary_points(self):
         r = Region(0.5, 0.5, 2.0, 2.0)
-        assert region_contains(r, 1.0, 1.0, UNIT)
+        assert bounds_contain(r.bounds(), 1.0, 1.0, UNIT)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(5)
         xs = rng.uniform(-0.5, 1.5, size=200)
         ys = rng.uniform(-0.5, 1.5, size=200)
         r = Region(0.25, 0.0, 1.0, 0.75)
-        got = region_contains(r, xs, ys, UNIT)
+        got = bounds_contain(r.bounds(), xs, ys, UNIT)
         want = [oracle_contains(x, y, r, UNIT) for x, y in zip(xs, ys)]
         assert got.tolist() == want
 
@@ -78,9 +81,33 @@ class TestContains:
     )
     def test_matches_oracle(self, x, y, ax, bx, ay, by):
         r = Region(min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
-        assert bool(region_contains(r, x, y, UNIT)) == oracle_contains(
-            x, y, r, UNIT
-        )
+        assert bool(bounds_contain(r.bounds(), x, y, UNIT)) == (
+            oracle_contains(x, y, r, UNIT))
+
+    def test_closed_bounds_moves_max_edges_on_the_box(self):
+        xmax = np.array([0.5, 1.0, 2.0, np.inf])
+        got = closed_bounds((0.0, 0.0, xmax, 1.0), UNIT)
+        assert got[:2] == (0.0, 0.0)
+        assert got[2].tolist() == [0.5, np.nextafter(1.0, 2.0),
+                                   np.nextafter(2.0, 3.0), np.inf]
+        assert got[3] == np.nextafter(1.0, 2.0)
+
+    def test_float_edges_match_oracle(self):
+        # Signed zeros, denormals, the largest float and infinite bounds,
+        # on boxes whose max edge is each finite value; the points include
+        # every box's max edge and its neighbours.
+        big = np.finfo(float).max
+        finite = [-big, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1e-310, 1.0,
+                  np.nextafter(big, 0.0), big]
+        xs, ys = np.array(list(itertools.product(finite, repeat=2))).T
+        for top in finite:
+            box = Region(-big, -big, top, top)
+            for lo, hi in itertools.combinations_with_replacement(
+                    [-np.inf, *finite, np.inf], 2):
+                r = Region(lo, lo, hi, hi)
+                got = bounds_contain(r.bounds(), xs, ys, box)
+                want = [oracle_contains(x, y, r, box) for x, y in zip(xs, ys)]
+                assert got.tolist() == want, (r, box)
 
 
 class TestOverlap:

@@ -149,3 +149,57 @@ def test_only_the_loader_imports_scipy():
              for path in sorted(SRC.glob("*.py"))}
     del found["_kernels.py"]
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def private_reads(source: str, own: str) -> list[str]:
+    """Every private name (one leading underscore, not a dunder) of a
+    fairscan module other than ``own`` that ``source`` imports from it, or
+    reads as an attribute of a name bound to that module. Importing a
+    private module, such as _kernels, is not a private read."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    found, bound = [], set()
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.endswith("__")
+
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if not node.level:
+                if name.split(".")[0] != "fairscan":
+                    continue
+                name = name.removeprefix("fairscan").lstrip(".")
+            if (name or "__init__") == own:
+                continue
+            for alias in node.names:
+                if not name and alias.name in modules:
+                    if alias.name != own:
+                        bound.add(alias.asname or alias.name)
+                elif private(alias.name):
+                    found.append(f"{node.lineno}: {alias.name}")
+        elif isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name for alias in node.names
+                      if alias.name.split(".")[0] == "fairscan"
+                      and alias.name.split(".")[-1] != own}
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and private(node.attr)
+                and ast.unparse(node.value) in bound):
+            found.append(f"{node.lineno}: {node.attr}")
+    return sorted(found, key=lambda line: int(line.split(":")[0]))
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert private_reads(textwrap.dedent("""
+        from .scanner import _EDGE_BATCH, as_scanner
+        from . import scanner as sc, _kernels
+        import fairscan.scanner
+        from fairscan.pipeline import _seeds, __all__
+        def cap():
+            return sc._BAND_VALUES + fairscan.scanner._BLOCK_WORLDS
+        sc.as_scanner, _kernels.sparsetools, _kernels._load
+        from .likelihood import _own
+    """), "likelihood") == ["2: _EDGE_BATCH", "5: _seeds", "7: _BAND_VALUES",
+                            "7: _BLOCK_WORLDS", "8: _load"]
+    found = {path.name: private_reads(path.read_text("utf-8"), path.stem)
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

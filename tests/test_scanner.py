@@ -1,9 +1,6 @@
 from __future__ import annotations
 
-import ast
-import textwrap
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,6 +14,7 @@ from fairscan.index import SpatialIndex
 from fairscan.likelihood import scan_regions
 from fairscan.montecarlo import simulate_worlds
 from fairscan.regions import (
+    Partitioning,
     random_partitionings,
     regular_grid,
     square_scan_set,
@@ -154,6 +152,49 @@ class TestPartitionScanner:
         sc = CountPlan(ix, [part])
         assert sc.n.tolist() == [1, 2]
         assert sc.positives(d.outcomes).tolist() == [1, 1]
+
+    def test_inner_bound_on_the_box_max_edge(self):
+        # The cell below x = 1, the data's max x, is closed there, as the
+        # same rectangle is; the cell above holds the points on it too.
+        d = make_dataset([0.25, 0.5, 1.0, 1.0], [0.5, 0.5, 0.5, 0.25],
+                         [1, 0, 1, 1])
+        ix = build_index(d, 2)
+        part = Partitioning([0.0, 1.0, 2.0], [0.0, 2.0])
+        for family in (part, rectangles(cell_regions(part))):
+            plan = CountPlan(ix, family)
+            assert plan.n.tolist() == [4, 2]
+            assert plan.positives(d.outcomes).tolist() == [3, 2]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cells_count_what_rectangles_count(self, seed):
+        # Bounds snapped onto the data's coordinates, its min and max often
+        # among them, with repeats (zero-width cells) and bounds past the
+        # box; outer bounds sometimes stop short of the box.
+        rng = np.random.default_rng(seed)
+        n = 300
+        levels = np.linspace(0.0, 1.0, 9)
+        xs, ys = np.where(rng.random((2, n)) < 0.5,
+                          rng.choice(levels, (2, n)), rng.random((2, n)))
+
+        def snapped(vals):
+            lo, hi = vals.min(), vals.max()
+            inner = rng.choice(np.concatenate((vals[:20], [lo, hi, hi + 0.5])),
+                               rng.integers(0, 6))
+            outer = (rng.choice([-np.inf, lo - 0.5, lo, vals[0]]),
+                     rng.choice([hi, hi + 0.5, np.inf, vals[1]]))
+            return np.sort(np.concatenate((outer, inner, inner[:1])))
+
+        d = make_dataset(xs, ys, rng.integers(0, 2, n))
+        ix = build_index(d, int(rng.integers(1, 6)))
+        part = Partitioning(snapped(xs), snapped(ys))
+        cells = CountPlan(ix, part)
+        rects = CountPlan(ix, rectangles(cell_regions(part)))
+        p = cells.positives(d.outcomes)
+        assert np.array_equal(cells.n, rects.n)
+        assert np.array_equal(p, rects.positives(d.outcomes))
+        assert list(zip(cells.n.tolist(), p.tolist())) == [
+            oracle_region_counts(r, d.lons, d.lats, d.outcomes, d.bbox)
+            for r in cell_regions(part)]
 
 
 class TestComposite:
@@ -351,28 +392,6 @@ class TestRankSearch:
         assert plan.n[regions.index(Region(0.0, 1.0, 1.0, 1.0))] == (
             ys == 1.0).sum() > 10
 
-    @pytest.mark.parametrize("gx", [3, 16])
-    def test_points_above_the_box(self, gx):
-        # An index over a box that stops short of the data's top: a
-        # rectangle reaching the box's max edge holds the points up to its
-        # own ymax in its interior columns too, not every point above ymin.
-        rng = np.random.default_rng(34)
-        n = 400
-        xs = rng.random(n)
-        ys = rng.choice(np.array([0.0, 0.5, 0.8, 0.9, 1.0]), n)
-        labels = rng.integers(0, 2, n)
-        box = Region(0.0, 0.0, 1.0, 0.8)
-        ix = SpatialIndex(xs, ys, labels, box, gx)
-        regions = [Region(x0, y0, x1, y1)
-                   for x0, x1 in ((0.0, 1.0), (0.2, 0.7))
-                   for y0, y1 in ((0.5, 0.8), (0.5, 0.9), (0.0, 1.0),
-                                  (0.8, 0.8), (0.9, np.inf))]
-        plan = CountPlan(ix, rectangles(regions))
-        p = plan.positives(labels)
-        for i, region in enumerate(regions):
-            want = oracle_region_counts(region, xs, ys, labels, box)
-            assert (plan.n[i], p[i]) == want, region
-
 
 class TestPlanMemory:
     def test_squares_plan_grows_linearly(self):
@@ -397,6 +416,25 @@ class TestPlanMemory:
             assert peak < 48 * (n + plan.nnz)
             peaks.append(peak)
         assert peaks[1] <= 2.05 * peaks[0]
+
+    def test_refuses_a_plan_past_int32(self, data_and_index, monkeypatch):
+        # Entries past the limit would wrap indptr's int32 running sum, and
+        # columns past it indices' int32 values.
+        d, ix = data_and_index
+        square = rectangles([Region(0.1, 0.1, 0.6, 0.9)])
+        family = [regular_grid(d.bbox, 3, 2), regular_grid(d.bbox, 2, 2),
+                  square]
+        nnz = CountPlan(ix, family).nnz
+        width = CountPlan(ix, square).width
+        assert CountPlan(ix, square).nnz < width - 1 < nnz
+        monkeypatch.setattr(scanner, "_INDEX_MAX", nnz - 1)
+        with pytest.raises(ValueError, match=f"int32: {nnz:,} entries"):
+            CountPlan(ix, family)
+        monkeypatch.setattr(scanner, "_INDEX_MAX", width - 2)
+        with pytest.raises(ValueError, match=f"over {width:,} columns"):
+            CountPlan(ix, square)
+        monkeypatch.setattr(scanner, "_INDEX_MAX", width - 1)
+        assert CountPlan(ix, square).width == width
 
     def test_random_partitionings_plan_grows_linearly(self):
         # 100 random partitionings, as in the split benchmark, so nearly
@@ -682,7 +720,7 @@ class TestLargeN:
         xs[:2] = ys[:2] = (0.0, 1.0)
         labels = (rng.random(n) < 0.3).astype(np.int8)
         bbox = Region(0.0, 0.0, 1.0, 1.0)
-        ix = SpatialIndex(xs, ys, labels, bbox, 1000)
+        ix = SpatialIndex(xs, ys, labels, 1000)
         centers = np.vstack((rng.random((40, 2)),
                              [[1.0, 1.0], [0.75, 0.75], [0.99, 0.4]]))
         family = [regular_grid(bbox, 100, 50),
@@ -700,41 +738,3 @@ class TestLargeN:
             want = oracle_region_counts_vec(plan.region(i), xs, ys, labels,
                                             bbox)
             assert (plan.n[i], positives[i]) == want
-
-
-def private_scanner_reads(source: str) -> list[str]:
-    """Every private name of fairscan.scanner that ``source`` imports from
-    it, or reads as an attribute of a name bound to the module."""
-    tree = ast.parse(source)
-    found, modules = [], {"fairscan.scanner"}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            names = [alias.name for alias in node.names]
-            if (node.module or "").split(".")[-1] == "scanner":
-                found += [f"{node.lineno}: {name}" for name in names
-                          if name.startswith("_")]
-            modules |= {alias.asname or alias.name for alias in node.names
-                        if alias.name == "scanner"}
-        elif isinstance(node, ast.Import):
-            modules |= {alias.asname or alias.name for alias in node.names
-                        if alias.name.split(".")[-1] == "scanner"}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
-                and ast.unparse(node.value) in modules):
-            found.append(f"{node.lineno}: {node.attr}")
-    return sorted(found, key=lambda line: int(line.split(":")[0]))
-
-
-def test_only_the_scanner_reads_its_private_names():
-    assert private_scanner_reads(textwrap.dedent("""
-        from .scanner import _EDGE_BATCH, as_scanner
-        from . import scanner as sc
-        import fairscan.scanner
-        def cap():
-            return sc._BAND_VALUES + fairscan.scanner._BLOCK_WORLDS
-        sc.as_scanner
-    """)) == ["2: _EDGE_BATCH", "6: _BAND_VALUES", "6: _BLOCK_WORLDS"]
-    src = Path(scanner.__file__).parent
-    found = {path.name: private_scanner_reads(path.read_text("utf-8"))
-             for path in sorted(src.glob("*.py")) if path.name != "scanner.py"}
-    assert {name: lines for name, lines in found.items() if lines} == {}

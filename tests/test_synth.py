@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fairscan.geometry import Region, region_contains
+from fairscan.geometry import Region, bounds_contain
 from fairscan.synth import (
     DEFAULT_RECT,
     gen_fair_bernoulli,
@@ -104,7 +104,7 @@ class TestPlanted:
 
     def test_empirical_rates(self):
         d = gen_planted(40000, self.RECT, self.PLANT, 0.5, 0.9, seed=20)
-        inside = region_contains(self.PLANT, d.lons, d.lats, self.RECT)
+        inside = bounds_contain(self.PLANT.bounds(), d.lons, d.lats, self.RECT)
         # The plant covers 4% of the area, about 1600 points.
         assert inside.sum() > 1000
         rate_in = d.outcomes[inside].mean()
@@ -114,7 +114,7 @@ class TestPlanted:
 
     def test_lowered_inside_rate(self):
         d = gen_planted(40000, self.RECT, self.PLANT, 0.5, 0.1, seed=21)
-        inside = region_contains(self.PLANT, d.lons, d.lats, self.RECT)
+        inside = bounds_contain(self.PLANT.bounds(), d.lons, d.lats, self.RECT)
         assert d.outcomes[inside].mean() < 0.2
 
     def test_equal_rates_match_fair(self):
