@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import Dataset
 from .geometry import bounding_box
 
-MAX_RESOLUTION = 1024
+MAX_COLUMNS = 1024
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class SpatialIndex:
         return np.clip(idx, 0, self.gx - 1)
 
 
-def default_resolution(n: int) -> int:
-    return min(MAX_RESOLUTION, int(np.ceil(np.sqrt(n))))
+def default_columns(n: int) -> int:
+    return min(MAX_COLUMNS, int(np.ceil(np.sqrt(n))))
 
 
 def build_index(d: Dataset, gx: int | None = None) -> SpatialIndex:
@@ -63,7 +63,7 @@ def build_index(d: Dataset, gx: int | None = None) -> SpatialIndex:
     Counts do not depend on gx; the default is ceil(sqrt(N)), capped at
     1024.
     """
-    gx = default_resolution(d.N) if gx is None else gx
+    gx = default_columns(d.N) if gx is None else gx
     if gx < 1:
         raise ValueError(f"column count must be positive, got {gx}")
     return SpatialIndex(d.lons, d.lats, d.outcomes, gx)

@@ -23,6 +23,7 @@ MAX_FLOATS = np.iinfo(np.intp).max // 8
 # Points whose distances to every center one k-means step computes at a
 # time: its two (block, k) float64 buffers are the step's scratch memory.
 _KMEANS_BLOCK = 1024
+_KMEANS_ITERS = 100  # Lloyd steps after which k-means stops, stable or not
 _BOUND_KEYS = ("xmin", "ymin", "xmax", "ymax")  # a Rectangles row in a file
 
 
@@ -150,14 +151,14 @@ def _points_of(data) -> np.ndarray:
     return pts
 
 
-def kmeans_centers(data, k: int, seed: int = 0, max_iters: int = 100,
+def kmeans_centers(data, k: int, seed: int = 0,
                    return_inertia: bool = False):
     """Cluster observation locations with k-means++ seeded Lloyd iterations.
 
     Runs on every observation, so duplicate locations act as weights.
     Deterministic for a given seed. Stops when assignments stabilize or
-    after max_iters. With return_inertia=True also returns the inertia
-    recorded after each assignment step (a non-increasing sequence).
+    after _KMEANS_ITERS steps. With return_inertia=True also returns the
+    inertia recorded after each assignment step (a non-increasing sequence).
 
     The Lloyd iterations are exact: a point is skipped only when a
     distance bound proves it keeps its center, so centers and inertia are
@@ -221,7 +222,7 @@ def kmeans_centers(data, k: int, seed: int = 0, max_iters: int = 100,
     box_lo, box_hi = np.array([(xs.min(), ys.min()), (xs.max(), ys.max())])
     block = min(_KMEANS_BLOCK, npts)
     dist2, dy2 = np.empty((2, block, k))
-    for it in range(max_iters):
+    for it in range(_KMEANS_ITERS):
         # Each point's squared distance to its center, as the matrix has it.
         own = (np.square(xs - centers[assign, 0])
                + np.square(ys - centers[assign, 1]))

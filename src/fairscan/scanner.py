@@ -28,8 +28,8 @@ sum and partial row sum lies in [-N, N], so below 2**15 points the values,
 labels and counts are int16, else int32. scipy's CSR kernels, which
 fairscan._kernels loads without importing scipy.sparse, run the product
 on the plan's own arrays: over every row for ``positives``, and for
-``extremes`` over a block of labelings one band of rows at a time, whole
-size classes where they fit in _BAND_VALUES counts, without size 0.
+``extremes`` over a block of B labelings one band of max(1,
+_BAND_VALUES // B) rows at a time, from the first row of positive size.
 """
 
 from __future__ import annotations
@@ -201,27 +201,6 @@ def _edge_members(ix, order, bounds, rect, lo, hi):
     return np.concatenate(members), offsets
 
 
-def _band_table(starts: np.ndarray, rows: int, cap: int) -> list:
-    """The bands of rows [starts[0], rows) of a plan's order, as
-    (lo, hi, c0, cuts): rows [lo, hi) hold size classes c0 onwards, from
-    rows lo + cuts (cuts[0] is 0). A band holds at most ``cap`` rows, as
-    many whole size classes as fit; a larger class is split."""
-    edges = [*starts.tolist(), rows]
-    cuts = edges[:1]
-    for last, edge in zip(edges[:-1], edges[1:]):
-        if edge - cuts[-1] > cap:
-            cuts += [last] * (last > cuts[-1])
-            cuts += range(cuts[-1] + cap, edge, cap)
-    table = []
-    for lo, hi in zip(cuts, [*cuts[1:], rows]):
-        if hi > lo:  # a plan without positive sizes has no band
-            c0 = int(np.searchsorted(starts, lo, side="right")) - 1
-            inside = starts[c0:np.searchsorted(starts, hi)] - lo
-            inside[0] = 0  # a band may start inside a split size class
-            table.append((lo, hi, c0, inside))
-    return table
-
-
 class CountPlan:
     """Per-candidate observation and positive counts under any labeling.
 
@@ -231,7 +210,8 @@ class CountPlan:
     stable argsort of ``n``, the order of the matrix rows, and ``sizes`` are
     the distinct positive sizes, ascending. ``positives`` counts one
     labeling, in family order; ``extremes`` gives each size's largest and
-    smallest count under each labeling of a block of up to ``worlds``.
+    smallest count under each labeling of a block of up to ``worlds``,
+    in bands of rows that it cuts for each block.
     ``width`` is the length of the product's vector: the N labels, then
     N + 1 running sums when rectangles have interior runs. ``nnz`` is the
     member matrix's entry count: one per edge-column member and per point
@@ -294,7 +274,7 @@ class CountPlan:
         self.order = np.argsort(self.n, kind="stable")
         per_size = np.bincount(self.n, minlength=1)
         self.sizes = np.flatnonzero(per_size[1:]) + 1
-        starts = np.cumsum(per_size)[self.sizes - 1]
+        self._starts = np.cumsum(per_size)[self.sizes - 1]
         indptr = np.zeros(n_rows + 1, dtype=np.int32)
         np.cumsum(row_nnz[self.order], out=indptr[1:])
         del row_nnz
@@ -320,8 +300,6 @@ class CountPlan:
         self.indptr, self.indices, self.data = indptr, indices, data
         fit = _BLOCK_BYTES // (self.width * self.dtype.itemsize)
         self.worlds = min(_BLOCK_WORLDS, 1 << max(fit.bit_length() - 1, 0))
-        self._bands = _band_table(starts, n_rows,
-                                  max(1, _BAND_VALUES // self.worlds))
 
     def _running_sums(self, block: np.ndarray) -> None:
         """Write the running sums of the labels in rows :N of ``block``,
@@ -338,28 +316,47 @@ class CountPlan:
         """Each size's largest and smallest positive count under each
         labeling of ``block``, band by band.
 
-        ``block`` is (width, B) of ``self.dtype``, B at most ``worlds``:
+        ``block`` is (width, B) of ``self.dtype``, 1 <= B <= ``worlds``:
         rows :N hold the labels, one labeling per column, and the running
         sums are written into the rows past N here. ``out`` is
-        (2 * len(sizes), B): the largest count of each size, then the
-        smallest.
+        (2 * len(sizes), B) of ``self.dtype``: the largest count of each
+        size, then the smallest. Other shapes or dtypes raise ValueError
+        before anything is written. Bands of max(1, _BAND_VALUES // B)
+        rows run from the first row of positive size; a size class cut by
+        a band's end merges in ``out``.
         """
-        worlds = block.shape[1]
+        worlds = block.shape[1] if block.ndim == 2 else 0
+        if (not worlds or block.shape[0] != self.width
+                or out.shape != (2 * len(self.sizes), worlds)
+                or not block.dtype == out.dtype == self.dtype):
+            raise ValueError(
+                f"extremes takes a ({self.width}, B) block and a "
+                f"({2 * len(self.sizes)}, B) out of {self.dtype}, B >= 1; got "
+                f"{block.shape} {block.dtype} and {out.shape} {out.dtype}")
         self._running_sums(block)
         top, bottom = np.split(out, 2)
         top.fill(np.iinfo(self.dtype).min)
         bottom.fill(np.iinfo(self.dtype).max)
-        buf = np.empty(max((hi - lo for lo, hi, _, _ in self._bands),
-                           default=0) * worlds, dtype=self.dtype)
+        rows, starts = len(self.n), self._starts
+        step = max(1, _BAND_VALUES // worlds)
+        los = np.arange(starts[0] if len(starts) else rows, rows, step)
+        his = np.minimum(los + step, rows)
+        # Each band's first size class, and the end of the classes in it.
+        firsts = np.searchsorted(starts, los, side="right") - 1
+        ends = np.searchsorted(starts, his)
+        buf = np.empty(min(step, rows) * worlds, dtype=self.dtype)
         kernel, vecs = ((sparsetools.csr_matvec, ()) if worlds == 1
                         else (sparsetools.csr_matvecs, (worlds,)))
-        for lo, hi, c0, cuts in self._bands:
+        for lo, hi, c0, c1 in zip(los.tolist(), his.tolist(),
+                                  firsts.tolist(), ends.tolist()):
             counts = buf[:(hi - lo) * worlds]
             counts.fill(0)  # the kernel adds to it
             kernel(hi - lo, self.width, *vecs, self.indptr[lo:hi + 1],
                    self.indices, self.data, block, counts)
             counts = counts.reshape(hi - lo, worlds)
-            part = slice(c0, c0 + len(cuts))
+            cuts = starts[c0:c1] - lo
+            cuts[0] = 0  # a band may start inside a size class
+            part = slice(c0, c1)
             np.maximum(top[part], np.maximum.reduceat(counts, cuts),
                        out=top[part])
             np.minimum(bottom[part], np.minimum.reduceat(counts, cuts),

@@ -7,7 +7,7 @@ import pytest
 
 from fairscan import CountPlan, build_index, scanner
 from fairscan.geometry import Region
-from fairscan.index import default_resolution
+from fairscan.index import default_columns
 from fairscan.regions import regular_grid
 
 from conftest import (
@@ -58,10 +58,10 @@ class TestBuild:
         assert ix.labels[order].sum() == d.P
         assert plan_counts(ix, d.bbox) == (d.N, d.P)
 
-    def test_default_resolution(self):
-        assert default_resolution(100) == 10
-        assert default_resolution(101) == 11
-        assert default_resolution(10**9) == 1024
+    def test_default_columns(self):
+        assert default_columns(100) == 10
+        assert default_columns(101) == 11
+        assert default_columns(10**9) == 1024
 
     def test_bad_resolution(self):
         d = make_dataset([0.0, 1.0], [0.0, 1.0], [0, 1])

@@ -132,7 +132,7 @@ class TestSimulateWorlds:
 def pool(monkeypatch):
     """Set the worker count, the block size and the band cap in rows (None
     for the default), with the gates forced open. Plans built afterwards
-    use the block size and the band cap."""
+    use the block size; every later count uses the band cap."""
     band_values = scanner._BAND_VALUES
 
     def set_pool(workers: int, block: int = 1, band: int | None = None
@@ -581,11 +581,8 @@ class TestOracleAudit:
         d = make_dataset(case["xs"], case["ys"], case["outcomes"])
         ix = build_index(d, case["resolution"])
         family = [f for spec in case["specs"] for f in _family(spec, d.bbox)]
-        band = case["band"]
         with mock.patch.multiple(scanner, _BLOCK_WORLDS=case["block"],
-                                 _BLOCK_BYTES=sys.maxsize,
-                                 _BAND_VALUES=(band * case["block"] if band
-                                               else scanner._BAND_VALUES)):
+                                 _BLOCK_BYTES=sys.maxsize):
             plan = as_scanner(ix, family)
         regions = [plan.region(i) for i in range(len(plan.n))]
         if case is _RUNS_CASE:
@@ -597,8 +594,12 @@ class TestOracleAudit:
         assert scored.n.tolist() == n
         assert scored.p.tolist() == p
         assert abs(got_tau - tau) <= 1e-9
-        with mock.patch.multiple(montecarlo, _PARALLEL_WORK=0,
-                                 _cpu_count=lambda: case["workers"]):
+        band = case["band"]
+        with (mock.patch.multiple(montecarlo, _PARALLEL_WORK=0,
+                                  _cpu_count=lambda: case["workers"]),
+              mock.patch.object(scanner, "_BAND_VALUES",
+                                band * case["block"] if band
+                                else scanner._BAND_VALUES)):
             dist = simulate_worlds(ix, plan, case["rho"], case["worlds"],
                                    case["seed"], case["direction"])
         assert np.abs(dist.values - maxima).max() <= 1e-9

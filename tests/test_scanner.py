@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -592,36 +593,56 @@ class TestBandKernel:
             monkeypatch.setattr(scanner, "_BAND_VALUES", rows * worlds)
         plan = CountPlan(ix, mixed_family(d.bbox))
         assert plan.worlds == worlds
-        cap = max(1, scanner._BAND_VALUES // worlds)
         block = np.zeros((plan.width, worlds), dtype=plan.dtype)
         block[:d.N] = np.random.default_rng(32).integers(0, 2, (d.N, worlds))
         out = np.empty((2 * len(plan.sizes), worlds), dtype=plan.dtype)
         plan.extremes(block, out)
         # The running sums are in the block now; the rows of size 0 lead.
         want = member_matrix(plan).astype(np.int64) @ block.astype(np.int64)
-        sizes = plan.n[plan.order]
-        starts = np.searchsorted(sizes, plan.sizes)
+        starts = np.searchsorted(plan.n[plan.order], plan.sizes)
         assert not want[:starts[0]].any()
         assert np.array_equal(out, np.concatenate([
             reduce.reduceat(want, starts) for reduce in (np.maximum,
                                                           np.minimum)]))
-        # The bands run from the first positive size to the last row, each
-        # naming its first size class and the classes that start in it.
-        lo_next = starts[0]
-        for lo, hi, c0, cuts in plan._bands:
-            assert lo == lo_next and 0 < hi - lo <= cap
-            assert sizes[lo] == plan.sizes[c0] and cuts[0] == 0
-            assert np.array_equal(lo + cuts[1:],
-                                  starts[c0 + 1:c0 + len(cuts)])
-            lo_next = hi
-        assert lo_next == len(plan.n)
-        # A band ends inside a size class only where the class is longer
-        # than the cap.
-        ends = np.array([lo for lo, *_ in plan._bands[1:]], dtype=int)
-        inside = ends[sizes[ends] == sizes[ends - 1]]
-        runs = np.diff([*starts, len(plan.n)])
-        longest = runs[np.searchsorted(starts, inside, side="right") - 1]
-        assert (longest > cap).all()
+
+    def test_bands_are_cut_at_call_time(self, data_and_index, monkeypatch):
+        # The band cap is read by each call, for the block it is given, so
+        # a cap set after the plan is built still holds.
+        d, ix = data_and_index
+        plan = CountPlan(ix, mixed_family(d.bbox))
+        kernels = scanner.sparsetools
+        calls = []
+
+        def spy(name):
+            def kernel(n_row, *args):
+                calls.append(n_row)
+                getattr(kernels, name)(n_row, *args)
+            return kernel
+
+        monkeypatch.setattr(scanner, "sparsetools", SimpleNamespace(
+            csr_matvec=spy("csr_matvec"), csr_matvecs=spy("csr_matvecs")))
+        sizes = plan.n[plan.order]
+        starts = np.searchsorted(sizes, plan.sizes)
+        rng = np.random.default_rng(33)
+        inside = 0
+        for worlds in (1, 3, plan.worlds):
+            monkeypatch.setattr(scanner, "_BAND_VALUES", 7 * worlds)
+            cap = max(1, scanner._BAND_VALUES // worlds)
+            block = np.zeros((plan.width, worlds), dtype=plan.dtype)
+            block[:d.N] = rng.integers(0, 2, (d.N, worlds))
+            out = np.empty((2 * len(plan.sizes), worlds), dtype=plan.dtype)
+            calls.clear()
+            plan.extremes(block, out)
+            assert max(calls) <= cap and set(calls[:-1]) <= {cap}
+            assert sum(calls) == len(plan.n) - starts[0]
+            los = starts[0] + np.cumsum(calls[:-1])
+            inside += int((sizes[los] == sizes[los - 1]).sum())
+            want = member_matrix(plan).astype(np.int64) @ block.astype(
+                np.int64)
+            assert np.array_equal(out, np.concatenate([
+                reduce.reduceat(want, starts) for reduce in (np.maximum,
+                                                              np.minimum)]))
+        assert inside  # some band starts inside a size class
 
 
 def extremes_of_positives(plan, labelings):
@@ -663,7 +684,8 @@ class TestExtremes:
         assert plan.dtype == (np.int16 if d.N < 1 << 15 else np.int32)
         assert (plan.width == d.N) == (kind in ("covering", "empty"))
         if kind in ("covering", "runs", "mixed"):
-            assert len(plan._bands) > len(plan.sizes)
+            # Some size class spans more than one one-row band.
+            assert np.bincount(plan.n)[plan.sizes].max() > 1
         else:
             assert len(plan.sizes) == (kind == "single")
         rng = np.random.default_rng(63)
@@ -675,6 +697,41 @@ class TestExtremes:
             out = np.empty((2 * len(plan.sizes), worlds), dtype=plan.dtype)
             plan.extremes(block, out)
             assert np.array_equal(out, extremes_of_positives(plan, labelings))
+
+
+class TestExtremesRefusesBadShapes:
+    """extremes trusts nothing about its arguments: a block that is not
+    (width, B >= 1) of the plan's dtype, or an ``out`` that is not
+    (2 * len(sizes), B) of it, raises before anything is written, where
+    the kernel would read past a short block."""
+
+    # (block shape, block dtype, out shape, out dtype) from the plan's
+    # width w, its 2 * len(sizes) extremes s and its dtype t.
+    BAD = {
+        "short": lambda w, s, t: ((10, 3), t, (s, 3), t),
+        "long": lambda w, s, t: ((w + 1, 3), t, (s, 3), t),
+        "flat": lambda w, s, t: ((w,), t, (s, 1), t),
+        "no worlds": lambda w, s, t: ((w, 0), t, (s, 0), t),
+        "block dtype": lambda w, s, t: ((w, 3), np.int64, (s, 3), t),
+        "out rows": lambda w, s, t: ((w, 3), t, (s // 2, 3), t),
+        "out worlds": lambda w, s, t: ((w, 3), t, (s, 4), t),
+        "out dtype": lambda w, s, t: ((w, 3), t, (s, 3), np.int8),
+    }
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("kind", ["covering", "runs"])
+    def test_refuses(self, data_and_index, kind, bad):
+        d, ix = data_and_index
+        plan = CountPlan(ix, regular_grid(d.bbox, 3, 3) if kind == "covering"
+                         else square_scan_set(np.array([[0.5, 0.5]]),
+                                              [0.3, 0.6]))
+        assert (plan.width == d.N) == (kind == "covering")
+        shape, dtype, out_shape, out_dtype = self.BAD[bad](
+            plan.width, 2 * len(plan.sizes), plan.dtype)
+        block, out = np.ones(shape, dtype), np.zeros(out_shape, out_dtype)
+        with pytest.raises(ValueError, match="extremes takes"):
+            plan.extremes(block, out)
+        assert (block == 1).all() and not out.any()
 
 
 def per_point_arrays(ix):
