@@ -18,12 +18,11 @@ from .dataset import (
     load_dataset,
     write_csv,
 )
-from .geometry import Region, bounding_box, regions_overlap
-from .index import RegionCounts, SpatialIndex, build_index
+from .geometry import Region, bounding_box
+from .index import SpatialIndex, build_index
 from .likelihood import (
     Direction,
     ScanResult,
-    ScoredRegion,
     llr_vector,
     scan_regions,
 )
@@ -73,9 +72,7 @@ __all__ = [
     "Partitioning",
     "Rectangles",
     "Region",
-    "RegionCounts",
     "ScanResult",
-    "ScoredRegion",
     "SpatialIndex",
     "as_scanner",
     "audit",
@@ -90,7 +87,6 @@ __all__ = [
     "load_region_families",
     "mean_var",
     "random_partitionings",
-    "regions_overlap",
     "regular_grid",
     "run_audit",
     "run_meanvar",

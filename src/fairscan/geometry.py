@@ -63,15 +63,6 @@ def bounds_contain(bounds, xs, ys, bbox: Region):
     return (xs >= xmin) & (xs < xmax) & (ys >= ymin) & (ys < ymax)
 
 
-def regions_overlap(a: Region, b: Region) -> bool:
-    """True when the intersection has strictly positive area.
-
-    Regions that merely share an edge or a corner do not overlap.
-    """
-    return (min(a.xmax, b.xmax) > max(a.xmin, b.xmin)
-            and min(a.ymax, b.ymax) > max(a.ymin, b.ymin))
-
-
 def bounding_box(xs, ys) -> Region:
     """Tight axis-aligned bounding box of a nonempty point set."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)

@@ -9,20 +9,12 @@ depend on the column count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import Dataset
 from .geometry import bounding_box
 
 MAX_COLUMNS = 1024
-
-
-@dataclass(frozen=True)
-class RegionCounts:
-    n: int
-    p: int
 
 
 class SpatialIndex:

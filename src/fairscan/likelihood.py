@@ -17,13 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from collections.abc import Sequence
 
 import numpy as np
 
 from ._kernels import xlogy
-from .geometry import Region
-from .index import RegionCounts, SpatialIndex
+from .index import SpatialIndex
 from .scanner import as_scanner
 
 # Scoring a lane takes about ten float64 temporaries, so slices of this many
@@ -45,20 +43,14 @@ class Direction(str, Enum):
     LOWER_INSIDE = "lower_inside"
 
 
-@dataclass(frozen=True)
-class ScoredRegion:
-    region: Region
-    counts: RegionCounts
-    local_rate: float
-    llr: float
-    p_value: float | None = None
-
-
 @dataclass(frozen=True, eq=False)
-class ScanResult(Sequence):
-    """Every candidate's bounds, center id, counts and score, as columns.
+class ScanResult:
+    """Scored candidates as columns, one row per candidate.
 
-    Indexing builds the ScoredRegion of one candidate on demand.
+    ``bounds`` is the (R, 4) array of xmin, ymin, xmax, ymax and
+    ``center_ids`` the object array of center links (None for cells).
+    The scan leaves ``p_value`` unset; evidence is a row selection of the
+    scan (``take``) that carries each row's p-value.
     """
 
     bounds: np.ndarray
@@ -66,19 +58,17 @@ class ScanResult(Sequence):
     n: np.ndarray
     p: np.ndarray
     llr: np.ndarray
+    p_value: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.llr)
 
-    def __getitem__(self, i: int) -> ScoredRegion:
-        n = int(self.n[i])
-        return ScoredRegion(
-            region=Region(*self.bounds[i].tolist(),
-                          center_id=self.center_ids[i]),
-            counts=RegionCounts(n, int(self.p[i])),
-            local_rate=float(self.p[i] / self.n[i]) if n > 0 else 0.0,
-            llr=float(self.llr[i]),
-        )
+    def take(self, rows) -> ScanResult:
+        """The given rows (an index array or a slice), in that order."""
+        return ScanResult(
+            self.bounds[rows], self.center_ids[rows], self.n[rows],
+            self.p[rows], self.llr[rows],
+            None if self.p_value is None else self.p_value[rows])
 
 
 def _null_max(N, P):

@@ -15,29 +15,27 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Region
-from .index import RegionCounts, SpatialIndex
+from .index import SpatialIndex
 from .regions import Partitioning
 from .scanner import as_scanner
 
 
 @dataclass(frozen=True)
-class Contribution:
-    """One cell's squared deviation from its partitioning's mean rate."""
-
-    region: Region
-    counts: RegionCounts
-    local_rate: float
-    contribution: float
-
-
-@dataclass(frozen=True)
 class MeanVarReport:
+    """MeanVar with each partitioning's variance and the ranked cells.
+
+    ``top_contributors`` holds the cells as columns, best first: ``bounds``
+    (k, 4), ``n``, ``p``, ``rho`` (the cell's positive rate) and
+    ``contribution`` (its squared deviation from its partitioning's mean
+    rate).
+    """
+
     mean_var: float
     per_partitioning: tuple[tuple[Mapping[str, object], float], ...]
-    top_contributors: tuple[Contribution, ...]
+    top_contributors: Mapping[str, np.ndarray]
 
     def to_json_dict(self) -> dict:
+        top = self.top_contributors
         return {
             "schema": 1,
             "mean_var": self.mean_var,
@@ -47,14 +45,14 @@ class MeanVarReport:
             ],
             "top_contributors": [
                 {
-                    "rank": i + 1,
-                    "xmin": c.region.xmin, "ymin": c.region.ymin,
-                    "xmax": c.region.xmax, "ymax": c.region.ymax,
-                    "n": c.counts.n, "p": c.counts.p,
-                    "rho": c.local_rate,
-                    "contribution": c.contribution,
+                    "rank": rank,
+                    "xmin": b[0], "ymin": b[1], "xmax": b[2], "ymax": b[3],
+                    "n": n, "p": p, "rho": rho, "contribution": c,
                 }
-                for i, c in enumerate(self.top_contributors)
+                for rank, (b, n, p, rho, c) in enumerate(zip(
+                    top["bounds"].tolist(), top["n"].tolist(),
+                    top["p"].tolist(), top["rho"].tolist(),
+                    top["contribution"].tolist()), start=1)
             ],
         }
 
@@ -75,7 +73,7 @@ def mean_var(ix: SpatialIndex, parts: Sequence[Partitioning],
     plan = as_scanner(ix, parts)
     positives = plan.positives(ix.labels)
     per_part = []
-    contributors: list[Contribution] = []
+    rows, rates, contribs = [], [], []
     lo = 0
     for part in parts:
         hi = lo + len(part)
@@ -83,25 +81,24 @@ def mean_var(ix: SpatialIndex, parts: Sequence[Partitioning],
         occupied = n > 0
         if not occupied.any():
             raise ValueError("partitioning has no occupied cells")
-        rates = p[occupied] / n[occupied]
-        per_part.append((dict(part.provenance), float(np.var(rates))))
-        idx = np.flatnonzero(occupied)
-        contrib = (rates - rates.mean()) ** 2
+        rate = p[occupied] / n[occupied]
+        per_part.append((dict(part.provenance), float(np.var(rate))))
+        contrib = (rate - rate.mean()) ** 2
         # Only a partitioning's own top-k can reach the global top-k.
         order = np.argsort(-contrib, kind="stable")[:top_k]
-        contributors.extend(
-            Contribution(
-                region=plan.region(lo + int(idx[j])),
-                counts=RegionCounts(int(n[idx[j]]), int(p[idx[j]])),
-                local_rate=float(rates[j]),
-                contribution=float(contrib[j]),
-            )
-            for j in order
-        )
+        rows.append(lo + np.flatnonzero(occupied)[order])
+        rates.append(rate[order])
+        contribs.append(contrib[order])
         lo = hi
-    contributors.sort(key=lambda c: -c.contribution)
+    contrib = np.concatenate(contribs)
+    top = np.argsort(-contrib, kind="stable")[:top_k]
+    rows = np.concatenate(rows)[top]
     return MeanVarReport(
         mean_var=float(np.mean([v for _, v in per_part])),
         per_partitioning=tuple(per_part),
-        top_contributors=tuple(contributors[:top_k]),
+        top_contributors={
+            "bounds": plan.bounds[rows], "n": plan.n[rows],
+            "p": positives[rows], "rho": np.concatenate(rates)[top],
+            "contribution": contrib[top],
+        },
     )

@@ -15,11 +15,11 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .likelihood import Direction, ScanResult, ScoredRegion, llr_vector
+from .likelihood import Direction, ScanResult, llr_vector
 from .index import SpatialIndex
 from . import scanner
 
@@ -210,15 +210,18 @@ def _run_pool(work, workers: int) -> None:
         raise errors[0]
 
 
-def global_p_value(tau_log: float, dist: MaxStatDistribution) -> float:
-    """Monte Carlo p-value of the real world's max score.
+def global_p_value(tau_log, dist: MaxStatDistribution):
+    """Monte Carlo p-value of a max score, or of each score of an array.
 
     The real world ranks among the w - 1 simulated maxima; ties count
     against the real world, so p = (1 + #{simulated >= tau}) / w. The
-    smallest attainable value is 1/w.
+    smallest attainable value is 1/w. A score gives a float, an array of
+    scores a float64 array of the same values.
     """
-    k = 1 + int((dist.values >= tau_log).sum())
-    return k / dist.w
+    # values descend, so -values ascend and -values <= -tau counts them.
+    k = 1 + np.searchsorted(-dist.values, -np.asarray(tau_log), side="right")
+    p = k / dist.w
+    return float(p) if p.ndim == 0 else p
 
 
 def critical_value(dist: MaxStatDistribution, alpha: float) -> float:
@@ -239,16 +242,18 @@ def critical_value(dist: MaxStatDistribution, alpha: float) -> float:
 
 def significant_regions(scored: ScanResult, cutoff: float,
                         dist: MaxStatDistribution | None = None
-                        ) -> list[ScoredRegion]:
-    """Non-empty regions scoring strictly above the cutoff, best first.
+                        ) -> ScanResult:
+    """The rows of non-empty regions scoring strictly above the cutoff,
+    best first.
 
     Ties in score keep candidate order. When the reference distribution is
-    given, each surviving region is annotated with the p-value its own
-    score would earn as a global max.
+    given, each row carries the p-value its own score would earn as a
+    global max.
     """
     keep = np.flatnonzero((scored.n > 0) & (scored.llr > cutoff))
     keep = keep[np.argsort(-scored.llr[keep], kind="stable")]
-    out = [scored[i] for i in keep]
-    if dist is not None:
-        out = [replace(s, p_value=global_p_value(s.llr, dist)) for s in out]
-    return out
+    ev = scored.take(keep)
+    if dist is None:
+        return ev
+    return ScanResult(ev.bounds, ev.center_ids, ev.n, ev.p, ev.llr,
+                      global_p_value(ev.llr, dist))

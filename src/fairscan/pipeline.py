@@ -12,14 +12,13 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .dataset import Dataset, MeasureMode, load_dataset
-from .geometry import Region, regions_overlap
+from .geometry import Region
 from .index import build_index
-from .likelihood import Direction, ScoredRegion, scan_regions
+from .likelihood import Direction, ScanResult, scan_regions
 from .meanvar import MeanVarReport, mean_var
 from .montecarlo import (
     AuditVerdict,
@@ -147,8 +146,8 @@ class AuditConfig:
 @dataclass
 class AuditReport:
     verdict: AuditVerdict
-    evidence: list[ScoredRegion]
-    non_overlapping: list[ScoredRegion]
+    evidence: ScanResult
+    non_overlapping: ScanResult
     dist: MaxStatDistribution
     config: dict
     dataset_summary: dict
@@ -167,25 +166,32 @@ class AuditReport:
                 "critical_llr": self.verdict.critical_llr,
                 "num_worlds": self.dist.w,
             },
-            "evidence": [_scored_json(s, i + 1) for i, s in
-                         enumerate(self.evidence)],
-            "non_overlapping": [_scored_json(s, i + 1) for i, s in
-                                enumerate(self.non_overlapping)],
+            "evidence": _rows_json(self.evidence),
+            "non_overlapping": _rows_json(self.non_overlapping),
             "timings": self.timings,
         }
 
 
-def _scored_json(s: ScoredRegion, rank: int) -> dict:
-    return {
-        "rank": rank,
-        "xmin": s.region.xmin, "ymin": s.region.ymin,
-        "xmax": s.region.xmax, "ymax": s.region.ymax,
-        "center_id": s.region.center_id,
-        "n": s.counts.n, "p": s.counts.p,
-        "rho": s.local_rate,
-        "llr": s.llr,
-        "p_value": s.p_value,
-    }
+def _rows_json(rows: ScanResult) -> list[dict]:
+    """Each row as plain Python values, ranked from 1 in row order.
+
+    Any empty sequence, such as a plain empty list, gives no rows.
+    """
+    if len(rows) == 0:
+        return []
+    rho = np.divide(rows.p, rows.n, out=np.zeros(len(rows)),
+                    where=rows.n > 0)
+    p_value = ([None] * len(rows) if rows.p_value is None
+               else rows.p_value.tolist())
+    return [
+        {"rank": rank, "xmin": b[0], "ymin": b[1], "xmax": b[2], "ymax": b[3],
+         "center_id": cid, "n": n, "p": p, "rho": r, "llr": llr,
+         "p_value": pv}
+        for rank, (b, cid, n, p, r, llr, pv) in enumerate(zip(
+            rows.bounds.tolist(), rows.center_ids.tolist(), rows.n.tolist(),
+            rows.p.tolist(), rho.tolist(), rows.llr.tolist(), p_value),
+            start=1)
+    ]
 
 
 def derive_seeds(seed: int) -> tuple[int, int]:
@@ -265,14 +271,12 @@ def run_audit(d: Dataset, cfg: AuditConfig) -> AuditReport:
         tau_log=tau_log, p_value=p_value, alpha=cfg.alpha, fair=fair,
         critical_llr=cutoff,
     )
-    if fair:
-        evidence: list[ScoredRegion] = []
-        non_overlapping: list[ScoredRegion] = []
-    else:
-        evidence = significant_regions(scored, cutoff, dist)
-        if cfg.top_k is not None:
-            evidence = evidence[:cfg.top_k]
-        non_overlapping = select_non_overlapping(evidence)
+    # A fair verdict reports no evidence: no score is above an infinite
+    # cutoff.
+    evidence = significant_regions(scored, np.inf if fair else cutoff, dist)
+    if cfg.top_k is not None:
+        evidence = evidence.take(slice(cfg.top_k))
+    non_overlapping = select_non_overlapping(evidence)
     timings["total_s"] = time.perf_counter() - t0
     return AuditReport(
         verdict=verdict,
@@ -301,27 +305,35 @@ def audit(cfg: AuditConfig) -> AuditReport:
     return report
 
 
-def select_non_overlapping(evidence: Sequence[ScoredRegion]
-                           ) -> list[ScoredRegion]:
-    """Greedy disjoint subset of the evidence, strongest first.
+def select_non_overlapping(evidence: ScanResult) -> ScanResult:
+    """Greedy disjoint subset of the evidence rows, strongest first.
 
-    First the best-scoring region per center is kept (regions without a
-    center_id each count as their own center), then candidates are admitted
-    in descending score order unless they overlap an admitted region with
-    positive area. Ties keep input order.
+    First the best-scoring row per center is kept (the first of equal
+    scores; rows without a center_id each count as their own center), then
+    rows are admitted in descending score order, ties in the order their
+    centers first appear, unless they overlap an admitted row with
+    positive area. Rows that share only an edge or a corner do not overlap.
     """
-    best_per_center: dict[object, ScoredRegion] = {}
-    for i, s in enumerate(evidence):
-        key = s.region.center_id if s.region.center_id is not None else ("#", i)
-        cur = best_per_center.get(key)
-        if cur is None or s.llr > cur.llr:
-            best_per_center[key] = s
-    candidates = sorted(best_per_center.values(), key=lambda s: -s.llr)
-    chosen: list[ScoredRegion] = []
-    for s in candidates:
-        if not any(regions_overlap(s.region, c.region) for c in chosen):
-            chosen.append(s)
-    return chosen
+    llr = evidence.llr.tolist()
+    best: dict[object, int] = {}
+    for i, cid in enumerate(evidence.center_ids.tolist()):
+        key = ("#", i) if cid is None else cid
+        j = best.setdefault(key, i)
+        if llr[i] > llr[j]:
+            best[key] = i
+    rows = np.fromiter(best.values(), dtype=np.intp, count=len(best))
+    rows = rows[np.argsort(-evidence.llr[rows], kind="stable")]
+    # The admitted rows' xmin, ymin, xmax, ymax, one contiguous line each.
+    admitted = np.empty((4, len(rows)))
+    chosen = []
+    for r, (x0, y0, x1, y1) in zip(rows.tolist(),
+                                   evidence.bounds[rows].tolist()):
+        a = admitted[:, :len(chosen)]
+        if not ((np.minimum(a[2], x1) > np.maximum(a[0], x0))
+                & (np.minimum(a[3], y1) > np.maximum(a[1], y0))).any():
+            admitted[:, len(chosen)] = (x0, y0, x1, y1)
+            chosen.append(r)
+    return evidence.take(np.array(chosen, dtype=np.intp))
 
 
 def _dump_json(doc: dict, path: str) -> None:
@@ -330,19 +342,17 @@ def _dump_json(doc: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _geojson_feature(s: ScoredRegion, rank: int) -> dict:
-    r = s.region
+def _geojson_feature(row: dict) -> dict:
     ring = [
-        [r.xmin, r.ymin], [r.xmax, r.ymin], [r.xmax, r.ymax],
-        [r.xmin, r.ymax], [r.xmin, r.ymin],
+        [row["xmin"], row["ymin"]], [row["xmax"], row["ymin"]],
+        [row["xmax"], row["ymax"]], [row["xmin"], row["ymax"]],
+        [row["xmin"], row["ymin"]],
     ]
     return {
         "type": "Feature",
         "geometry": {"type": "Polygon", "coordinates": [ring]},
-        "properties": {
-            "n": s.counts.n, "p": s.counts.p, "rho": s.local_rate,
-            "llr": s.llr, "p_value": s.p_value, "rank": rank,
-        },
+        "properties": {key: row[key] for key in
+                       ("n", "p", "rho", "llr", "p_value", "rank")},
     }
 
 
@@ -358,9 +368,9 @@ def export_report(report: AuditReport, out_dir: str) -> dict[str, str]:
         "regions": os.path.join(out_dir, "regions.geojson"),
         "nulldist": os.path.join(out_dir, "nulldist.json"),
     }
-    _dump_json(report.to_json_dict(), paths["report"])
-    features = [_geojson_feature(s, i + 1)
-                for i, s in enumerate(report.evidence)]
+    doc = report.to_json_dict()
+    _dump_json(doc, paths["report"])
+    features = [_geojson_feature(row) for row in doc["evidence"]]
     _dump_json({"type": "FeatureCollection", "features": features},
                paths["regions"])
     _dump_json(report.dist.to_json_dict(), paths["nulldist"])

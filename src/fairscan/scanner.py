@@ -382,9 +382,6 @@ class CountPlan:
         out[self.order] = counts
         return out
 
-    def region(self, i: int) -> Region:
-        return Region(*self.bounds[i].tolist(), center_id=self.center_ids[i])
-
 
 def as_scanner(ix: SpatialIndex, family) -> CountPlan:
     """The counting plan for a region family.

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fairscan import CountPlan, Dataset, Rectangles, build_index, synth
+from fairscan import CountPlan, Dataset, Rectangles, ScanResult, build_index, synth
 from fairscan.geometry import Region
 
 
@@ -21,6 +21,23 @@ def rectangles(regions) -> Rectangles:
     bounds = np.array([r.bounds() for r in regions], dtype=np.float64)
     return Rectangles(bounds.reshape(-1, 4),
                       np.array([r.center_id for r in regions], dtype=object))
+
+
+def row_regions(rows) -> list[Region]:
+    """The rows of a CountPlan or a ScanResult as Regions, center ids kept."""
+    return [Region(*b, center_id=c) for b, c in
+            zip(rows.bounds.tolist(), rows.center_ids.tolist())]
+
+
+def scan_rows(regions, llr, n=10, p=5) -> ScanResult:
+    """A ScanResult of the regions, in order, with the given scores; every
+    row counts n points and p positives unless given one count each."""
+    family, m = rectangles(regions), len(regions)
+    return ScanResult(
+        family.bounds, family.center_ids,
+        np.broadcast_to(np.asarray(n, dtype=np.int64), (m,)).copy(),
+        np.broadcast_to(np.asarray(p, dtype=np.int64), (m,)).copy(),
+        np.asarray(llr, dtype=np.float64).reshape(m))
 
 
 def plan_counts(ix, region: Region) -> tuple[int, int]:

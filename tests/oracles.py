@@ -122,6 +122,38 @@ def oracle_audit(regions, lons, lats, outcomes, bbox, rho: float,
             sorted(maxima, reverse=True))
 
 
+def regions_overlap(a, b) -> bool:
+    """True when the intersection has strictly positive area.
+
+    Regions that merely share an edge or a corner do not overlap.
+    """
+    return (min(a.xmax, b.xmax) > max(a.xmin, b.xmin)
+            and min(a.ymax, b.ymax) > max(a.ymin, b.ymin))
+
+
+def oracle_non_overlapping(regions, llrs) -> list[int]:
+    """The greedy disjoint pick, as indices into the scored regions.
+
+    First the best-scoring region per center is kept (the first of equal
+    scores; regions without a center_id each count as their own center),
+    then candidates are admitted in descending score order, ties in the
+    order their centers first appear, unless they overlap an admitted
+    region with positive area. One pair at a time.
+    """
+    best: dict[object, int] = {}
+    for i, (r, s) in enumerate(zip(regions, llrs)):
+        key = r.center_id if r.center_id is not None else ("#", i)
+        cur = best.get(key)
+        if cur is None or s > llrs[cur]:
+            best[key] = i
+    candidates = sorted(best.values(), key=lambda i: -llrs[i])
+    chosen: list[int] = []
+    for i in candidates:
+        if not any(regions_overlap(regions[i], regions[j]) for j in chosen):
+            chosen.append(i)
+    return chosen
+
+
 def oracle_region_counts_vec(region, lons, lats, outcomes, bbox
                              ) -> tuple[int, int]:
     """oracle_region_counts with the membership rule over whole arrays."""

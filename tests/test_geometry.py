@@ -11,8 +11,10 @@ from fairscan.geometry import (
     bounding_box,
     bounds_contain,
     closed_bounds,
-    regions_overlap,
 )
+from fairscan.pipeline import select_non_overlapping
+
+from conftest import scan_rows
 from oracles import area, intersection_area, jaccard, oracle_contains
 
 UNIT = Region(0.0, 0.0, 1.0, 1.0)
@@ -108,6 +110,11 @@ class TestContains:
                 got = bounds_contain(r.bounds(), xs, ys, box)
                 want = [oracle_contains(x, y, r, box) for x, y in zip(xs, ys)]
                 assert got.tolist() == want, (r, box)
+
+
+def regions_overlap(a: Region, b: Region) -> bool:
+    """Whether the non-overlap pick drops b, scored below a, for a."""
+    return len(select_non_overlapping(scan_rows([a, b], [2.0, 1.0]))) == 1
 
 
 class TestOverlap:

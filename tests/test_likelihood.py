@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 from fairscan import build_index, scan_regions
 from fairscan.likelihood import _SCAN_LANES, Direction, llr_vector
 from fairscan.geometry import Region
+from fairscan.pipeline import _rows_json
 from fairscan.regions import regular_grid
 from fairscan.scanner import as_scanner
 from fairscan import synth
 
-from conftest import random_dataset, rectangles
+from conftest import random_dataset, rectangles, row_regions
 from oracles import (
     llr_from_counts,
     log_lik_null_max,
@@ -208,7 +209,7 @@ class TestScanRegions:
         scored, tau = scan_regions(split400_index,
                                    rectangles([split400.bbox]))
         assert len(scored) == 1
-        assert scored[0].llr == 0.0
+        assert scored.llr[0] == 0.0
         assert tau == 0.0
 
     def test_split_partitioning_finds_left_half(self):
@@ -216,13 +217,12 @@ class TestScanRegions:
         ix = build_index(d)
         part = regular_grid(d.bbox, 2, 1)
         scored, tau = scan_regions(ix, [part])
-        left = scored[0]
-        assert left.counts.n == 5000
-        assert left.counts.p == 3333
+        assert scored.n[0] == 5000
+        assert scored.p[0] == 3333
         want = llr_from_counts(5000, 3333, 10000, 5000)
-        assert left.llr == pytest.approx(want)
-        assert left.llr > 0
-        assert tau == max(s.llr for s in scored)
+        assert scored.llr[0] == pytest.approx(want)
+        assert scored.llr[0] > 0
+        assert tau == scored.llr.max()
 
     def test_order_preserved_and_counts_match_range_count(self, split400,
                                                           split400_index):
@@ -233,17 +233,18 @@ class TestScanRegions:
             y1, y2 = np.sort(rng.uniform(0, 1, 2))
             regions.append(Region(x1, y1, x2, y2))
         scored, tau = scan_regions(split400_index, rectangles(regions))
-        assert [s.region for s in scored] == regions
-        for s in scored:
-            assert (s.counts.n, s.counts.p) == oracle_region_counts(
-                s.region, split400.lons, split400.lats, split400.outcomes,
+        assert row_regions(scored) == regions
+        assert scored.p_value is None
+        for r, row in zip(regions, _rows_json(scored)):
+            assert (row["n"], row["p"]) == oracle_region_counts(
+                r, split400.lons, split400.lats, split400.outcomes,
                 split400.bbox)
-            if s.counts.n:
-                assert s.local_rate == pytest.approx(s.counts.p / s.counts.n)
+            if row["n"]:
+                assert row["rho"] == pytest.approx(row["p"] / row["n"])
             else:
-                assert s.local_rate == 0.0
-            assert s.p_value is None
-        assert tau == max(s.llr for s in scored)
+                assert row["rho"] == 0.0
+            assert row["p_value"] is None
+        assert tau == scored.llr.max()
 
     def test_empty_candidate_list(self, split400_index):
         scored, tau = scan_regions(split400_index, [])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fairscan import build_index
+from fairscan.geometry import Region
 from fairscan.meanvar import mean_var
 from fairscan.regions import random_partitionings, regular_grid
 
@@ -19,8 +20,9 @@ def partitioning_variance(ix, part):
 
 
 def top_contributions(ix, part, k):
-    """One partitioning's k strongest cells, as mean_var ranks them."""
-    return list(mean_var(ix, [part], top_k=k).top_contributors)
+    """One partitioning's k strongest cells, as mean_var ranks them: its
+    columns bounds, n, p, rho and contribution."""
+    return mean_var(ix, [part], top_k=k).top_contributors
 
 
 def split_dataset(n_left, p_left, n_right, p_right):
@@ -121,42 +123,51 @@ class TestTopContributions:
         d = split_dataset(100, 95, 100, 50)
         ix = build_index(d)
         part = regular_grid(d.bbox, 2, 1)
-        top = top_contributions(ix, part, 2)
+        top = top_contributions(ix, part, 2)["contribution"]
         assert len(top) == 2
-        assert top[0].contribution >= top[1].contribution
+        assert top[0] >= top[1]
         # Rates 0.95 and 0.50 deviate equally from their mean 0.725,
         # so use a 3-cell layout for a strict ordering instead.
         d2 = split_dataset(100, 90, 100, 40)
         ix2 = build_index(d2)
         part2 = regular_grid(d2.bbox, 4, 1)
-        top2 = top_contributions(ix2, part2, 10)
-        best = max(top2, key=lambda c: c.contribution)
-        assert top2[0].contribution == best.contribution
+        top2 = top_contributions(ix2, part2, 10)["contribution"]
+        assert top2[0] == top2.max()
 
     def test_contributions_non_negative_and_sum(self):
         rng = np.random.default_rng(65)
         d = random_dataset(rng, 250)
         ix = build_index(d)
         part = regular_grid(d.bbox, 3, 3)
-        top = top_contributions(ix, part, 100)
-        assert all(c.contribution >= 0 for c in top)
+        top = top_contributions(ix, part, 100)["contribution"]
+        assert (top >= 0).all()
         # Mean of all contributions equals the variance.
-        assert np.mean([c.contribution for c in top]) == pytest.approx(
+        assert np.mean(top) == pytest.approx(
             partitioning_variance(ix, part), abs=1e-12)
 
     def test_k_larger_than_cells(self):
         d = split_dataset(10, 5, 10, 5)
         ix = build_index(d)
         top = top_contributions(ix, regular_grid(d.bbox, 2, 1), 99)
-        assert len(top) == 2
+        assert all(len(col) == 2 for col in top.values())
 
     def test_counts_and_rate_consistent(self):
         rng = np.random.default_rng(66)
         d = random_dataset(rng, 200)
         ix = build_index(d)
-        for c in top_contributions(ix, regular_grid(d.bbox, 3, 2), 6):
-            assert c.counts.n > 0
-            assert c.local_rate == pytest.approx(c.counts.p / c.counts.n)
+        part = regular_grid(d.bbox, 3, 2)
+        top = top_contributions(ix, part, 6)
+        assert (top["n"] > 0).all()
+        assert top["rho"].tolist() == pytest.approx(
+            (top["p"] / top["n"]).tolist())
+        # Each row's bounds are its cell's, and its counts the cell's own.
+        cells = cell_regions(part)
+        for b, n, p in zip(top["bounds"].tolist(), top["n"].tolist(),
+                           top["p"].tolist()):
+            cell = Region(*b)
+            assert cell in cells
+            assert (n, p) == oracle_region_counts(cell, d.lons, d.lats,
+                                                  d.outcomes, d.bbox)
 
 
 class TestMeanVar:
@@ -179,15 +190,12 @@ class TestMeanVar:
         ix = build_index(d)
         parts = random_partitionings(d.bbox, 3, 2, 4, seed=70)
         report = mean_var(ix, parts, top_k=7)
-        assert len(report.top_contributors) == 7
-        contribs = [c.contribution for c in report.top_contributors]
+        contribs = report.top_contributors["contribution"].tolist()
+        assert len(contribs) == 7
         assert contribs == sorted(contribs, reverse=True)
         # The global best must match the best over each partitioning.
-        best_each = max(
-            c.contribution
-            for p in parts
-            for c in top_contributions(ix, p, 1)
-        )
+        best_each = max(top_contributions(ix, p, 1)["contribution"][0]
+                        for p in parts)
         assert contribs[0] == pytest.approx(best_each, abs=0.0)
 
     def test_single_grid_1x1_gives_zero(self):

@@ -26,6 +26,7 @@ from fairscan.montecarlo import (
     significant_regions,
     simulate_worlds,
 )
+from fairscan.pipeline import _rows_json
 from fairscan.regions import (
     Rectangles,
     random_partitionings,
@@ -35,8 +36,8 @@ from fairscan.regions import (
 from fairscan.scanner import as_scanner
 from fairscan.synth import gen_fair_bernoulli, gen_uniform_split
 
-from conftest import make_dataset, random_dataset, rectangles
-from oracles import (distribution_from_json, oracle_audit,
+from conftest import make_dataset, random_dataset, rectangles, row_regions
+from oracles import (distribution_from_json, oracle_audit, oracle_llr,
                      oracle_region_counts)
 
 
@@ -325,7 +326,7 @@ class TestCountWidth:
         ix = build_index(d)
         plan = as_scanner(ix, square_scan_set(np.array([[0.5, 0.5]]),
                                               [0.98, 1.5, 3.0]))
-        regions = [plan.region(i) for i in range(len(plan.n))]
+        regions = row_regions(plan)
         assert plan.dtype == dtype
         ones = np.ones(n, dtype=np.int8)
         block = np.zeros((plan.width, 1), dtype=plan.dtype)
@@ -377,6 +378,18 @@ class TestGlobalPValue:
         assert all(1 / 500 <= p <= 1.0 for p in ps)
         assert all(a >= b for a, b in zip(ps, ps[1:]))
 
+    def test_array_of_scores(self):
+        # Ties with the simulated maxima, scores past both ends, and the
+        # values of the count over w, bit for bit.
+        d = self.dist([1.0, 2.0, 2.0, 3.0, 0.0, 0.0], 7)
+        taus = [-1.0, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0]
+        ps = global_p_value(np.array(taus), d)
+        assert ps.dtype == np.float64
+        assert ps.tolist() == [global_p_value(t, d) for t in taus]
+        assert ps.tolist() == [(1 + int((d.values >= t).sum())) / 7
+                               for t in taus]
+        assert type(global_p_value(2.0, d)) is float
+
 
 class TestCriticalValue:
     def dist(self, values, w):
@@ -416,7 +429,7 @@ def scored(*items):
     llr, n, p, cx = (np.array(col) for col in zip(*items))
     bounds = np.column_stack((cx, np.zeros(len(cx)), cx + 1.0,
                               np.ones(len(cx)))).astype(np.float64)
-    return ScanResult(bounds, [None] * len(cx), n, p,
+    return ScanResult(bounds, np.full(len(cx), None, dtype=object), n, p,
                       llr.astype(np.float64))
 
 
@@ -428,34 +441,33 @@ class TestSignificantRegions:
     def test_strictly_above_cutoff(self):
         items = scored(item(1.0), item(2.0), item(3.0))
         out = significant_regions(items, 2.0)
-        assert [s.llr for s in out] == [3.0]
+        assert out.llr.tolist() == [3.0]
 
     def test_sorted_descending(self):
         items = scored(item(1.5, cx=0), item(4.0, cx=2), item(2.5, cx=4))
         out = significant_regions(items, 1.0)
-        assert [s.llr for s in out] == [4.0, 2.5, 1.5]
+        assert out.llr.tolist() == [4.0, 2.5, 1.5]
 
     def test_empty_regions_excluded(self):
         items = scored(item(5.0, n=0, p=0), item(3.0))
         out = significant_regions(items, 1.0)
-        assert [s.llr for s in out] == [3.0]
+        assert out.llr.tolist() == [3.0]
 
     def test_stable_tie_order(self):
         out = significant_regions(
             scored(item(2.0, cx=0.0), item(2.0, cx=5.0)), 1.0)
-        assert out[0].region.xmin == 0.0
-        assert out[1].region.xmin == 5.0
+        assert out.bounds[:, 0].tolist() == [0.0, 5.0]
 
     def test_p_value_annotation(self):
         values = np.asarray([5.0, 4.0, 3.0, 2.0], dtype=np.float64)
         dist = MaxStatDistribution(values=values, w=5, seed=0,
                                    direction=Direction.TWO_SIDED)
         out = significant_regions(scored(item(4.5)), 0.0, dist)
-        assert out[0].p_value == pytest.approx(2 / 5)
+        assert out.p_value.tolist() == [2 / 5]
 
     def test_no_annotation_without_dist(self):
         out = significant_regions(scored(item(4.5)), 0.0)
-        assert out[0].p_value is None
+        assert out.p_value is None
 
     def test_negative_cutoff_keeps_all_nonempty(self):
         items = scored(item(0.0), item(1.0), item(2.0, n=0, p=0))
@@ -464,9 +476,9 @@ class TestSignificantRegions:
 
     def test_evidence_fields(self):
         out = significant_regions(scored(item(3.0, n=8, p=6, cx=2.0)), 0.0)
-        assert out[0].region == Region(2.0, 0.0, 3.0, 1.0)
-        assert (out[0].counts.n, out[0].counts.p) == (8, 6)
-        assert out[0].local_rate == 0.75
+        assert row_regions(out) == [Region(2.0, 0.0, 3.0, 1.0)]
+        assert (out.n.tolist(), out.p.tolist()) == ([8], [6])
+        assert _rows_json(out)[0]["rho"] == 0.75
 
 
 class TestDistributionSerialization:
@@ -571,7 +583,8 @@ _RUNS_CASE = dict(
 
 
 class TestOracleAudit:
-    """The real scan and the simulated maxima against a brute-force audit."""
+    """The real scan, the simulated maxima and the evidence against a
+    brute-force audit."""
 
     @settings(max_examples=150, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
@@ -584,7 +597,7 @@ class TestOracleAudit:
         with mock.patch.multiple(scanner, _BLOCK_WORLDS=case["block"],
                                  _BLOCK_BYTES=sys.maxsize):
             plan = as_scanner(ix, family)
-        regions = [plan.region(i) for i in range(len(plan.n))]
+        regions = row_regions(plan)
         if case is _RUNS_CASE:
             assert plan.width == 2 * d.N + 1
         n, p, tau, maxima = oracle_audit(
@@ -609,3 +622,36 @@ class TestOracleAudit:
         k = round(global_p_value(got_tau, dist) * dist.w) - 1
         assert (maxima[~near] >= tau).sum() <= k
         assert k <= (maxima >= tau - 1e-9).sum()
+
+        def score(a, b):
+            return oracle_llr(a, b, d.N, d.P, case["direction"].value)
+
+        for cutoff in (critical_value(dist, 0.5), 0.0):
+            _check_evidence(significant_regions(scored, cutoff, dist),
+                            regions, n, p, score, cutoff, maxima, dist.w)
+
+
+def _check_evidence(ev, regions, n, p, score, cutoff, maxima, w):
+    """Evidence against the oracle: the rows with n > 0 and an oracle score
+    above the cutoff, in score order, each with its own p-value.
+
+    A score within 1e-9 of the cutoff, or of a simulated max, may fall on
+    either side of it. Zero is exact in both (their gates compare rates
+    exactly), so a zero score is never above a zero cutoff.
+    """
+    def near(llr):
+        return abs(llr - cutoff) <= 1e-9 and not llr == cutoff == 0.0
+
+    want = sorted((r.bounds(), r.center_id or "", a, b)
+                  for r, a, b in zip(regions, n, p)
+                  if a > 0 and score(a, b) > cutoff and not near(score(a, b)))
+    got = [(r.bounds(), r.center_id or "", a, b) for r, a, b in
+           zip(row_regions(ev), ev.n.tolist(), ev.p.tolist())]
+    llrs = [score(a, b) for *_, a, b in got]
+    assert sorted(row for row, llr in zip(got, llrs) if not near(llr)) == want
+    assert all(a >= b - 1e-9 for a, b in zip(llrs, llrs[1:]))
+    for llr, p_value in zip(llrs, ev.p_value.tolist()):
+        k = round(p_value * w)
+        assert p_value == k / w
+        assert 1 + (maxima[np.abs(maxima - llr) > 1e-9] >= llr).sum() <= k
+        assert k <= 1 + (maxima >= llr - 1e-9).sum()

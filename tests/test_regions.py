@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairscan.geometry import Region, regions_overlap
+from fairscan.geometry import Region
 from fairscan import regions as regions_module
 from fairscan.regions import (
     DEFAULT_SIDE_LENGTHS,
@@ -27,6 +27,7 @@ from oracles import (
     oracle_kmeans,
     oracle_region_counts,
     oracle_squares,
+    regions_overlap,
 )
 
 UNIT = Region(0.0, 0.0, 1.0, 1.0)

@@ -28,6 +28,7 @@ from conftest import (
     random_dataset,
     random_region,
     rectangles,
+    row_regions,
 )
 from oracles import (
     oracle_member_matrix,
@@ -117,9 +118,9 @@ class TestPartitionScanner:
         sc = CountPlan(ix, parts)
         assert len(sc.n) == sum(len(p) for p in parts)
         p = sc.positives(d.outcomes)
-        for i in range(len(sc.n)):
+        for i, r in enumerate(row_regions(sc)):
             assert (sc.n[i], p[i]) == oracle_region_counts(
-                sc.region(i), d.lons, d.lats, d.outcomes, d.bbox)
+                r, d.lons, d.lats, d.outcomes, d.bbox)
 
     def test_conservation_per_partitioning(self, data_and_index):
         d, ix = data_and_index
@@ -204,7 +205,7 @@ class TestComposite:
         part = regular_grid(d.bbox, 2, 2)
         squares = [Region(0.1, 0.1, 0.4, 0.4), Region(0.5, 0.5, 0.9, 0.9)]
         comp = CountPlan(ix, [part, rectangles(squares)])
-        regions = [comp.region(i) for i in range(len(comp.n))]
+        regions = row_regions(comp)
         assert regions == cell_regions(part) + squares
         p = comp.positives(d.outcomes)
         assert len(p) == len(regions) == len(comp.n)
@@ -224,7 +225,7 @@ class TestComposite:
         plan = CountPlan(ix, family)
         want = ([square] + cell_regions(grid) + [square]
                 + cell_regions(uncovered) + cell_regions(grid))
-        assert [plan.region(i) for i in range(len(plan.n))] == want
+        assert row_regions(plan) == want
         assert plan.center_ids[0] == "c0" and plan.center_ids[1] is None
         for labels in random_labelings(d.N, seed=4):
             p = plan.positives(labels)
@@ -791,7 +792,7 @@ class TestLargeN:
             rng.choice(sizes[0], 100, replace=False),
             rng.choice(np.arange(ends[0], ends[2]), 100, replace=False),
             ends[2] + rng.choice(sizes[3], 100, replace=False)))
+        regions = row_regions(plan)
         for i in picks:
-            want = oracle_region_counts_vec(plan.region(i), xs, ys, labels,
-                                            bbox)
+            want = oracle_region_counts_vec(regions[i], xs, ys, labels, bbox)
             assert (plan.n[i], positives[i]) == want
