@@ -89,11 +89,6 @@ class Dataset:
         n, p = len(lons), int(outcomes.sum())
         return cls(lons, lats, outcomes, labels, N=n, P=p, rho=p / n, bbox=bbox)
 
-    @property
-    def points(self) -> np.ndarray:
-        """Locations as an (N, 2) float array."""
-        return np.column_stack((self.lons, self.lats))
-
 
 def apply_measure_mode(labels, mode: MeasureMode) -> np.ndarray:
     """Boolean mask of the rows the measure mode audits.

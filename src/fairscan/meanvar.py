@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .index import SpatialIndex
-from .regions import Partitioning
+from .regions import Partitioning, rows_json
 from .scanner import as_scanner
 
 
@@ -27,7 +27,8 @@ class MeanVarReport:
     ``top_contributors`` holds the cells as columns, best first: ``bounds``
     (k, 4), ``n``, ``p``, ``rho`` (the cell's positive rate) and
     ``contribution`` (its squared deviation from its partitioning's mean
-    rate).
+    rate). ``to_json_dict`` writes them through ``regions.rows_json``, the
+    row writer the audit's evidence uses.
     """
 
     mean_var: float
@@ -35,7 +36,6 @@ class MeanVarReport:
     top_contributors: Mapping[str, np.ndarray]
 
     def to_json_dict(self) -> dict:
-        top = self.top_contributors
         return {
             "schema": 1,
             "mean_var": self.mean_var,
@@ -43,17 +43,7 @@ class MeanVarReport:
                 {"provenance": dict(prov), "variance": var}
                 for prov, var in self.per_partitioning
             ],
-            "top_contributors": [
-                {
-                    "rank": rank,
-                    "xmin": b[0], "ymin": b[1], "xmax": b[2], "ymax": b[3],
-                    "n": n, "p": p, "rho": rho, "contribution": c,
-                }
-                for rank, (b, n, p, rho, c) in enumerate(zip(
-                    top["bounds"].tolist(), top["n"].tolist(),
-                    top["p"].tolist(), top["rho"].tolist(),
-                    top["contribution"].tolist()), start=1)
-            ],
+            "top_contributors": rows_json(**self.top_contributors),
         }
 
 

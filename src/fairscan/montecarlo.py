@@ -28,14 +28,18 @@ from . import scanner
 class MaxStatDistribution:
     """Per-world maximum scores from the simulated fair worlds.
 
-    values is sorted descending and has w - 1 entries, where w counts the
-    simulated worlds plus the real one.
+    values is sorted descending, one entry per simulated world. w =
+    len(values) + 1 counts those worlds plus the real one; it is derived,
+    so nulldist.json's w cannot disagree with its values.
     """
 
     values: np.ndarray
-    w: int
     seed: int
     direction: Direction
+
+    @property
+    def w(self) -> int:
+        return len(self.values) + 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -168,12 +172,7 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
     _run_pool(score_blocks, workers)
 
     order = np.argsort(-values, kind="stable")
-    return MaxStatDistribution(
-        values=values[order],
-        w=num_worlds + 1,
-        seed=seed,
-        direction=Direction(direction),
-    )
+    return MaxStatDistribution(values[order], seed, Direction(direction))
 
 
 def _run_pool(work, workers: int) -> None:
@@ -241,19 +240,15 @@ def critical_value(dist: MaxStatDistribution, alpha: float) -> float:
 
 
 def significant_regions(scored: ScanResult, cutoff: float,
-                        dist: MaxStatDistribution | None = None
-                        ) -> ScanResult:
+                        dist: MaxStatDistribution) -> ScanResult:
     """The rows of non-empty regions scoring strictly above the cutoff,
-    best first.
+    best first, each with the p-value its own score would earn as a global
+    max against the reference distribution.
 
-    Ties in score keep candidate order. When the reference distribution is
-    given, each row carries the p-value its own score would earn as a
-    global max.
+    Ties in score keep candidate order.
     """
     keep = np.flatnonzero((scored.n > 0) & (scored.llr > cutoff))
     keep = keep[np.argsort(-scored.llr[keep], kind="stable")]
     ev = scored.take(keep)
-    if dist is None:
-        return ev
     return ScanResult(ev.bounds, ev.center_ids, ev.n, ev.p, ev.llr,
                       global_p_value(ev.llr, dist))

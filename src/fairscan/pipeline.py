@@ -8,7 +8,6 @@ cell of every partitioning.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -31,10 +30,12 @@ from .montecarlo import (
 from .regions import (
     DEFAULT_MAX_SPLITS,
     DEFAULT_MIN_SPLITS,
+    dump_json,
     kmeans_centers,
     load_region_families,
     random_partitionings,
     regular_grid,
+    rows_json,
     square_scan_set,
 )
 from .scanner import as_scanner
@@ -173,25 +174,15 @@ class AuditReport:
 
 
 def _rows_json(rows: ScanResult) -> list[dict]:
-    """Each row as plain Python values, ranked from 1 in row order.
+    """Each evidence row as plain Python values, ranked from 1 in row order.
 
     Any empty sequence, such as a plain empty list, gives no rows.
     """
     if len(rows) == 0:
         return []
-    rho = np.divide(rows.p, rows.n, out=np.zeros(len(rows)),
-                    where=rows.n > 0)
-    p_value = ([None] * len(rows) if rows.p_value is None
-               else rows.p_value.tolist())
-    return [
-        {"rank": rank, "xmin": b[0], "ymin": b[1], "xmax": b[2], "ymax": b[3],
-         "center_id": cid, "n": n, "p": p, "rho": r, "llr": llr,
-         "p_value": pv}
-        for rank, (b, cid, n, p, r, llr, pv) in enumerate(zip(
-            rows.bounds.tolist(), rows.center_ids.tolist(), rows.n.tolist(),
-            rows.p.tolist(), rho.tolist(), rows.llr.tolist(), p_value),
-            start=1)
-    ]
+    return rows_json(rows.bounds, center_id=rows.center_ids, n=rows.n,
+                     p=rows.p, rho=rows.p / rows.n, llr=rows.llr,
+                     p_value=rows.p_value)
 
 
 def derive_seeds(seed: int) -> tuple[int, int]:
@@ -260,8 +251,8 @@ def run_audit(d: Dataset, cfg: AuditConfig) -> AuditReport:
     else:
         # All-positive or all-negative data: every fair world reproduces the
         # data exactly, so every simulated max is 0 and simulation is skipped.
-        dist = MaxStatDistribution(np.zeros(cfg.num_worlds - 1), cfg.num_worlds,
-                                   sim_seed, Direction(cfg.direction))
+        dist = MaxStatDistribution(np.zeros(cfg.num_worlds - 1), sim_seed,
+                                   Direction(cfg.direction))
     timings["simulate_s"] = time.perf_counter() - t3
 
     p_value = global_p_value(tau_log, dist)
@@ -336,12 +327,6 @@ def select_non_overlapping(evidence: ScanResult) -> ScanResult:
     return evidence.take(np.array(chosen, dtype=np.intp))
 
 
-def _dump_json(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _geojson_feature(row: dict) -> dict:
     ring = [
         [row["xmin"], row["ymin"]], [row["xmax"], row["ymin"]],
@@ -369,11 +354,11 @@ def export_report(report: AuditReport, out_dir: str) -> dict[str, str]:
         "nulldist": os.path.join(out_dir, "nulldist.json"),
     }
     doc = report.to_json_dict()
-    _dump_json(doc, paths["report"])
+    dump_json(doc, paths["report"])
     features = [_geojson_feature(row) for row in doc["evidence"]]
-    _dump_json({"type": "FeatureCollection", "features": features},
-               paths["regions"])
-    _dump_json(report.dist.to_json_dict(), paths["nulldist"])
+    dump_json({"type": "FeatureCollection", "features": features},
+              paths["regions"])
+    dump_json(report.dist.to_json_dict(), paths["nulldist"])
     return paths
 
 
@@ -383,7 +368,7 @@ def export_meanvar(report: MeanVarReport, config: dict, out_dir: str) -> str:
     doc = report.to_json_dict()
     doc["config"] = config
     path = os.path.join(out_dir, "meanvar.json")
-    _dump_json(doc, path)
+    dump_json(doc, path)
     return path
 
 

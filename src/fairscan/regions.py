@@ -27,6 +27,22 @@ _KMEANS_ITERS = 100  # Lloyd steps after which k-means stops, stable or not
 _BOUND_KEYS = ("xmin", "ymin", "xmax", "ymax")  # a Rectangles row in a file
 
 
+def rows_json(bounds: np.ndarray, **columns: np.ndarray) -> list[dict]:
+    """One dict of plain Python values per row, ranked from 1 in row order:
+    ``bounds`` (k, 4) as xmin, ymin, xmax, ymax, and one key per column."""
+    keys = ("rank", *_BOUND_KEYS, *columns)
+    rows = zip(bounds.tolist(), *(c.tolist() for c in columns.values()))
+    return [dict(zip(keys, (rank, *b, *values)))
+            for rank, (b, *values) in enumerate(rows, start=1)]
+
+
+def dump_json(doc: dict, path: str) -> None:
+    """Write doc to path as JSON: indent 2, sorted keys, a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 @dataclass(frozen=True)
 class Partitioning:
     """A grid of disjoint rectangles covering a bounding box.
@@ -143,8 +159,6 @@ def random_partitionings(bbox: Region, count: int,
 
 
 def _points_of(data) -> np.ndarray:
-    if isinstance(data, Dataset):
-        return data.points
     pts = np.asarray(data, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected an (n, 2) point array, got {pts.shape}")
@@ -310,10 +324,7 @@ def save_region_families(path: str, families: Iterable) -> None:
             doc_families.append({"kind": "regions", "regions": [
                 dict(zip(_BOUND_KEYS, b), center_id=cid)
                 for b, cid in zip(fam.bounds.tolist(), fam.center_ids)]})
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"schema": 1, "families": doc_families}, fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
+    dump_json({"schema": 1, "families": doc_families}, path)
 
 
 def _number(value, what: str) -> float:

@@ -368,13 +368,16 @@ def llr_from_counts(n: int, p: int, N: int, P: int,
 
 
 def distribution_from_json(doc: dict):
-    """The MaxStatDistribution a nulldist.json document holds."""
+    """The MaxStatDistribution a nulldist.json document holds.
+
+    The document's w must count its values plus the real world.
+    """
     from fairscan.likelihood import Direction
     from fairscan.montecarlo import MaxStatDistribution
 
+    assert doc["w"] == len(doc["values"]) + 1, (doc["w"], len(doc["values"]))
     return MaxStatDistribution(
         values=np.asarray(doc["values"], dtype=np.float64),
-        w=int(doc["w"]),
         seed=int(doc["seed"]),
         direction=Direction(doc["direction"]),
     )

@@ -76,7 +76,8 @@ def test_criterion_3_split_unfair_fair_verdicts():
         assert time.perf_counter() - t0 < 120.0
         unfair_hits += int(not report.verdict.fair)
 
-        fair_d = gen_fair_bernoulli(d.points, 0.5, seed=500 + s)
+        fair_d = gen_fair_bernoulli(np.column_stack((d.lons, d.lats)), 0.5,
+                                    seed=500 + s)
         fair_cfg = AuditConfig(random_parts=100, splits=(10, 40),
                                num_worlds=1000, alpha=0.005, seed=s)
         fair_hits += int(run_audit(fair_d, fair_cfg).verdict.fair)
@@ -136,9 +137,11 @@ def test_criterion_6_calibration():
 
 def test_criterion_7_p_value_formula():
     def dist(w):
-        return MaxStatDistribution(
+        d = MaxStatDistribution(
             values=np.arange(w - 1, dtype=np.float64)[::-1],
-            w=w, seed=0, direction=Direction.TWO_SIDED)
+            seed=0, direction=Direction.TWO_SIDED)
+        assert d.w == w
+        return d
 
     # Rank 1 of w=200: tau beats all 199 simulated maxima.
     assert global_p_value(1000.0, dist(200)) == 0.005

@@ -406,11 +406,6 @@ class TestDatasetInvariants:
         d = make_dataset([0, 1, 2, 3], [0, 0, 0, 0], [0, 0, 0, 0])
         assert d.rho == 0.0
 
-    def test_points_shape(self):
-        d = make_dataset([0.0, 1.0], [2.0, 3.0], [0, 1])
-        assert d.points.shape == (2, 2)
-        assert d.points[1].tolist() == [1.0, 3.0]
-
 
 class TestWriteCsv:
     def test_round_trip_exact(self, tmp_path):

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from fairscan import build_index, scan_regions
 from fairscan.likelihood import _SCAN_LANES, Direction, llr_vector
 from fairscan.geometry import Region
-from fairscan.pipeline import _rows_json
 from fairscan.regions import regular_grid
 from fairscan.scanner import as_scanner
 from fairscan import synth
@@ -235,15 +234,10 @@ class TestScanRegions:
         scored, tau = scan_regions(split400_index, rectangles(regions))
         assert row_regions(scored) == regions
         assert scored.p_value is None
-        for r, row in zip(regions, _rows_json(scored)):
-            assert (row["n"], row["p"]) == oracle_region_counts(
+        for r, n, p in zip(regions, scored.n.tolist(), scored.p.tolist()):
+            assert (n, p) == oracle_region_counts(
                 r, split400.lons, split400.lats, split400.outcomes,
                 split400.bbox)
-            if row["n"]:
-                assert row["rho"] == pytest.approx(row["p"] / row["n"])
-            else:
-                assert row["rho"] == 0.0
-            assert row["p_value"] is None
         assert tau == scored.llr.max()
 
     def test_empty_candidate_list(self, split400_index):

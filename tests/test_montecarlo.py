@@ -119,7 +119,8 @@ class TestSimulateWorlds:
         # The real tau of a fair world should look typical under the
         # simulated distribution, i.e. land well inside its support.
         d = gen_uniform_split(2000, seed=40)
-        fair = gen_fair_bernoulli(d.points, 0.5, seed=41)
+        fair = gen_fair_bernoulli(np.column_stack((d.lons, d.lats)), 0.5,
+                                  seed=41)
         ix = build_index(fair)
         parts = random_partitionings(fair.bbox, 20, 2, 8, seed=42)
         from fairscan.likelihood import scan_regions
@@ -348,9 +349,11 @@ class TestCountWidth:
 
 class TestGlobalPValue:
     def dist(self, values, w):
-        return MaxStatDistribution(
+        d = MaxStatDistribution(
             values=np.asarray(sorted(values, reverse=True), dtype=np.float64),
-            w=w, seed=0, direction=Direction.TWO_SIDED)
+            seed=0, direction=Direction.TWO_SIDED)
+        assert d.w == w
+        return d
 
     def test_rank_one(self):
         d = self.dist(np.linspace(0.0, 5.0, 199), 200)
@@ -393,9 +396,11 @@ class TestGlobalPValue:
 
 class TestCriticalValue:
     def dist(self, values, w):
-        return MaxStatDistribution(
+        d = MaxStatDistribution(
             values=np.asarray(sorted(values, reverse=True), dtype=np.float64),
-            w=w, seed=0, direction=Direction.TWO_SIDED)
+            seed=0, direction=Direction.TWO_SIDED)
+        assert d.w == w
+        return d
 
     def test_fifth_largest(self):
         values = np.arange(999, dtype=np.float64)
@@ -437,54 +442,63 @@ def item(llr, n=10, p=5, cx=0.0):
     return (llr, n, p, cx)
 
 
+# w = 5: a score s earns (1 + #{values >= s}) / 5.
+DIST = MaxStatDistribution(values=np.asarray([5.0, 4.0, 3.0, 2.0]), seed=0,
+                           direction=Direction.TWO_SIDED)
+
+
 class TestSignificantRegions:
     def test_strictly_above_cutoff(self):
         items = scored(item(1.0), item(2.0), item(3.0))
-        out = significant_regions(items, 2.0)
+        out = significant_regions(items, 2.0, DIST)
         assert out.llr.tolist() == [3.0]
 
     def test_sorted_descending(self):
         items = scored(item(1.5, cx=0), item(4.0, cx=2), item(2.5, cx=4))
-        out = significant_regions(items, 1.0)
+        out = significant_regions(items, 1.0, DIST)
         assert out.llr.tolist() == [4.0, 2.5, 1.5]
 
     def test_empty_regions_excluded(self):
         items = scored(item(5.0, n=0, p=0), item(3.0))
-        out = significant_regions(items, 1.0)
+        out = significant_regions(items, 1.0, DIST)
         assert out.llr.tolist() == [3.0]
 
     def test_stable_tie_order(self):
         out = significant_regions(
-            scored(item(2.0, cx=0.0), item(2.0, cx=5.0)), 1.0)
+            scored(item(2.0, cx=0.0), item(2.0, cx=5.0)), 1.0, DIST)
         assert out.bounds[:, 0].tolist() == [0.0, 5.0]
 
     def test_p_value_annotation(self):
-        values = np.asarray([5.0, 4.0, 3.0, 2.0], dtype=np.float64)
-        dist = MaxStatDistribution(values=values, w=5, seed=0,
-                                   direction=Direction.TWO_SIDED)
-        out = significant_regions(scored(item(4.5)), 0.0, dist)
+        assert DIST.w == 5
+        out = significant_regions(scored(item(4.5)), 0.0, DIST)
         assert out.p_value.tolist() == [2 / 5]
 
-    def test_no_annotation_without_dist(self):
-        out = significant_regions(scored(item(4.5)), 0.0)
-        assert out.p_value is None
+    def test_no_rows_write_no_json(self):
+        # A fair verdict's cutoff keeps nothing; a plain empty list, which
+        # the benchmark passes for a fair verdict, writes the same.
+        out = significant_regions(scored(item(4.5)), np.inf, DIST)
+        assert len(out) == 0 and out.p_value.tolist() == []
+        assert _rows_json(out) == _rows_json([]) == []
 
     def test_negative_cutoff_keeps_all_nonempty(self):
         items = scored(item(0.0), item(1.0), item(2.0, n=0, p=0))
-        out = significant_regions(items, -1.0)
+        out = significant_regions(items, -1.0, DIST)
         assert len(out) == 2
 
     def test_evidence_fields(self):
-        out = significant_regions(scored(item(3.0, n=8, p=6, cx=2.0)), 0.0)
+        out = significant_regions(scored(item(3.0, n=8, p=6, cx=2.0)), 0.0,
+                                  DIST)
         assert row_regions(out) == [Region(2.0, 0.0, 3.0, 1.0)]
         assert (out.n.tolist(), out.p.tolist()) == ([8], [6])
-        assert _rows_json(out)[0]["rho"] == 0.75
+        row = _rows_json(out)[0]
+        assert (row["n"], row["p"], row["rho"]) == (8, 6, 0.75)
+        assert row["p_value"] == 4 / 5
 
 
 class TestDistributionSerialization:
     def test_json_round_trip(self):
         dist = MaxStatDistribution(
-            values=np.asarray([3.5, 2.0, 0.0]), w=4, seed=17,
+            values=np.asarray([3.5, 2.0, 0.0]), seed=17,
             direction=Direction.LOWER_INSIDE)
         doc = dist.to_json_dict()
         assert doc["schema"] == 1
