@@ -13,16 +13,12 @@ class Region:
 
     The one exception: a max edge at or past the audit bounding box's max
     edge is closed, so points on the box are never lost (see closed_bounds).
-
-    ``center_id`` optionally links a scan square back to the center that
-    spawned it; partitioning cells leave it unset.
     """
 
     xmin: float
     ymin: float
     xmax: float
     ymax: float
-    center_id: str | None = None
 
     def __post_init__(self) -> None:
         if not (self.xmin <= self.xmax and self.ymin <= self.ymax):

@@ -12,14 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Dataset
-from .geometry import bounding_box
 
 MAX_COLUMNS = 1024
 
 
 class SpatialIndex:
-    """Fixed locations in gx columns over their own bounding box, with the
-    observed labeling.
+    """A dataset's fixed locations in gx columns over its bounding box,
+    with its observed labeling; the box, N and P are the dataset's own.
 
     The columns are the index's only cells: it has gy = 1 row, so
     gx * gy is its cell count.
@@ -27,12 +26,9 @@ class SpatialIndex:
 
     gy = 1
 
-    def __init__(self, lons: np.ndarray, lats: np.ndarray, labels: np.ndarray,
-                 gx: int):
-        self.xs, self.ys, self.labels, self.gx = lons, lats, labels, gx
-        self.bbox = bounding_box(lons, lats)
-        self.N = len(lons)
-        self.P = int(labels.sum())
+    def __init__(self, d: Dataset, gx: int):
+        self.xs, self.ys, self.labels, self.gx = d.lons, d.lats, d.outcomes, gx
+        self.bbox, self.N, self.P = d.bbox, d.N, d.P
 
     def columns(self, xs) -> np.ndarray:
         """The column of each x, clipped to 0..gx - 1; monotone in x, and
@@ -58,4 +54,4 @@ def build_index(d: Dataset, gx: int | None = None) -> SpatialIndex:
     gx = default_columns(d.N) if gx is None else gx
     if gx < 1:
         raise ValueError(f"column count must be positive, got {gx}")
-    return SpatialIndex(d.lons, d.lats, d.outcomes, gx)
+    return SpatialIndex(d, gx)

@@ -54,7 +54,8 @@ def mean_var(ix: SpatialIndex, parts: Sequence[Partitioning],
     The report carries each partitioning's variance, their mean, and the
     top_k cells across all partitionings ranked by contribution: a cell's
     squared deviation from the unweighted mean of its partitioning's
-    non-empty cell rates. Ties keep cell order.
+    non-empty cell rates. Every occupied cell is ranked in one stable
+    sort, so ties keep (partitioning, cell) order.
     """
     if not parts:
         raise ValueError("need at least one partitioning")
@@ -73,12 +74,9 @@ def mean_var(ix: SpatialIndex, parts: Sequence[Partitioning],
             raise ValueError("partitioning has no occupied cells")
         rate = p[occupied] / n[occupied]
         per_part.append((dict(part.provenance), float(np.var(rate))))
-        contrib = (rate - rate.mean()) ** 2
-        # Only a partitioning's own top-k can reach the global top-k.
-        order = np.argsort(-contrib, kind="stable")[:top_k]
-        rows.append(lo + np.flatnonzero(occupied)[order])
-        rates.append(rate[order])
-        contribs.append(contrib[order])
+        rows.append(lo + np.flatnonzero(occupied))
+        rates.append(rate)
+        contribs.append((rate - rate.mean()) ** 2)
         lo = hi
     contrib = np.concatenate(contribs)
     top = np.argsort(-contrib, kind="stable")[:top_k]

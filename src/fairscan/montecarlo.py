@@ -112,7 +112,8 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
     per CPU the process may use; world i draws from its own stream and
     fills only entry i, and its counts are exact, so the result does not
     depend on the count width, the block size, the band cap or the number
-    of threads.
+    of threads. At rho 0 or 1 every world is the data itself, so every
+    max is 0 and no world is drawn; rho outside [0, 1], or NaN, raises.
     """
     if num_worlds < 1:
         raise ValueError(f"num_worlds must be >= 1, got {num_worlds}")
@@ -120,12 +121,12 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
         # Python's own message for a length past ssize_t, the one a
         # partitioning count that large also gets.
         raise OverflowError("Python int too large to convert to C ssize_t")
-    if not 0.0 < rho < 1.0:
-        raise ValueError(
-            f"rho must be strictly between 0 and 1, got {rho}; a degenerate "
-            "rate makes every simulated world identical"
-        )
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must be between 0 and 1, got {rho}")
     plan = scanner.as_scanner(ix, regions)
+    if rho in (0.0, 1.0):
+        return MaxStatDistribution(np.zeros(num_worlds), seed,
+                                   Direction(direction))
     n_obs = ix.N
     values = np.zeros(num_worlds, dtype=np.float64)
     # Only the smallest and largest positive count among candidates of one

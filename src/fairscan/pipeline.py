@@ -243,16 +243,10 @@ def run_audit(d: Dataset, cfg: AuditConfig) -> AuditReport:
 
     t3 = time.perf_counter()
     _, sim_seed = derive_seeds(cfg.seed)
-    if 0.0 < d.rho < 1.0:
-        dist = simulate_worlds(
-            ix, plan, d.rho, cfg.num_worlds - 1, seed=sim_seed,
-            direction=cfg.direction,
-        )
-    else:
-        # All-positive or all-negative data: every fair world reproduces the
-        # data exactly, so every simulated max is 0 and simulation is skipped.
-        dist = MaxStatDistribution(np.zeros(cfg.num_worlds - 1), sim_seed,
-                                   Direction(cfg.direction))
+    dist = simulate_worlds(
+        ix, plan, d.rho, cfg.num_worlds - 1, seed=sim_seed,
+        direction=cfg.direction,
+    )
     timings["simulate_s"] = time.perf_counter() - t3
 
     p_value = global_p_value(tau_log, dist)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import sparsetools
-from .geometry import Region, bounds_contain, closed_bounds
+from .geometry import Region, closed_bounds
 from .index import SpatialIndex
 from .regions import Partitioning, Rectangles
 
@@ -129,18 +129,18 @@ def _rectangle_terms(ix: SpatialIndex, bounds: np.ndarray):
 
     ``order`` sorts the points by the key column * N + rank of y, so inside
     one column a rectangle's points are one run of it: those with
-    ymin <= y < ymax, ymax as ``closed_bounds`` gives it.
-    Returns ``order`` (None without rectangles), the CSR list (members,
-    offsets) of each rectangle's members, ascending, among the points of
-    the runs of its first and last column, and the runs (rect, lo, hi) of
-    its other columns: positions [lo, hi) of ``order``, ascending per
+    ymin <= y < ymax, the bounds closed once by ``closed_bounds``.
+    Returns ``order`` (None without rectangles), each rectangle's members
+    among the points of the runs of its first and last column as (owner,
+    member) pairs sorted by owner and then member, and the runs (rect, lo,
+    hi) of its other columns: positions [lo, hi) of ``order``, ascending per
     rectangle. Runs are non-empty and runs that touch are merged, so a
     rectangle has at most one run per interior column.
     """
     m = len(bounds)
     if not m:
         empty = np.zeros(0, dtype=np.int64)
-        return None, empty, np.zeros(1, dtype=np.int64), empty, empty, empty
+        return None, empty, empty, empty, empty, empty
     by_y = np.argsort(ix.ys)
     key = ix.columns(ix.xs) * ix.N
     key[by_y] += np.arange(ix.N)
@@ -163,8 +163,8 @@ def _rectangle_terms(ix: SpatialIndex, bounds: np.ndarray):
     lo = np.searchsorted(key, col + y0[rect])
     hi = np.searchsorted(key, col + y1[rect])
     del key, col
-    members, offsets = _edge_members(ix, order, bounds, rect[edge], lo[edge],
-                                     hi[edge])
+    owner, members = _edge_members(ix, order, xmin, xmax, rect[edge],
+                                   lo[edge], hi[edge])
     keep = ~edge & (hi > lo)
     rect, lo, hi = rect[keep], lo[keep], hi[keep]
     # A run ending where the rectangle's next run starts joins it; their
@@ -173,32 +173,32 @@ def _rectangle_terms(ix: SpatialIndex, bounds: np.ndarray):
     first[1:-1] = (rect[1:] != rect[:-1]) | (lo[1:] != hi[:-1])
     last = first[1:]
     first = first[:-1]
-    return order, members, offsets, rect[first], lo[first], hi[last]
+    return order, owner, members, rect[first], lo[first], hi[last]
 
 
-def _edge_members(ix, order, bounds, rect, lo, hi):
-    """CSR list of each rectangle's members among the points of its runs
-    (rect, lo, hi) of ``order``, ascending; ``rect`` ascends."""
-    m = len(bounds)
+def _edge_members(ix, order, xmin, xmax, rect, lo, hi):
+    """Each rectangle's members among the points of its runs (rect, lo, hi)
+    of ``order``, as (owner, member) pairs sorted by owner and then member;
+    ``rect`` ascends. A run holds just the points inside the rectangle's y
+    bounds, so a point is a member when xmin <= x < xmax, bounds closed."""
+    m = len(xmin)
     per_rect = np.bincount(rect, weights=hi - lo,
                            minlength=m).astype(np.int64)
     run_end = np.cumsum(np.bincount(rect, minlength=m))
     batch = np.cumsum(per_rect) // _EDGE_BATCH
     cuts = np.concatenate(([0], np.flatnonzero(np.diff(batch)) + 1, [m]))
-    members, counts = [], []
+    owners, members = [], []
     for r0, r1 in zip(cuts[:-1], cuts[1:]):
         runs = slice(run_end[r0 - 1] if r0 else 0, run_end[r1 - 1])
         owner = np.repeat(rect[runs], hi[runs] - lo[runs])
         ids = order[_ranges(lo[runs], hi[runs])]
-        keep = bounds_contain(bounds[owner].T, ix.xs[ids], ix.ys[ids],
-                              ix.bbox)
-        owner = owner[keep] - r0
-        counts.append(np.bincount(owner, minlength=r1 - r0))
+        x = ix.xs[ids]
+        keep = (x >= xmin[owner]) & (x < xmax[owner])
+        owner = owner[keep]  # ascends, as ``rect`` does
         key = np.sort(owner * ix.N + ids[keep])  # ascending per rectangle
+        owners.append(owner)
         members.append(key - owner * ix.N)
-    offsets = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(counts), out=offsets[1:])
-    return np.concatenate(members), offsets
+    return np.concatenate(owners), np.concatenate(members)
 
 
 class CountPlan:
@@ -252,9 +252,9 @@ class CountPlan:
         # Pass 1: each row's size and entry count.
         self.n = np.zeros(n_rows, dtype=np.int64)
         cells = _cells(ix, covering, self.n)
-        (point_order, members, offsets, run_rect, run_lo,
+        (point_order, owner, members, run_rect, run_lo,
          run_hi) = _rectangle_terms(ix, self.bounds[rect_rows])
-        n_members = np.diff(offsets)
+        n_members = np.bincount(owner, minlength=len(rect_rows))
         row_nnz = self.n.copy()
         row_nnz[rect_rows] = n_members + 2 * np.bincount(
             run_rect, minlength=len(rect_rows))
@@ -291,8 +291,8 @@ class CountPlan:
             _place(indices, data, free[first:first + len(part)], ix.N,
                    lambda at: (cell[at], at, None))
         free = free[rect_rows]
-        _place(indices, data, free, len(members), lambda at: (
-            np.searchsorted(offsets, at, side="right") - 1, members[at], None))
+        _place(indices, data, free, len(members),
+               lambda at: (owner[at], members[at], None))
         _place(indices, data, free, 2 * len(run_rect), lambda at: (
             run_rect[at >> 1], ix.N + np.where(at & 1, run_hi[at >> 1],
                                                run_lo[at >> 1]),
@@ -370,7 +370,7 @@ class CountPlan:
             raise ValueError(
                 f"labels must have shape ({n_obs},), got {labels.shape}"
             )
-        if len(labels) and (labels.min() < 0 or labels.max() > 1):
+        if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("labels must be binary")
         block = np.empty(self.width, dtype=self.dtype)
         block[:n_obs] = labels

@@ -1,10 +1,35 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fairscan import CountPlan, Dataset, Rectangles, ScanResult, build_index, synth
 from fairscan.geometry import Region
+
+# Every Hypothesis test draws the same examples on every run, and none
+# replays examples stored by an earlier run. A test's own settings keep
+# their max_examples and deadline.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
+
+
+@dataclass(frozen=True, eq=False)
+class Candidate(Region):
+    """A Region with the center id a Rectangles row carries. It equals a
+    Region of the same bounds when it has no center id."""
+
+    center_id: str | None = None
+
+    def __eq__(self, other):
+        if not isinstance(other, Region):
+            return NotImplemented
+        return ((self.bounds(), self.center_id)
+                == (other.bounds(), getattr(other, "center_id", None)))
+
+    __hash__ = Region.__hash__
 
 
 def make_dataset(lons, lats, outcomes, labels=None) -> Dataset:
@@ -20,12 +45,14 @@ def rectangles(regions) -> Rectangles:
     """Regions as one Rectangles family, in order, center ids kept."""
     bounds = np.array([r.bounds() for r in regions], dtype=np.float64)
     return Rectangles(bounds.reshape(-1, 4),
-                      np.array([r.center_id for r in regions], dtype=object))
+                      np.array([getattr(r, "center_id", None)
+                                for r in regions], dtype=object))
 
 
-def row_regions(rows) -> list[Region]:
-    """The rows of a CountPlan or a ScanResult as Regions, center ids kept."""
-    return [Region(*b, center_id=c) for b, c in
+def row_regions(rows) -> list[Candidate]:
+    """The rows of a CountPlan or a ScanResult as Candidates, center ids
+    kept."""
+    return [Candidate(*b, center_id=c) for b, c in
             zip(rows.bounds.tolist(), rows.center_ids.tolist())]
 
 

@@ -419,10 +419,10 @@ def oracle_member_matrix(ix, family):
         rows.append(first + ay * (len(part.xbounds) - 1) + ax)
         cols.append(np.arange(ix.N))
     rect_rows = np.flatnonzero(rect)
-    _, members, offsets, run_rect, lo, hi = _rectangle_terms(
+    _, owner, members, run_rect, lo, hi = _rectangle_terms(
         ix, bounds[rect_rows])
     run_rows = rect_rows[run_rect]
-    rows += [np.repeat(rect_rows, np.diff(offsets)), run_rows, run_rows]
+    rows += [rect_rows[owner], run_rows, run_rows]
     cols += [members, ix.N + hi, ix.N + lo]
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     values = np.ones(len(rows), dtype=np.int16 if ix.N < 1 << 15 else np.int32)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from fairscan.geometry import (
 )
 from fairscan.pipeline import select_non_overlapping
 
-from conftest import scan_rows
+from conftest import Candidate, scan_rows
 from oracles import area, intersection_area, jaccard, oracle_contains
 
 UNIT = Region(0.0, 0.0, 1.0, 1.0)
@@ -38,8 +39,12 @@ class TestRegion:
             Region(*bounds)
 
     def test_center_id_default(self):
-        assert Region(0, 0, 1, 1).center_id is None
-        assert Region(0, 0, 1, 1, center_id="c3").center_id == "c3"
+        # A region is its four bounds; the center link lives in the tests'
+        # Candidate, as Rectangles keeps it in its center_ids column.
+        assert [f.name for f in fields(Region)] == ["xmin", "ymin", "xmax",
+                                                    "ymax"]
+        assert Candidate(0, 0, 1, 1).center_id is None
+        assert Candidate(0, 0, 1, 1, center_id="c3").center_id == "c3"
 
 
 class TestContains:

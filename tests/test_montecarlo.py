@@ -104,9 +104,19 @@ class TestSimulateWorlds:
                                direction=Direction.HIGHER_INSIDE)
         assert dist.direction is Direction.HIGHER_INSIDE
 
-    def test_degenerate_rho_rejected(self, small_world):
+    @pytest.mark.parametrize("rho", [0.0, 1.0])
+    def test_degenerate_rho_gives_zero_maxima(self, small_world, rho):
+        # Every world at rate 0 or 1 is the data itself: each max is 0.
         d, ix, parts = small_world
-        for rho in (0.0, 1.0, -0.1, 1.5):
+        dist = simulate_worlds(ix, parts, rho, 10, seed=7,
+                               direction=Direction.LOWER_INSIDE)
+        assert dist.values.tolist() == [0.0] * 10
+        assert dist.seed == 7
+        assert dist.direction is Direction.LOWER_INSIDE
+
+    def test_rho_outside_unit_interval_rejected(self, small_world):
+        d, ix, parts = small_world
+        for rho in (-0.1, 1.5, float("nan")):
             with pytest.raises(ValueError):
                 simulate_worlds(ix, parts, rho, 10, seed=0)
 

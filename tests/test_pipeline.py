@@ -31,8 +31,8 @@ from fairscan.regions import (
 from fairscan.scanner import as_scanner
 from fairscan.synth import gen_fair_bernoulli, gen_uniform_split
 
-from conftest import (cell_regions, make_dataset, rectangles, row_regions,
-                      scan_rows)
+from conftest import (Candidate, cell_regions, make_dataset, rectangles,
+                      row_regions, scan_rows)
 from oracles import (distribution_from_json, oracle_non_overlapping,
                      regions_overlap)
 
@@ -257,34 +257,34 @@ def _evidence_rows(draw):
         x0, x1 = sorted(draw(st.lists(_edge, min_size=2, max_size=2)))
         y0, y1 = sorted(draw(st.lists(_edge, min_size=2, max_size=2)))
         rows.append((draw(st.sampled_from([0.0, 1.0, 2.0, 2.5, 3.0])),
-                     Region(x0, y0, x1, y1, center_id=draw(
+                     Candidate(x0, y0, x1, y1, center_id=draw(
                          st.sampled_from([None, "c0", "c1", "c2"])))))
     return rows
 
 
 class TestSelectNonOverlapping:
     def test_best_per_center(self):
-        big = Region(0.0, 0.0, 2.0, 2.0, center_id="c0")
-        small = Region(0.5, 0.5, 1.5, 1.5, center_id="c0")
+        big = Candidate(0.0, 0.0, 2.0, 2.0, center_id="c0")
+        small = Candidate(0.5, 0.5, 1.5, 1.5, center_id="c0")
         out = select_non_overlapping(sr((3.0, small), (5.0, big)))
         assert len(out) == 1
         assert out.llr[0] == 5.0
 
     def test_disjoint_centers_both_kept(self):
-        a = Region(0.0, 0.0, 1.0, 1.0, center_id="c0")
-        b = Region(2.0, 0.0, 3.0, 1.0, center_id="c1")
+        a = Candidate(0.0, 0.0, 1.0, 1.0, center_id="c0")
+        b = Candidate(2.0, 0.0, 3.0, 1.0, center_id="c1")
         out = select_non_overlapping(sr((2.0, a), (4.0, b)))
         assert out.llr.tolist() == [4.0, 2.0]
 
     def test_greedy_drops_overlapping_weaker(self):
-        a = Region(0.0, 0.0, 2.0, 2.0, center_id="c0")
-        b = Region(1.0, 1.0, 3.0, 3.0, center_id="c1")
+        a = Candidate(0.0, 0.0, 2.0, 2.0, center_id="c0")
+        b = Candidate(1.0, 1.0, 3.0, 3.0, center_id="c1")
         out = select_non_overlapping(sr((4.0, a), (3.0, b)))
         assert out.llr.tolist() == [4.0]
 
     def test_edge_touching_is_not_overlap(self):
-        a = Region(0.0, 0.0, 1.0, 1.0, center_id="c0")
-        b = Region(1.0, 0.0, 2.0, 1.0, center_id="c1")
+        a = Candidate(0.0, 0.0, 1.0, 1.0, center_id="c0")
+        b = Candidate(1.0, 0.0, 2.0, 1.0, center_id="c1")
         out = select_non_overlapping(sr((4.0, a), (3.0, b)))
         assert len(out) == 2
 

@@ -11,7 +11,6 @@ from scipy import sparse
 
 from fairscan import build_index, scanner
 from fairscan.geometry import Region
-from fairscan.index import SpatialIndex
 from fairscan.likelihood import scan_regions
 from fairscan.montecarlo import simulate_worlds
 from fairscan.regions import (
@@ -23,6 +22,7 @@ from fairscan.regions import (
 from fairscan.scanner import _EDGE_BATCH, CountPlan, as_scanner
 
 from conftest import (
+    Candidate,
     cell_regions,
     make_dataset,
     random_dataset,
@@ -219,7 +219,7 @@ class TestComposite:
         half = Region(d.bbox.xmin, d.bbox.ymin,
                       (d.bbox.xmin + d.bbox.xmax) / 2, d.bbox.ymax)
         uncovered = regular_grid(half, 2, 2)
-        square = Region(0.2, 0.2, 0.6, 0.7, center_id="c0")
+        square = Candidate(0.2, 0.2, 0.6, 0.7, center_id="c0")
         family = [rectangles([square]), grid, rectangles([square]), uncovered,
                   grid]
         plan = CountPlan(ix, family)
@@ -262,7 +262,7 @@ class TestSizeOrder:
         half = Region(d.bbox.xmin, d.bbox.ymin,
                       (d.bbox.xmin + d.bbox.xmax) / 2, d.bbox.ymax)
         uncovered = regular_grid(half, 2, 2)
-        square = Region(0.2, 0.2, 0.6, 0.7, center_id="c0")
+        square = Candidate(0.2, 0.2, 0.6, 0.7, center_id="c0")
         empty = Region(50.0, 50.0, 60.0, 60.0)
         whole = Region(d.bbox.xmin - 1, d.bbox.ymin - 1,
                        d.bbox.xmax + 1, d.bbox.ymax + 1)
@@ -306,6 +306,16 @@ class TestSizeOrder:
         with pytest.raises(ValueError, match="binary"):
             plan.positives(np.full(d.N, 2, dtype=np.int8))
 
+    def test_positives_refuse_fractional_labels(self):
+        d = make_dataset([0.0, 0.5, 1.0], [0.0, 0.0, 0.0], [0, 1, 1])
+        plan = CountPlan(build_index(d, 1), regular_grid(d.bbox, 2, 1))
+        for labels in ([0.5, 1.0, 0.7], [0.0, np.nan, 1.0]):
+            with pytest.raises(ValueError, match="binary"):
+                plan.positives(np.array(labels))
+        for dtype in (np.int8, bool):
+            labels = np.array([1, 0, 1], dtype=dtype)
+            assert plan.positives(labels).tolist() == [1, 1]
+
 
 class TestAsScanner:
     def test_passthrough(self, data_and_index):
@@ -346,7 +356,7 @@ class TestAsScanner:
     def test_center_ids_array(self, data_and_index):
         d, ix = data_and_index
         sc = as_scanner(ix, [regular_grid(d.bbox, 2, 1), rectangles(
-            [Region(0, 0, 0.5, 0.5, center_id="c7"), Region(0, 0, 1, 1)])])
+            [Candidate(0, 0, 0.5, 0.5, center_id="c7"), Region(0, 0, 1, 1)])])
         assert isinstance(sc.center_ids, np.ndarray)
         assert sc.center_ids.tolist() == [None, None, "c7", None]
 
@@ -777,8 +787,10 @@ class TestLargeN:
         ys[snap] = rng.integers(0, 51, snap.sum()) / 50
         xs[:2] = ys[:2] = (0.0, 1.0)
         labels = (rng.random(n) < 0.3).astype(np.int8)
-        bbox = Region(0.0, 0.0, 1.0, 1.0)
-        ix = SpatialIndex(xs, ys, labels, 1000)
+        d = make_dataset(xs, ys, labels)
+        bbox = d.bbox
+        assert bbox == Region(0.0, 0.0, 1.0, 1.0)
+        ix = build_index(d, 1000)
         centers = np.vstack((rng.random((40, 2)),
                              [[1.0, 1.0], [0.75, 0.75], [0.99, 0.4]]))
         family = [regular_grid(bbox, 100, 50),
