@@ -47,18 +47,6 @@ def closed_bounds(bounds, bbox: Region):
     return xmin, ymin, xmax, ymax
 
 
-def bounds_contain(bounds, xs, ys, bbox: Region):
-    """Point-in-region test under the shared membership semantics.
-
-    Bounds are half-open, except that a region whose max edge reaches the
-    bounding box's max edge also includes points lying exactly on that edge.
-    Accepts scalars or numpy arrays and broadcasts.
-    """
-    xmin, ymin, xmax, ymax = closed_bounds(bounds, bbox)
-    xs, ys = np.asarray(xs), np.asarray(ys)
-    return (xs >= xmin) & (xs < xmax) & (ys >= ymin) & (ys < ymax)
-
-
 def bounding_box(xs, ys) -> Region:
     """Tight axis-aligned bounding box of a nonempty point set."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)

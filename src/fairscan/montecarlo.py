@@ -6,6 +6,9 @@ Bernoulli(rho) trial. The max region score of each simulated world forms
 the reference distribution; the real world's rank inside it gives the
 global p-value, and the distribution's upper quantile gives the per-region
 significance cutoff that controls the family-wise error across candidates.
+
+``simulate_worlds`` runs its worlds in blocks of three calls, each of which
+can be timed alone: ``draw_block``, ``CountPlan.extremes``, ``score_block``.
 """
 
 from __future__ import annotations
@@ -83,21 +86,50 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_labels(rng: np.random.Generator, rho: float, chunk: np.ndarray,
-                 labels: np.ndarray) -> int:
-    """Fill ``labels`` with ``rng.random(len(labels)) < rho`` as 0/1.
+def draw_block(rho: float, seed: int, first: int, labels: np.ndarray,
+               chunk: np.ndarray) -> np.ndarray:
+    """Write world ``first + b``'s ``rng.random(N) < rho`` as 0/1 into
+    column b of the (N, B) ``labels``; return the B positive totals.
 
-    The doubles come in pieces of ``len(chunk)``, in the same order, so the
-    labels equal those of one full draw. Returns the number of positives.
+    Its stream, ``SeedSequence(seed, spawn_key=(first + b,))``, is
+    ``SeedSequence(seed).spawn(...)[first + b]`` built on demand, so memory
+    stays O(1) in the number of worlds. The doubles come in pieces of the
+    reused ``chunk``, in order, so the labels equal one full draw's.
     """
-    positives = 0
-    for lo in range(0, len(labels), len(chunk)):
-        piece = chunk[:len(labels) - lo]
-        rng.random(out=piece)
-        flags = np.less(piece, rho)
-        labels[lo:lo + len(piece)] = flags
-        positives += np.count_nonzero(flags)
+    n_obs, worlds = labels.shape
+    positives = np.zeros(worlds, dtype=np.int64)
+    for b in range(worlds):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(first + b,)))
+        for lo in range(0, n_obs, len(chunk)):
+            piece = chunk[:n_obs - lo]
+            rng.random(out=piece)
+            flags = np.less(piece, rho)
+            labels[lo:lo + len(piece), b] = flags
+            positives[b] += np.count_nonzero(flags)
     return positives
+
+
+def score_block(sizes: np.ndarray, extremes: np.ndarray, n_obs: int,
+                positives: np.ndarray, direction: Direction) -> np.ndarray:
+    """Each world's max score from ``CountPlan.extremes``' out over the
+    plan's ``sizes`` and its ``positives`` among ``n_obs`` points.
+
+    Only each size's largest and smallest count can hold a world's max:
+    for fixed n each one-sided score is monotone in p and the two-sided
+    score is convex in p, strictly enough that integer counts differ by
+    far more than rounding; llr_vector scores each lane on its own, so the
+    max is bit-identical to scoring every candidate. Size 0 is skipped: it
+    scores 0, and every max is at least 0.
+    """
+    sizes = np.tile(sizes, 2)[:, None]
+    maxima = np.empty(extremes.shape[1], dtype=np.float64)
+    for w in range(0, len(maxima), _SCORE_WORLDS):
+        part = slice(w, w + _SCORE_WORLDS)
+        llr = llr_vector(sizes, extremes[:, part], n_obs, positives[part],
+                         direction)
+        maxima[part] = llr.max(axis=0, initial=0.0)
+    return maxima
 
 
 def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
@@ -106,14 +138,14 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
     """Draw fair worlds at the real locations and record each one's max score.
 
     Every world redraws all N labels as Bernoulli(rho) and is scanned over
-    exactly the same candidate regions as the real world, using its own
-    positive total. Worlds are counted in blocks of up to the plan's
-    ``worlds``, in its int16 or int32, and large blocks run on one thread
-    per CPU the process may use; world i draws from its own stream and
-    fills only entry i, and its counts are exact, so the result does not
-    depend on the count width, the block size, the band cap or the number
-    of threads. At rho 0 or 1 every world is the data itself, so every
-    max is 0 and no world is drawn; rho outside [0, 1], or NaN, raises.
+    the real world's candidates with its own positive total. A block of up
+    to the plan's ``worlds`` is one ``draw_block``, ``CountPlan.extremes``
+    and ``score_block`` call; large blocks run on one thread per CPU the
+    process may use. World i draws from its own stream into entry i, and
+    its counts are exact, so the result does not depend on the count
+    width, the block size, the band cap or the thread count. At rho 0 or 1
+    every world is the data itself, so every max is 0 and none is drawn;
+    rho outside [0, 1], or NaN, raises.
     """
     if num_worlds < 1:
         raise ValueError(f"num_worlds must be >= 1, got {num_worlds}")
@@ -127,51 +159,29 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
     if rho in (0.0, 1.0):
         return MaxStatDistribution(np.zeros(num_worlds), seed,
                                    Direction(direction))
-    n_obs = ix.N
     values = np.zeros(num_worlds, dtype=np.float64)
-    # Only the smallest and largest positive count among candidates of one
-    # size can hold a world's max. For fixed n each one-sided score is
-    # monotone in p and the two-sided score is convex in p, strictly enough
-    # that integer counts differ by far more than rounding; llr_vector
-    # scores each lane on its own, so the max is bit-identical to scoring
-    # every candidate. Size 0 is skipped: it scores 0, and every score is
-    # at least 0.
-    sizes = np.tile(plan.sizes, 2)[:, None]
     block = min(plan.worlds, num_worlds)
     n_blocks = -(-num_worlds // block)
 
-    def score_blocks(tickets, stop: threading.Event) -> None:
-        chunk = np.empty(min(n_obs, _DRAW_CHUNK), dtype=np.float64)
+    def run_blocks(tickets, stop: threading.Event) -> None:
+        # One worker's buffers, reused by each of its blocks.
+        chunk = np.empty(min(ix.N, _DRAW_CHUNK), dtype=np.float64)
         labels = np.empty(plan.width * block, dtype=plan.dtype)
-        positives = np.empty(block, dtype=np.int64)
-        extremes = np.empty((len(sizes), block), dtype=plan.dtype)
+        extremes = np.empty((2 * len(plan.sizes), block), dtype=plan.dtype)
         while not stop.is_set():
-            k = next(tickets)
-            if k >= n_blocks:
+            first = next(tickets) * block
+            if first >= num_worlds:
                 return
-            first = k * block
             size = min(block, num_worlds - first)
             # A short last block is a contiguous (width, size) block too.
             worlds = labels[:plan.width * size].reshape(plan.width, size)
-            for b in range(size):
-                # spawn_key (i,) is SeedSequence(seed).spawn(...)[i], built
-                # on demand: memory stays O(1) in the number of worlds.
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(seed, spawn_key=(first + b,)))
-                positives[b] = _draw_labels(rng, rho, chunk,
-                                            worlds[:n_obs, b])
+            positives = draw_block(rho, seed, first, worlds[:ix.N], chunk)
             plan.extremes(worlds, extremes[:, :size])
-            for w in range(0, size, _SCORE_WORLDS):
-                part = slice(w, min(w + _SCORE_WORLDS, size))
-                llr = llr_vector(sizes, extremes[:, part], n_obs,
-                                 positives[part], direction)
-                values[first:][part] = llr.max(axis=0, initial=0.0)
+            values[first:first + size] = score_block(
+                plan.sizes, extremes[:, :size], ix.N, positives, direction)
 
-    workers = 1
-    if block * (n_obs + plan.nnz) >= _PARALLEL_WORK:
-        workers = min(_cpu_count(), n_blocks)
-    _run_pool(score_blocks, workers)
-
+    serial = block * (ix.N + plan.nnz) < _PARALLEL_WORK
+    _run_pool(run_blocks, 1 if serial else min(_cpu_count(), n_blocks))
     order = np.argsort(-values, kind="stable")
     return MaxStatDistribution(values[order], seed, Direction(direction))
 

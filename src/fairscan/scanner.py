@@ -219,7 +219,7 @@ class CountPlan:
     per interior index column of a rectangle. ``indptr``, ``indices``
     (int32) and ``data`` are its CSR arrays, rows in the order ``order``.
     ``dtype`` is the counts' and the values' type: int16 below 2**15
-    points, else int32. Counts match ``geometry.bounds_contain`` over the
+    points, else int32. Counts follow ``geometry.closed_bounds`` over the
     index's box, the points' own. Past 2**31 - 1 entries or columns a plan
     raises ValueError before its CSR arrays are allocated.
     """

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Dataset
-from .geometry import Region, bounds_contain
+from .geometry import Region, closed_bounds
 
 DEFAULT_RECT = Region(0.0, 0.0, 1.0, 1.0)
 
@@ -76,7 +76,8 @@ def gen_planted(n: int, rect: Region, plant: Region, rho_bg: float,
     rng = np.random.default_rng(seed)
     xs = rng.uniform(rect.xmin, rect.xmax, size=n)
     ys = rng.uniform(rect.ymin, rect.ymax, size=n)
-    inside = bounds_contain(plant.bounds(), xs, ys, rect)
+    xmin, ymin, xmax, ymax = closed_bounds(plant.bounds(), rect)
+    inside = (xs >= xmin) & (xs < xmax) & (ys >= ymin) & (ys < ymax)
     rates = np.where(inside, rho_in, rho_bg)
     outcomes = (rng.random(n) < rates).astype(np.int8)
     return Dataset.from_arrays(xs, ys, outcomes)

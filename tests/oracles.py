@@ -6,9 +6,9 @@ running sums. These must never import from fairscan internals beyond plain
 data types, so a bug in the library cannot hide inside its own oracle.
 
 The last section holds small helpers that only tests use: rectangle areas
-and overlap, checked wrappers over fairscan's null log-likelihood and its
-one-region llr_vector, the
-reader of a saved null distribution, the member matrix built from
+and overlap, point membership through fairscan's closed_bounds, checked
+wrappers over fairscan's null log-likelihood and its one-region llr_vector,
+the reader of a saved null distribution, the member matrix built from
 (row, column, value) triples, and a clustered location sampler. They are
 not oracles.
 """
@@ -330,6 +330,20 @@ def jaccard(a, b) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def bounds_contain(bounds, xs, ys, bbox):
+    """Point-in-region test under the shared membership semantics.
+
+    Bounds are half-open, except that a region whose max edge reaches the
+    bounding box's max edge also includes points lying exactly on that edge.
+    Accepts scalars or numpy arrays and broadcasts.
+    """
+    from fairscan.geometry import closed_bounds
+
+    xmin, ymin, xmax, ymax = closed_bounds(bounds, bbox)
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    return (xs >= xmin) & (xs < xmax) & (ys >= ymin) & (ys < ymax)
 
 
 def log_lik_null_max(N: int, P: int) -> float:

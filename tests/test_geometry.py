@@ -7,16 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fairscan.geometry import (
-    Region,
-    bounding_box,
-    bounds_contain,
-    closed_bounds,
-)
+from fairscan.geometry import Region, bounding_box, closed_bounds
 from fairscan.pipeline import select_non_overlapping
 
 from conftest import Candidate, scan_rows
-from oracles import area, intersection_area, jaccard, oracle_contains
+from oracles import (area, bounds_contain, intersection_area, jaccard,
+                     oracle_contains)
 
 UNIT = Region(0.0, 0.0, 1.0, 1.0)
 

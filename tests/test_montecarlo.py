@@ -97,6 +97,20 @@ class TestSimulateWorlds:
             want.append(llr_vector(plan.n, plan.positives(labels), d.N,
                                    int(labels.sum()), direction).max())
         assert np.array_equal(dist.values, np.sort(want)[::-1])
+        # The same maxima world by world from the three calls, on blocks of
+        # up to the plan's worlds with a short last block.
+        got = []
+        for first in range(0, 80, plan.worlds):
+            worlds = min(plan.worlds, 80 - first)
+            block = np.empty((plan.width, worlds), dtype=plan.dtype)
+            extremes = np.empty((2 * len(plan.sizes), worlds), plan.dtype)
+            positives = montecarlo.draw_block(0.3, 11, first, block[:d.N],
+                                              np.empty(d.N))
+            plan.extremes(block, extremes)
+            got.extend(montecarlo.score_block(plan.sizes, extremes, d.N,
+                                              positives, direction))
+        assert plan.worlds < 80 and 80 % plan.worlds
+        assert np.array_equal(got, want)
 
     def test_direction_recorded(self, small_world):
         d, ix, parts = small_world
@@ -246,18 +260,56 @@ class TestWorkerPool:
         simulate_worlds(ix, plan, 0.4, 20, seed=9)
         assert threads == {threading.get_ident()}
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("block", [1, 3, 32])
+    def test_three_calls_per_block(self, small_world, pool, monkeypatch,
+                                   block, workers):
+        # Each block is one draw_block, one CountPlan.extremes and one
+        # score_block call, each over all of the block's worlds; wrapping
+        # them changes no value.
+        d, ix, parts = small_world
+        pool(workers, block)
+        want = simulate_worlds(ix, parts, 0.4, 37, seed=9).values
+        calls = {"draw": [], "count": [], "score": []}
+
+        def counted(name, fn, worlds):
+            def wrapper(*args):
+                calls[name].append(worlds(*args))
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(montecarlo, "draw_block", counted(
+            "draw", montecarlo.draw_block, lambda *a: a[3].shape[1]))
+        monkeypatch.setattr(scanner.CountPlan, "extremes", counted(
+            "count", scanner.CountPlan.extremes, lambda *a: a[1].shape[1]))
+        monkeypatch.setattr(montecarlo, "score_block", counted(
+            "score", montecarlo.score_block, lambda *a: len(a[3])))
+        got = simulate_worlds(ix, parts, 0.4, 37, seed=9).values
+        assert np.array_equal(got, want)
+        blocks = [block] * (37 // block) + [37 % block] * bool(37 % block)
+        for worlds in calls.values():
+            assert sorted(worlds, reverse=True) == blocks
+
     @pytest.mark.parametrize("n, piece", [(100, 7), (7, 7), (5, 7), (0, 7),
                                           (70_001, 65_536)])
     def test_chunked_draw_matches_one_draw(self, n, piece):
-        # The labels land in one column of a block and nowhere else.
-        want = np.random.default_rng(5).random(n) < 0.3
-        block = np.full((n, 3), 7, dtype=np.int32)
-        positives = montecarlo._draw_labels(np.random.default_rng(5), 0.3,
-                                            np.empty(piece), block[:, 1])
-        assert block.dtype == np.int32
-        assert np.array_equal(block[:, 1], want.astype(np.int32))
-        assert (block[:, [0, 2]] == 7).all()
-        assert positives == want.sum()
+        # World first + b lands in column b of the block's label rows, as
+        # one full draw from its own stream, and nowhere else.
+        for worlds, first in itertools.product((1, 3, 32), (0, 5)):
+            block = np.full((n + 2, worlds + 2), 7, dtype=np.int32)
+            positives = montecarlo.draw_block(0.3, 5, first,
+                                              block[:n, 1:worlds + 1],
+                                              np.empty(piece))
+            want = np.column_stack([
+                np.random.default_rng(np.random.SeedSequence(
+                    5, spawn_key=(first + b,))).random(n) < 0.3
+                for b in range(worlds)]).reshape(n, worlds)
+            assert block.dtype == np.int32 and positives.dtype == np.int64
+            assert np.array_equal(block[:n, 1:worlds + 1],
+                                  want.astype(np.int32))
+            assert positives.tolist() == want.sum(axis=0).tolist()
+            block[:n, 1:worlds + 1] = 7
+            assert (block == 7).all()
 
     @pytest.mark.parametrize("exc", [MemoryError, KeyboardInterrupt])
     def test_failure_stops_the_other_worker(self, small_world, pool,

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fairscan.geometry import Region, bounds_contain
+from fairscan.geometry import Region
 from fairscan.synth import (
     DEFAULT_RECT,
     gen_fair_bernoulli,
@@ -11,7 +11,7 @@ from fairscan.synth import (
     gen_uniform_split,
 )
 
-from oracles import gen_clustered_locations
+from oracles import bounds_contain, gen_clustered_locations
 
 
 class TestUniformSplit:
