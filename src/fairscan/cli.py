@@ -13,6 +13,7 @@ import numpy as np
 from .dataset import MeasureMode, load_dataset, read_columns, write_csv
 from .geometry import Region
 from .likelihood import Direction
+from .meanvar import DEFAULT_TOP_K
 from .pipeline import (
     AuditConfig,
     audit,
@@ -159,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--splits", metavar="MIN..MAX",
                     help="split-count range (default 10..40)")
     pm.add_argument("--seed", type=int, help="PRNG seed")
-    pm.add_argument("--top-k", type=int, default=50, metavar="K",
-                    help="contributors to report (default 50)")
+    pm.add_argument("--top-k", type=int, default=DEFAULT_TOP_K, metavar="K",
+                    help="contributors to report (default %(default)s)")
     pm.add_argument("--out", metavar="DIR", help="write meanvar.json")
     pm.set_defaults(func=cmd_meanvar)
 
@@ -343,7 +344,7 @@ def cmd_meanvar(args: argparse.Namespace) -> int:
             if key in ("data", "mode", "family", "seed", "top_k")}
     print("CONFIG " + json.dumps(echo, sort_keys=True))
     d = load_dataset(cfg.data, cfg.mode)
-    report = run_meanvar(d, cfg, top_k=cfg.top_k)
+    report = run_meanvar(d, cfg)
     print(f"MEANVAR {report.mean_var:.6g}")
     if args.out:
         path = export_meanvar(report, echo, args.out)

@@ -24,9 +24,9 @@ from ._kernels import xlogy
 from .index import SpatialIndex
 from .scanner import as_scanner
 
-# Scoring a lane takes about ten float64 temporaries, so slices of this many
-# lanes hold the real scan's scratch near 2**16 values.
-_SCAN_LANES = 1 << 13
+# Scoring a lane takes about ten float64 temporaries, so llr_vector scores
+# slices of this many lanes to hold its scratch near 2**16 values.
+_LLR_LANES = 1 << 13
 
 
 class Direction(str, Enum):
@@ -83,35 +83,42 @@ def llr_vector(n, p, N: int, P,
     against ``n`` and ``p``, such as one total per column of a block of
     worlds. No precondition checking: callers guarantee 0 <= p <= n <= N,
     p <= P, n - p <= N - P and 0 <= P <= N elementwise. Counts must be
-    integral.
+    integral. Each lane is scored alone, in first-axis slices of _LLR_LANES.
     """
-    n = np.asarray(n, dtype=np.int64)
-    p = np.asarray(p, dtype=np.int64)
-    P = np.asarray(P, dtype=np.int64)
-    # Exact rate comparison: p/n vs (P-p)/(N-n) as an integer cross product.
-    # int64 is safe: |cross| <= N*P fits comfortably for any realistic audit.
-    cross = p * (N - n) - n * (P - p)
     direction = Direction(direction)
-    if direction is Direction.TWO_SIDED:
-        gate = cross != 0
-    elif direction is Direction.HIGHER_INSIDE:
-        gate = cross > 0
-    else:
-        gate = cross < 0
-    active = gate & (n > 0) & (n < N)
+    shape = np.broadcast(n, p, P).shape
+    out = np.empty(shape or 1)   # a 0-d result is one row
+    # Inputs at the result's rank; a first axis of length 1 broadcasts.
+    inputs = [np.reshape(a, (1,) * (out.ndim - np.ndim(a)) + np.shape(a))
+              for a in (n, p, P)]
+    step = max(1, _LLR_LANES // max(1, out[:1].size))
+    for lo in range(0, len(out), step):
+        part = slice(lo, lo + step)
+        n, p, P = (np.asarray(a if len(a) == 1 else a[part], dtype=np.int64)
+                   for a in inputs)
+        # Exact rate comparison, p/n vs (P-p)/(N-n) as an integer cross
+        # product; int64 holds |cross| <= N*P for any realistic audit.
+        cross = p * (N - n) - n * (P - p)
+        if direction is Direction.TWO_SIDED:
+            gate = cross != 0
+        elif direction is Direction.HIGHER_INSIDE:
+            gate = cross > 0
+        else:
+            gate = cross < 0
+        active = gate & (n > 0) & (n < N)
 
-    nn = np.maximum(n, 1)          # safe denominators; inactive lanes zeroed
-    mm = np.maximum(N - n, 1)
-    q = P - p
-    # Grouping inside/outside pairs keeps label complement (p -> n-p,
-    # P -> N-P) bit-exact: each pair's addends swap, and float addition
-    # commutes.
-    inside = xlogy(p, p / nn) + xlogy(n - p, (n - p) / nn)
-    outside = xlogy(q, q / mm) + xlogy((N - n) - q, ((N - n) - q) / mm)
-    llr = (inside + outside) - _null_max(N, P)
-    out = np.where(active, llr, 0.0)
-    # Rounding can leave a tiny negative residue on near-proportional splits.
-    return np.maximum(out, 0.0)
+        nn = np.maximum(n, 1)      # safe denominators; inactive lanes zeroed
+        mm = np.maximum(N - n, 1)
+        q = P - p
+        # Grouping inside/outside pairs keeps label complement (p -> n-p,
+        # P -> N-P) bit-exact: each pair's addends swap, and float addition
+        # commutes.
+        inside = xlogy(p, p / nn) + xlogy(n - p, (n - p) / nn)
+        outside = xlogy(q, q / mm) + xlogy((N - n) - q, ((N - n) - q) / mm)
+        llr = (inside + outside) - _null_max(N, P)
+        # Rounding can leave a tiny negative residue near proportionality.
+        out[part] = np.maximum(np.where(active, llr, 0.0), 0.0)
+    return out.reshape(shape)[()]
 
 
 def scan_regions(ix: SpatialIndex, regions,
@@ -122,14 +129,10 @@ def scan_regions(ix: SpatialIndex, regions,
     ``regions`` may be any family fairscan.scanner.as_scanner accepts,
     including a prebuilt plan. Returns the scores in candidate order plus
     tau_log, the maximum score (0.0 for an empty candidate list). The
-    simulation's kernel scores _SCAN_LANES at a time, bit for bit.
+    simulation scores its worlds with the same llr_vector, bit for bit.
     """
     plan = as_scanner(ix, regions)
     p = plan.positives(ix.labels)
-    llr = np.empty(len(p))
-    for lo in range(0, len(p), _SCAN_LANES):
-        lanes = slice(lo, lo + _SCAN_LANES)
-        llr[lanes] = llr_vector(plan.n[lanes], p[lanes], ix.N, ix.P,
-                                direction)
+    llr = llr_vector(plan.n, p, ix.N, ix.P, direction)
     tau_log = float(llr.max()) if len(llr) else 0.0
     return ScanResult(plan.bounds, plan.center_ids, plan.n, p, llr), tau_log

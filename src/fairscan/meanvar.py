@@ -19,6 +19,9 @@ from .index import SpatialIndex
 from .regions import Partitioning, rows_json
 from .scanner import as_scanner
 
+# Contributors a report ranks when the caller names no count.
+DEFAULT_TOP_K = 50
+
 
 @dataclass(frozen=True)
 class MeanVarReport:
@@ -48,7 +51,7 @@ class MeanVarReport:
 
 
 def mean_var(ix: SpatialIndex, parts: Sequence[Partitioning],
-             top_k: int = 50) -> MeanVarReport:
+             top_k: int = DEFAULT_TOP_K) -> MeanVarReport:
     """MeanVar over a collection of partitionings, with a contributor ranking.
 
     The report carries each partitioning's variance, their mean, and the

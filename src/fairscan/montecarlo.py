@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,16 +67,12 @@ class AuditVerdict:
 # Label values drawn per piece into a worker's reused float64 buffer, so a
 # world's draw scratch stays this chunk beyond its column of the block.
 _DRAW_CHUNK = 1 << 16
-# Worlds scored at once; bounds llr_vector's temporaries.
-_SCORE_WORLDS = 8
-# Values a block reads (B times its N labels plus the member matrix's
-# nonzeros) below which the blocks run on one thread. Small work is a
-# series of short numpy calls that hold the interpreter lock, so a second
-# thread mostly waits: on 2 CPUs, 999 worlds of 1k, 6k and 42k values took
-# 116, 147 and 214 ms on one thread against 185, 238 and 250 ms on two.
-# planted20k (16 x 133k values a block), split10k (32 x 1.01M) and
-# clustered1m (2.0M a world) run on every CPU.
-_PARALLEL_WORK = 1 << 18
+# Seconds the calling thread's first block must take before helpers start.
+# On one 2-vCPU machine a first block on one thread took 1.4-3.1 ms in
+# audits that two threads run 1.6-2.2x slower, 3.5-5.5 ms where two cost
+# 7-8%, and 5.0-9.9 ms in the benchmark's workloads, which gain: short
+# blocks are numpy calls that hold the interpreter lock.
+_HELPER_BLOCK_S = 3.5e-3
 
 
 def _cpu_count() -> int:
@@ -122,14 +119,8 @@ def score_block(sizes: np.ndarray, extremes: np.ndarray, n_obs: int,
     max is bit-identical to scoring every candidate. Size 0 is skipped: it
     scores 0, and every max is at least 0.
     """
-    sizes = np.tile(sizes, 2)[:, None]
-    maxima = np.empty(extremes.shape[1], dtype=np.float64)
-    for w in range(0, len(maxima), _SCORE_WORLDS):
-        part = slice(w, w + _SCORE_WORLDS)
-        llr = llr_vector(sizes, extremes[:, part], n_obs, positives[part],
-                         direction)
-        maxima[part] = llr.max(axis=0, initial=0.0)
-    return maxima
+    return llr_vector(np.tile(sizes, 2)[:, None], extremes, n_obs,
+                      positives, direction).max(axis=0, initial=0.0)
 
 
 def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
@@ -140,12 +131,12 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
     Every world redraws all N labels as Bernoulli(rho) and is scanned over
     the real world's candidates with its own positive total. A block of up
     to the plan's ``worlds`` is one ``draw_block``, ``CountPlan.extremes``
-    and ``score_block`` call; large blocks run on one thread per CPU the
-    process may use. World i draws from its own stream into entry i, and
-    its counts are exact, so the result does not depend on the count
-    width, the block size, the band cap or the thread count. At rho 0 or 1
-    every world is the data itself, so every max is 0 and none is drawn;
-    rho outside [0, 1], or NaN, raises.
+    and ``score_block`` call; once a first block is slow enough to share,
+    blocks run on one thread per CPU the process may use. World i draws from
+    its own stream into entry i, and its counts are exact, so the result does
+    not depend on the count width, the block size, the band cap or the thread
+    count. At rho 0 or 1 every world is the data itself, so every max is 0 and
+    none is drawn; rho outside [0, 1], or NaN, raises.
     """
     if num_worlds < 1:
         raise ValueError(f"num_worlds must be >= 1, got {num_worlds}")
@@ -180,14 +171,14 @@ def simulate_worlds(ix: SpatialIndex, regions, rho: float, num_worlds: int,
             values[first:first + size] = score_block(
                 plan.sizes, extremes[:, :size], ix.N, positives, direction)
 
-    serial = block * (ix.N + plan.nnz) < _PARALLEL_WORK
-    _run_pool(run_blocks, 1 if serial else min(_cpu_count(), n_blocks))
+    _run_pool(run_blocks, min(_cpu_count(), n_blocks))
     order = np.argsort(-values, kind="stable")
     return MaxStatDistribution(values[order], seed, Direction(direction))
 
 
 def _run_pool(work, workers: int) -> None:
-    """Run ``work(tickets, stop)`` on ``workers`` threads, this one included.
+    """Run ``work(tickets, stop)`` on this thread and, once its first block
+    took at least _HELPER_BLOCK_S, on ``workers - 1`` helper threads too.
 
     Each call takes block indices from the shared ticket counter until it
     passes the last block or ``stop`` is set. The first exception of any
@@ -197,6 +188,7 @@ def _run_pool(work, workers: int) -> None:
     tickets = itertools.count()   # next() on it is atomic under the GIL
     stop = threading.Event()
     errors: list[BaseException] = []
+    threads = []
 
     def helper() -> None:
         try:
@@ -205,13 +197,18 @@ def _run_pool(work, workers: int) -> None:
             errors.append(exc)
             stop.set()
 
-    threads = []
+    def own_tickets():
+        start = time.perf_counter()   # work's buffers exist by now
+        yield next(tickets)
+        if time.perf_counter() - start >= _HELPER_BLOCK_S:
+            for _ in range(1, workers):
+                t = threading.Thread(target=helper)
+                t.start()
+                threads.append(t)
+        yield from tickets
+
     try:
-        for _ in range(1, workers):
-            t = threading.Thread(target=helper)
-            t.start()
-            threads.append(t)
-        work(tickets, stop)
+        work(own_tickets(), stop)
     finally:
         stop.set()
         for t in threads:

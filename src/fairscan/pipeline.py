@@ -8,6 +8,8 @@ cell of every partitioning.
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -18,7 +20,7 @@ from .dataset import Dataset, MeasureMode, load_dataset
 from .geometry import Region
 from .index import build_index
 from .likelihood import Direction, ScanResult, scan_regions
-from .meanvar import MeanVarReport, mean_var
+from .meanvar import DEFAULT_TOP_K, MeanVarReport, mean_var
 from .montecarlo import (
     AuditVerdict,
     MaxStatDistribution,
@@ -39,6 +41,12 @@ from .regions import (
     square_scan_set,
 )
 from .scanner import as_scanner
+
+
+# Admitted rows that select_non_overlapping tests a row against one pair at
+# a time; beyond them, one array comparison against every admitted row. On a
+# 2-vCPU VM one pair took 0.3 us and one comparison 8-9 us up to 1,000 rows.
+_NEAR_ROWS = 32
 
 
 @dataclass
@@ -261,7 +269,9 @@ def run_audit(d: Dataset, cfg: AuditConfig) -> AuditReport:
     evidence = significant_regions(scored, np.inf if fair else cutoff, dist)
     if cfg.top_k is not None:
         evidence = evidence.take(slice(cfg.top_k))
+    t4 = time.perf_counter()
     non_overlapping = select_non_overlapping(evidence)
+    timings["pick_s"] = time.perf_counter() - t4
     timings["total_s"] = time.perf_counter() - t0
     return AuditReport(
         verdict=verdict,
@@ -308,16 +318,50 @@ def select_non_overlapping(evidence: ScanResult) -> ScanResult:
             best[key] = i
     rows = np.fromiter(best.values(), dtype=np.intp, count=len(best))
     rows = rows[np.argsort(-evidence.llr[rows], kind="stable")]
-    # The admitted rows' xmin, ymin, xmax, ymax, one contiguous line each.
-    admitted = np.empty((4, len(rows)))
+    bounds = evidence.bounds[rows]
+    # Buckets of a grid whose edges on each axis are sorted finite bounds:
+    # bucket i holds the coordinates with i edges at or below them. A row
+    # meets at least the buckets of the points strictly inside it, so two
+    # rows that overlap share the bucket of a point inside both. Every s-th
+    # bound is an edge, s the median count of bounds strictly inside a row,
+    # so a typical row meets one or two buckets an axis; but no axis has
+    # more than about sqrt(rows) edges.
+    spans = np.empty(bounds.shape, dtype=np.intp)
+    for axis in (0, 1):
+        lo, hi = bounds[:, axis], bounds[:, axis + 2]
+        ends = np.sort(bounds[:, axis::2][np.isfinite(bounds[:, axis::2])])
+        inside = np.searchsorted(ends, hi) - np.searchsorted(ends, lo, "right")
+        step = max(1, len(ends) // (math.isqrt(len(rows)) + 1),
+                   int(np.median(inside)) if len(rows) else 0)
+        spans[:, axis] = np.searchsorted(ends[::step], lo, "right")
+        spans[:, axis + 2] = np.searchsorted(ends[::step], hi)
+    # A row is tested one pair at a time against the admitted rows listed
+    # in the buckets it meets, unless it meets more than _NEAR_ROWS buckets
+    # or they list more than _NEAR_ROWS rows: then in one array comparison
+    # against every admitted row (``lines`` holds each admitted bound as
+    # one contiguous line).
+    buckets: dict[tuple[int, int], list] = {}
     chosen = []
-    for r, (x0, y0, x1, y1) in zip(rows.tolist(),
-                                   evidence.bounds[rows].tolist()):
-        a = admitted[:, :len(chosen)]
-        if not ((np.minimum(a[2], x1) > np.maximum(a[0], x0))
-                & (np.minimum(a[3], y1) > np.maximum(a[1], y0))).any():
-            admitted[:, len(chosen)] = (x0, y0, x1, y1)
-            chosen.append(r)
+    lines = np.empty((4, len(rows)))
+    for r, box, (i0, j0, i1, j1) in zip(rows.tolist(), bounds.tolist(),
+                                        spans.tolist()):
+        x0, y0, x1, y1 = box
+        met = range(i0, i1 + 1), range(j0, j1 + 1)
+        near = ([buckets.get(key, ()) for key in itertools.product(*met)]
+                if len(met[0]) * len(met[1]) <= _NEAR_ROWS else None)
+        if near is None or sum(map(len, near)) > _NEAR_ROWS:
+            a = lines[:, :len(chosen)]
+            if ((np.minimum(a[2], x1) > np.maximum(a[0], x0))
+                    & (np.minimum(a[3], y1) > np.maximum(a[1], y0))).any():
+                continue
+        elif any(min(a[2], x1) > max(a[0], x0)
+                 and min(a[3], y1) > max(a[1], y0)
+                 for listed in near for a in listed):
+            continue
+        lines[:, len(chosen)] = box
+        chosen.append(r)
+        for key in itertools.product(*met):
+            buckets.setdefault(key, []).append(box)
     return evidence.take(np.array(chosen, dtype=np.intp))
 
 
@@ -374,8 +418,10 @@ def check_meanvar(cfg: AuditConfig) -> None:
     cfg.check_families()
 
 
-def run_meanvar(d: Dataset, cfg: AuditConfig, top_k: int = 50
-                ) -> MeanVarReport:
+def run_meanvar(d: Dataset, cfg: AuditConfig) -> MeanVarReport:
+    """MeanVar over the config's partitionings, ranking its top_k
+    contributors (DEFAULT_TOP_K when it names none)."""
     check_meanvar(cfg)
     ix = build_index(d)
-    return mean_var(ix, build_family(cfg, d.bbox, d), top_k=top_k)
+    return mean_var(ix, build_family(cfg, d.bbox, d), top_k=(
+        DEFAULT_TOP_K if cfg.top_k is None else cfg.top_k))

@@ -132,14 +132,9 @@ def regions_overlap(a, b) -> bool:
 
 
 def oracle_non_overlapping(regions, llrs) -> list[int]:
-    """The greedy disjoint pick, as indices into the scored regions.
-
-    First the best-scoring region per center is kept (the first of equal
-    scores; regions without a center_id each count as their own center),
-    then candidates are admitted in descending score order, ties in the
-    order their centers first appear, unless they overlap an admitted
-    region with positive area. One pair at a time.
-    """
+    """pipeline.select_non_overlapping's greedy disjoint pick, as indices
+    into the scored regions: each candidate is tested against every chosen
+    region, one pair at a time."""
     best: dict[object, int] = {}
     for i, (r, s) in enumerate(zip(regions, llrs)):
         key = r.center_id if r.center_id is not None else ("#", i)

@@ -203,3 +203,31 @@ def test_no_module_reads_another_modules_private_names():
     found = {path.name: private_reads(path.read_text("utf-8"), path.stem)
              for path in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def thread_constructions(source: str) -> list[str]:
+    """The top-level name enclosing each ``Thread(...)`` or
+    ``threading.Thread(...)`` call of ``source``."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1] == "Thread"):
+                found.append(getattr(top, "name", f"line {top.lineno}"))
+    return found
+
+
+def test_only_the_world_pool_constructs_threads():
+    assert thread_constructions(textwrap.dedent("""
+        import threading
+        from threading import Thread
+        def pool():
+            def helper():
+                return threading.Thread(target=print)
+            return Thread(target=helper)
+        worker = threading.Thread(target=print)
+    """)) == ["pool", "pool", "line 8"]
+    found = {path.stem: thread_constructions(path.read_text("utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: tops for name, tops in found.items() if tops} == {
+        "montecarlo": ["_run_pool"]}

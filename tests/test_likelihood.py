@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairscan import build_index, scan_regions
-from fairscan.likelihood import _SCAN_LANES, Direction, llr_vector
+from fairscan import build_index, likelihood, scan_regions
+from fairscan.likelihood import _LLR_LANES, Direction, llr_vector
+from fairscan.montecarlo import draw_block, score_block
 from fairscan.geometry import Region
 from fairscan.regions import regular_grid
 from fairscan.scanner import as_scanner
@@ -202,6 +203,38 @@ class TestLlrVector:
         assert out[4] > 0.0
         assert out.dtype == np.float64
 
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_slices_change_no_bit(self, monkeypatch, direction):
+        # The scan's (R,) counts, a block's (2 * sizes, B) extremes and
+        # score_block's maxima, in slices of 1, 7, 40 and _LLR_LANES lanes,
+        # against one scalar call per lane.
+        d = random_dataset(np.random.default_rng(9), 2000)
+        ix = build_index(d)
+        plan = as_scanner(ix, regular_grid(d.bbox, 10, 10))
+        labels = np.zeros((plan.width, 16), dtype=plan.dtype)
+        positives = draw_block(0.3, 4, 0, labels[:d.N], np.empty(d.N))
+        extremes = np.empty((2 * len(plan.sizes), 16), dtype=plan.dtype)
+        plan.extremes(labels, extremes)
+        sizes = np.tile(plan.sizes, 2)[:, None]
+
+        def one_lane(n, p, P):
+            out = llr_vector(int(n), int(p), d.N, int(P), direction)
+            assert np.ndim(out) == 0 and out.dtype == np.float64
+            return out
+
+        scan = [one_lane(n, p, d.P) for n, p in zip(
+            plan.n, plan.positives(ix.labels))]
+        block = [[one_lane(s, c, P) for c, P in zip(row, positives)]
+                 for s, row in zip(sizes[:, 0], extremes)]
+        for lanes in (1, 7, 40, _LLR_LANES):
+            monkeypatch.setattr(likelihood, "_LLR_LANES", lanes)
+            assert scan_regions(ix, plan, direction)[0].llr.tolist() == scan
+            got = llr_vector(sizes, extremes, d.N, positives, direction)
+            assert got.tolist() == block
+            assert score_block(plan.sizes, extremes, d.N, positives,
+                               direction).tolist() == np.max(
+                                   block, axis=0, initial=0.0).tolist()
+
 
 class TestScanRegions:
     def test_whole_space_scores_zero(self, split400, split400_index):
@@ -260,6 +293,6 @@ class TestScanRegions:
         assert tau == scored.llr.max() > 0
         # Kept: int64 positives and float64 scores; passing through: the
         # counts by size (int16 here). 20 bytes a lane, and the scoring
-        # scratch of one slice of lanes, about 8 * _SCAN_LANES float64
+        # scratch of one slice of lanes, about 8 * _LLR_LANES float64
         # values.
-        assert peak < 20 * len(plan.n) + 128 * _SCAN_LANES
+        assert peak < 20 * len(plan.n) + 128 * _LLR_LANES

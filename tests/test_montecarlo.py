@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from fairscan import build_index, montecarlo, scanner
+from fairscan import build_index, likelihood, montecarlo, scanner
 from fairscan.geometry import Region
 from fairscan.likelihood import (
     Direction,
@@ -157,14 +157,15 @@ class TestSimulateWorlds:
 @pytest.fixture
 def pool(monkeypatch):
     """Set the worker count, the block size and the band cap in rows (None
-    for the default), with the gates forced open. Plans built afterwards
-    use the block size; every later count uses the band cap."""
+    for the default), with the gates forced open: helpers start after any
+    first block. Plans built afterwards use the block size; every later
+    count uses the band cap."""
     band_values = scanner._BAND_VALUES
 
     def set_pool(workers: int, block: int = 1, band: int | None = None
                  ) -> None:
         monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
-        monkeypatch.setattr(montecarlo, "_PARALLEL_WORK", 0)
+        monkeypatch.setattr(montecarlo, "_HELPER_BLOCK_S", 0.0)
         monkeypatch.setattr(scanner, "_BLOCK_WORLDS", block)
         monkeypatch.setattr(scanner, "_BLOCK_BYTES", sys.maxsize)
         monkeypatch.setattr(scanner, "_BAND_VALUES",
@@ -177,9 +178,10 @@ class TestWorkerPool:
     def test_values_independent_of_worker_count(self, small_world, pool,
                                                 monkeypatch, num_worlds):
         d, ix, parts = small_world
-        threads = set()
+        calls = {}
         barrier = []
         runs = []
+        main = threading.get_ident()
         # More workers than CPUs and a short switch interval: a lost or
         # repeated block ticket would change the maxima.
         interval = sys.getswitchinterval()
@@ -191,18 +193,26 @@ class TestWorkerPool:
                 extremes = plan.extremes
 
                 def concurrent_extremes(block, out, extremes=extremes):
-                    # Each worker's first block waits until every worker
-                    # holds one.
-                    if threading.get_ident() not in threads:
-                        threads.add(threading.get_ident())
+                    # This thread's second block and each helper's first
+                    # wait until every worker holds one.
+                    me = threading.get_ident()
+                    calls[me] = calls.get(me, 0) + 1
+                    if calls[me] == 1 + (me == main):
                         barrier[0].wait(timeout=10)
                     extremes(block, out)
 
                 monkeypatch.setattr(plan, "extremes", concurrent_extremes)
-                threads.clear()
-                barrier[:] = [threading.Barrier(min(workers, num_worlds))]
+                calls.clear()
+                # Helpers start after this thread's first block, so a
+                # two-block run may end before a helper takes a ticket.
+                parties = max(1, min(workers, num_worlds - 1))
+                barrier[:] = [threading.Barrier(parties)]
                 runs.append(simulate_worlds(ix, plan, 0.4, num_worlds, seed=9))
-                assert len(threads) == min(workers, num_worlds)
+                assert sum(calls.values()) == num_worlds
+                if num_worlds == 2:
+                    assert len(calls) in {1, 2} and main in calls
+                else:
+                    assert len(calls) == min(workers, num_worlds)
         finally:
             sys.setswitchinterval(interval)
         for dist in runs[1:]:
@@ -244,21 +254,26 @@ class TestWorkerPool:
             assert sum(scored) == num_worlds
             assert max(scored) == min(block, num_worlds)
 
-    def test_gate_keeps_small_worlds_serial(self, small_world, monkeypatch):
+    def test_gate_keeps_small_worlds_serial(self, small_world, pool,
+                                            monkeypatch):
+        # Helpers start only after a first block that took the threshold.
         d, ix, parts = small_world
-        plan = as_scanner(ix, parts)
-        assert plan.worlds * (d.N + plan.nnz) < montecarlo._PARALLEL_WORK
-        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 4)
-        extremes = plan.extremes
-        threads = set()
+        pool(4)
+        for threshold, helpers in ((np.inf, False), (0.0, True)):
+            monkeypatch.setattr(montecarlo, "_HELPER_BLOCK_S", threshold)
+            plan = as_scanner(ix, parts)
+            extremes = plan.extremes
+            threads = set()
 
-        def record(block, out):
-            threads.add(threading.get_ident())
-            extremes(block, out)
+            def record(block, out, extremes=extremes, threads=threads):
+                threads.add(threading.get_ident())
+                time.sleep(0.001)
+                extremes(block, out)
 
-        monkeypatch.setattr(plan, "extremes", record)
-        simulate_worlds(ix, plan, 0.4, 20, seed=9)
-        assert threads == {threading.get_ident()}
+            monkeypatch.setattr(plan, "extremes", record)
+            simulate_worlds(ix, plan, 0.4, 20, seed=9)
+            assert threading.get_ident() in threads
+            assert (len(threads) > 1) == helpers
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("block", [1, 3, 32])
@@ -347,8 +362,8 @@ class TestBlockMemory:
     def test_one_block_grows_linearly(self):
         # One block of _BLOCK_WORLDS over squares with interior runs, on one
         # thread: the block's labels and running sums, one band of counts,
-        # and the scoring of _SCORE_WORLDS worlds' size extremes, about 16
-        # float64 values a lane.
+        # the float64 scores of its size extremes and the scoring scratch of
+        # one slice of _LLR_LANES lanes, about 16 float64 values a lane.
         squares = square_scan_set(np.random.default_rng(1).random((100, 2)),
                                   np.linspace(0.02, 0.4, 20))
         peaks = []
@@ -360,8 +375,8 @@ class TestBlockMemory:
             assert worlds == scanner._BLOCK_WORLDS
             scratch = (item * worlds * plan.width
                        + item * scanner._BAND_VALUES
-                       + 16 * 8 * montecarlo._SCORE_WORLDS
-                       * 2 * len(plan.sizes))
+                       + 8 * worlds * 2 * len(plan.sizes)
+                       + 16 * 8 * likelihood._LLR_LANES)
             with mock.patch.object(montecarlo, "_cpu_count", lambda: 1):
                 tracemalloc.start()
                 try:
@@ -684,7 +699,7 @@ class TestOracleAudit:
         assert scored.p.tolist() == p
         assert abs(got_tau - tau) <= 1e-9
         band = case["band"]
-        with (mock.patch.multiple(montecarlo, _PARALLEL_WORK=0,
+        with (mock.patch.multiple(montecarlo, _HELPER_BLOCK_S=0.0,
                                   _cpu_count=lambda: case["workers"]),
               mock.patch.object(scanner, "_BAND_VALUES",
                                 band * case["block"] if band
