@@ -343,8 +343,7 @@ def cmd_meanvar(args: argparse.Namespace) -> int:
     echo = {key: value for key, value in cfg.echo().items()
             if key in ("data", "mode", "family", "seed", "top_k")}
     print("CONFIG " + json.dumps(echo, sort_keys=True))
-    d = load_dataset(cfg.data, cfg.mode)
-    report = run_meanvar(d, cfg)
+    report = run_meanvar(load_dataset(cfg.data).select(cfg.mode), cfg)
     print(f"MEANVAR {report.mean_var:.6g}")
     if args.out:
         path = export_meanvar(report, echo, args.out)
@@ -361,6 +360,8 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
             raise ValueError("--n is required for --kind uniform-split")
         d = synth.gen_uniform_split(args.n, rect, seed=args.seed)
     elif args.kind == "fair":
+        if args.n is not None and args.n < 1:
+            raise ValueError(f"n must be positive, got {args.n}")
         # Locations and labels need distinct streams: reusing one seed for
         # both would tie each label to its own coordinate draw.
         loc_seed, label_seed = derive_seeds(args.seed)

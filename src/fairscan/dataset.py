@@ -1,4 +1,4 @@
-"""Dataset ingestion and outcome-measure filtering.
+"""Dataset ingestion and measure-mode row selection.
 
 A dataset is one array per column, one entry per observation: planar
 locations ``lons``/``lats`` (decimal degrees treated as plain x/y), the
@@ -89,29 +89,27 @@ class Dataset:
         n, p = len(lons), int(outcomes.sum())
         return cls(lons, lats, outcomes, labels, N=n, P=p, rho=p / n, bbox=bbox)
 
-
-def apply_measure_mode(labels, mode: MeasureMode) -> np.ndarray:
-    """Boolean mask of the rows the measure mode audits.
-
-    statistical_parity keeps every row. The label-conditioned modes raise
-    if any row lacks its ground-truth label (-1), because silently dropping
-    such rows would bias the conditional rate. Raises if no row is kept.
-    """
-    mode = MeasureMode(mode)
-    if mode is MeasureMode.STATISTICAL_PARITY:
-        keep = np.ones(len(labels), dtype=bool)
-    elif (missing := np.flatnonzero(labels < 0)).size:
-        raise DatasetError(
-            f"measure mode {mode.value} needs a label on every row, "
-            f"but row {missing[0]} has none"
-        )
-    else:
-        keep = labels == (1 if mode is MeasureMode.EQUAL_OPPORTUNITY else 0)
-    if not keep.any():
-        raise DatasetError(
-            f"no rows remain after applying measure mode {mode.value}"
-        )
-    return keep
+    def select(self, mode: MeasureMode) -> "Dataset":
+        """The rows the measure mode audits, as a Dataset whose N, P, rho
+        and bbox describe them: self under statistical parity or when every
+        row is kept. A label mode raises if a row lacks its label (-1), as
+        dropping it would bias the conditional rate; any mode raises if it
+        keeps no row."""
+        mode = MeasureMode(mode)
+        if mode is MeasureMode.STATISTICAL_PARITY:
+            return self
+        if (missing := np.flatnonzero(self.labels < 0)).size:
+            raise DatasetError(
+                f"measure mode {mode.value} needs a label on every row, "
+                f"but row {missing[0]} has none")
+        keep = self.labels == (1 if mode is MeasureMode.EQUAL_OPPORTUNITY else 0)
+        if keep.all():
+            return self
+        if not keep.any():
+            raise DatasetError(
+                f"no rows remain after applying measure mode {mode.value}")
+        return Dataset._from_columns(*(c[keep] for c in (
+            self.lons, self.lats, self.outcomes, self.labels)))
 
 
 _BASE_HEADER = ["id", "lon", "lat", "outcome"]
@@ -305,19 +303,10 @@ def read_columns(path: str) -> list[np.ndarray]:
     return [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
 
 
-def load_dataset(
-    path: str, mode: MeasureMode = MeasureMode.STATISTICAL_PARITY
-) -> Dataset:
-    """Read, validate, and filter a CSV into an audit-ready Dataset.
-
-    N, P, rho, and the bounding box all describe the rows retained after
-    the measure-mode filter, not the raw file.
-    """
-    columns = read_columns(path)
-    keep = apply_measure_mode(columns[3], mode)
-    if not keep.all():
-        columns = [c[keep] for c in columns]
-    return Dataset._from_columns(*columns)
+def load_dataset(path: str) -> Dataset:
+    """Read and validate a CSV into a Dataset of all its rows; the audit
+    selects its measure mode's rows with ``Dataset.select``."""
+    return Dataset._from_columns(*read_columns(path))
 
 
 def write_csv(d: Dataset, path: str) -> None:

@@ -18,7 +18,7 @@ MAX_COLUMNS = 1024
 
 class SpatialIndex:
     """A dataset's fixed locations in gx columns over its bounding box,
-    with its observed labeling; the box, N and P are the dataset's own.
+    with its observed outcomes; the box, N and P are the dataset's own.
 
     The columns are the index's only cells: it has gy = 1 row, so
     gx * gy is its cell count.
@@ -27,8 +27,8 @@ class SpatialIndex:
     gy = 1
 
     def __init__(self, d: Dataset, gx: int):
-        self.xs, self.ys, self.labels, self.gx = d.lons, d.lats, d.outcomes, gx
-        self.bbox, self.N, self.P = d.bbox, d.N, d.P
+        self.xs, self.ys, self.outcomes = d.lons, d.lats, d.outcomes
+        self.gx, self.bbox, self.N, self.P = gx, d.bbox, d.N, d.P
 
     def columns(self, xs) -> np.ndarray:
         """The column of each x, clipped to 0..gx - 1; monotone in x, and

@@ -132,7 +132,7 @@ def scan_regions(ix: SpatialIndex, regions,
     simulation scores its worlds with the same llr_vector, bit for bit.
     """
     plan = as_scanner(ix, regions)
-    p = plan.positives(ix.labels)
+    p = plan.positives(ix.outcomes)
     llr = llr_vector(plan.n, p, ix.N, ix.P, direction)
     tau_log = float(llr.max()) if len(llr) else 0.0
     return ScanResult(plan.bounds, plan.center_ids, plan.n, p, llr), tau_log

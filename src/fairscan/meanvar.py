@@ -65,7 +65,7 @@ def mean_var(ix: SpatialIndex, parts: Sequence[Partitioning],
     if top_k < 1:
         raise ValueError(f"top_k must be positive, got {top_k}")
     plan = as_scanner(ix, parts)
-    positives = plan.positives(ix.labels)
+    positives = plan.positives(ix.outcomes)
     per_part = []
     rows, rates, contribs = [], [], []
     lo = 0

@@ -55,7 +55,8 @@ class AuditConfig:
 
     Exactly one region family must be specified: grid, random_parts,
     squares_centers, or regions_file. num_worlds counts the real world,
-    so the simulation draws num_worlds - 1 fair worlds.
+    so the simulation draws num_worlds - 1 fair worlds. run_audit and
+    run_meanvar audit the rows that mode selects (Dataset.select).
     """
 
     data: str | None = None
@@ -229,10 +230,12 @@ def build_family(cfg: AuditConfig, bbox: Region,
 
 
 def run_audit(d: Dataset, cfg: AuditConfig) -> AuditReport:
-    """Audit an in-memory dataset. ``audit`` is the file-loading wrapper."""
+    """Audit the rows of an in-memory dataset that ``cfg.mode`` selects
+    (``Dataset.select``). ``audit`` is the file-loading wrapper."""
     cfg.validate()
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
+    d = d.select(cfg.mode)
     ix = build_index(d)
     timings["index_s"] = time.perf_counter() - t0
 
@@ -288,11 +291,12 @@ def run_audit(d: Dataset, cfg: AuditConfig) -> AuditReport:
 
 
 def audit(cfg: AuditConfig) -> AuditReport:
-    """Load the configured dataset and audit it."""
+    """Load the configured dataset and audit it. The mode's rows are
+    selected as soon as the file is read, so the rest are freed first."""
     if cfg.data is None:
         raise ValueError("config has no dataset path")
     t0 = time.perf_counter()
-    d = load_dataset(cfg.data, cfg.mode)
+    d = load_dataset(cfg.data).select(cfg.mode)
     load_s = time.perf_counter() - t0
     report = run_audit(d, cfg)
     report.timings["load_s"] = load_s
@@ -419,9 +423,11 @@ def check_meanvar(cfg: AuditConfig) -> None:
 
 
 def run_meanvar(d: Dataset, cfg: AuditConfig) -> MeanVarReport:
-    """MeanVar over the config's partitionings, ranking its top_k
-    contributors (DEFAULT_TOP_K when it names none)."""
+    """MeanVar of the rows ``cfg.mode`` selects over the config's
+    partitionings, ranking its top_k contributors (DEFAULT_TOP_K when it
+    names none)."""
     check_meanvar(cfg)
+    d = d.select(cfg.mode)
     ix = build_index(d)
     return mean_var(ix, build_family(cfg, d.bbox, d), top_k=(
         DEFAULT_TOP_K if cfg.top_k is None else cfg.top_k))

@@ -71,7 +71,7 @@ def plan_counts(ix, region: Region) -> tuple[int, int]:
     """(n, p) of one rectangle under the index's labels, from a one-region
     CountPlan."""
     plan = CountPlan(ix, rectangles([region]))
-    return int(plan.n[0]), int(plan.positives(ix.labels)[0])
+    return int(plan.n[0]), int(plan.positives(ix.outcomes)[0])
 
 
 def random_dataset(rng, n: int, rect: Region | None = None,

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,8 +221,8 @@ def test_criterion_8_invariant_suites(tmp_path):
         docs.append(json.dumps(doc, sort_keys=True))
     assert docs[0] == docs[1]
     for key in ("regions", "nulldist"):
-        assert open(paths[0][key], "rb").read() == \
-            open(paths[1][key], "rb").read()
+        assert Path(paths[0][key]).read_bytes() == \
+            Path(paths[1][key]).read_bytes()
 
 
 LAR_PATH = os.environ.get("FAIRSCAN_LAR_CSV", "")

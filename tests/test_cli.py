@@ -133,6 +133,17 @@ class TestGenSynth:
         assert code == 1
         assert "exceeds" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "-5"], ["--n", "0"], ["--locations", "{csv}", "--n", "-1"]])
+    def test_fair_nonpositive_n(self, capsys, tmp_path, fair_csv, argv):
+        out = tmp_path / "x.csv"
+        code, lines, err = run(capsys, "gen-synth", "--kind", "fair",
+                               *(a.format(csv=fair_csv) for a in argv),
+                               "--out", str(out))
+        assert (code, lines) == (1, [])
+        assert err == f"error: n must be positive, got {argv[-1]}\n"
+        assert not out.exists()
+
     def test_planted(self, capsys, tmp_path):
         out = str(tmp_path / "p.csv")
         code, lines, _ = run(capsys, "gen-synth", "--kind", "planted",
@@ -158,7 +169,7 @@ class TestGenSynth:
             "--seed", "7", "--out", a)
         run(capsys, "gen-synth", "--kind", "uniform-split", "--n", "100",
             "--seed", "7", "--out", b)
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
 
 class TestAudit:
@@ -197,7 +208,7 @@ class TestAudit:
         assert len(wrote) == 3
         for name in ("report.json", "regions.geojson", "nulldist.json"):
             assert os.path.exists(os.path.join(out, name))
-        doc = json.loads(open(os.path.join(out, "report.json")).read())
+        doc = json.loads(Path(out, "report.json").read_text())
         assert doc["config"]["data"] == unfair_csv
         assert doc["verdict"]["fair"] is False
 
@@ -408,9 +419,9 @@ class TestAuditConfigFile:
     def test_config_file_supplies_defaults(self, capsys, unfair_csv,
                                            tmp_path):
         cfg_path = str(tmp_path / "cfg.json")
-        json.dump({"data": unfair_csv, "random_partitionings": 10,
-                   "splits": "2..6", "worlds": 99, "alpha": 0.05},
-                  open(cfg_path, "w"))
+        Path(cfg_path).write_text(json.dumps(
+            {"data": unfair_csv, "random_partitionings": 10,
+             "splits": "2..6", "worlds": 99, "alpha": 0.05}))
         code, lines, _ = run(capsys, "audit", "--config", cfg_path)
         assert code == 0
         echoed = json.loads(lines[0][len("CONFIG "):])
@@ -419,9 +430,9 @@ class TestAuditConfigFile:
 
     def test_flags_override_config(self, capsys, unfair_csv, tmp_path):
         cfg_path = str(tmp_path / "cfg.json")
-        json.dump({"data": unfair_csv, "random_partitionings": 10,
-                   "splits": "2..6", "worlds": 99, "alpha": 0.05,
-                   "seed": 3}, open(cfg_path, "w"))
+        Path(cfg_path).write_text(json.dumps(
+            {"data": unfair_csv, "random_partitionings": 10,
+             "splits": "2..6", "worlds": 99, "alpha": 0.05, "seed": 3}))
         code, lines, _ = run(capsys, "audit", "--config", cfg_path,
                              "--seed", "9", "--alpha", "0.1")
         assert code == 0
@@ -443,8 +454,8 @@ class TestAuditConfigFile:
 
     def test_unknown_config_key(self, capsys, unfair_csv, tmp_path):
         cfg_path = str(tmp_path / "cfg.json")
-        json.dump({"data": unfair_csv, "grid": "4x4", "wrlds": 99},
-                  open(cfg_path, "w"))
+        Path(cfg_path).write_text(json.dumps(
+            {"data": unfair_csv, "grid": "4x4", "wrlds": 99}))
         code, _, err = run(capsys, "audit", "--config", cfg_path)
         assert code == 1
         assert "wrlds" in err
@@ -518,7 +529,7 @@ class TestMeanVar:
         code, lines, _ = run(capsys, "meanvar", "--data", unfair_csv,
                              "--grid", "4x4", "--top-k", "3", "--out", out)
         assert code == 0
-        doc = json.loads(open(os.path.join(out, "meanvar.json")).read())
+        doc = json.loads(Path(out, "meanvar.json").read_text())
         assert len(doc["top_contributors"]) == 3
         assert doc["config"]["family"]["kind"] == "grid"
 

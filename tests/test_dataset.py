@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from fairscan import Dataset, DatasetError, MeasureMode, load_dataset, write_csv
 from fairscan import dataset as dataset_module
-from fairscan.dataset import apply_measure_mode, read_columns
+from fairscan.dataset import read_columns
 
 from conftest import make_dataset
 from oracles import oracle_read_csv
@@ -247,7 +247,7 @@ class TestParserMatchesReference:
                         load_dataset(path)
                     assert str(err.value) == str(want)
                 elif not want[0]:
-                    with pytest.raises(DatasetError, match="no rows remain"):
+                    with pytest.raises(DatasetError, match="dataset is empty"):
                         load_dataset(path)
                 else:
                     d = load_dataset(path)
@@ -287,43 +287,58 @@ class TestLoadMemory:
 
 
 class TestMeasureMode:
+    """Dataset.select keeps the rows its measure mode audits."""
+
     @staticmethod
-    def labels():
-        return np.array([1 if i < 6 else 0 for i in range(10)], np.int8)
+    def dataset(labels=None):
+        labels = (np.array([1 if i < 6 else 0 for i in range(10)], np.int8)
+                  if labels is None else labels)
+        return Dataset.from_arrays(np.arange(10.0), np.zeros(10),
+                                   np.arange(10) % 2, labels)
 
     def test_parity_is_identity(self):
-        assert apply_measure_mode(self.labels(),
-                                  MeasureMode.STATISTICAL_PARITY).all()
+        d = self.dataset()
+        assert d.select(MeasureMode.STATISTICAL_PARITY) is d
 
     def test_equal_opportunity_keeps_label_1(self):
-        labels = self.labels()
-        kept = apply_measure_mode(labels, MeasureMode.EQUAL_OPPORTUNITY)
-        assert kept.sum() == 6
-        assert (labels[kept] == 1).all()
-        assert np.flatnonzero(kept).tolist() == list(range(6))
+        kept = self.dataset().select(MeasureMode.EQUAL_OPPORTUNITY)
+        assert kept.N == 6
+        assert (kept.labels == 1).all()
+        assert kept.lons.tolist() == list(range(6))
 
     def test_predictive_equality_keeps_label_0(self):
-        labels = self.labels()
-        kept = apply_measure_mode(labels, MeasureMode.PREDICTIVE_EQUALITY)
-        assert kept.sum() == 4
-        assert (labels[kept] == 0).all()
+        kept = self.dataset().select(MeasureMode.PREDICTIVE_EQUALITY)
+        assert kept.N == 4
+        assert (kept.labels == 0).all()
+        assert kept.lons.tolist() == list(range(6, 10))
+
+    def test_selection_describes_its_rows(self):
+        kept = self.dataset().select(MeasureMode.PREDICTIVE_EQUALITY)
+        assert (kept.P, kept.rho) == (2, 0.5)
+        assert kept.bbox.bounds() == (6.0, 0.0, 9.0, 0.0)
+
+    def test_all_rows_kept_is_identity(self):
+        d = self.dataset(np.ones(10, np.int8))
+        assert d.select(MeasureMode.EQUAL_OPPORTUNITY) is d
 
     def test_missing_label_rejected(self):
-        labels = self.labels()
+        labels = np.array([1 if i < 6 else 0 for i in range(10)], np.int8)
         labels[3] = -1
         with pytest.raises(DatasetError) as err:
-            apply_measure_mode(labels, MeasureMode.EQUAL_OPPORTUNITY)
+            self.dataset(labels).select(MeasureMode.EQUAL_OPPORTUNITY)
         assert str(err.value) == ("measure mode equal_opportunity needs a "
                                   "label on every row, but row 3 has none")
 
     def test_mode_accepts_string_value(self):
-        assert apply_measure_mode(self.labels(), "statistical_parity").all()
+        d = self.dataset()
+        assert d.select("statistical_parity") is d
+        assert d.select("equal_opportunity").N == 6
 
     def test_no_rows_remain(self):
         with pytest.raises(DatasetError, match="no rows remain after applying "
                            "measure mode predictive_equality"):
-            apply_measure_mode(np.ones(10, np.int8),
-                               MeasureMode.PREDICTIVE_EQUALITY)
+            self.dataset(np.ones(10, np.int8)).select(
+                MeasureMode.PREDICTIVE_EQUALITY)
 
 
 class TestLoadDataset:
@@ -340,7 +355,8 @@ class TestLoadDataset:
                        "id,lon,lat,outcome,label\n"
                        "a,0,0,1,1\nb,1,0,1,1\nc,2,0,0,1\n"
                        "d,3,0,1,0\ne,4,0,0,0\n")
-        d = load_dataset(p, MeasureMode.EQUAL_OPPORTUNITY)
+        assert load_dataset(p).N == 5
+        d = load_dataset(p).select(MeasureMode.EQUAL_OPPORTUNITY)
         assert d.N == 3 and d.P == 2
         assert d.rho == pytest.approx(2 / 3)
 
@@ -348,7 +364,7 @@ class TestLoadDataset:
         p = write_text(tmp_path / "d.csv",
                        "id,lon,lat,outcome,label\na,0,0,1,1\n")
         with pytest.raises(DatasetError, match="no rows remain"):
-            load_dataset(p, MeasureMode.PREDICTIVE_EQUALITY)
+            load_dataset(p).select(MeasureMode.PREDICTIVE_EQUALITY)
 
 
 class TestDatasetInvariants:

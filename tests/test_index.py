@@ -55,7 +55,7 @@ class TestBuild:
         order = column_order(ix)
         plan = CountPlan(ix, rectangles([d.bbox]))
         assert np.array_equal(plan._point_order, order)
-        assert ix.labels[order].sum() == d.P
+        assert ix.outcomes[order].sum() == d.P
         assert plan_counts(ix, d.bbox) == (d.N, d.P)
 
     def test_default_columns(self):
@@ -193,10 +193,10 @@ class TestWithLabels:
         rng = np.random.default_rng(10)
         d = random_dataset(rng, 80)
         ix = build_index(d)
-        p_before, labels_before = ix.P, ix.labels.copy()
+        p_before, labels_before = ix.P, ix.outcomes.copy()
         CountPlan(ix, rectangles([d.bbox])).positives(np.zeros(d.N, dtype=np.int8))
         assert ix.P == p_before
-        assert np.array_equal(ix.labels, labels_before)
+        assert np.array_equal(ix.outcomes, labels_before)
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(11)

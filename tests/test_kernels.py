@@ -56,7 +56,7 @@ print(json.dumps({
     "loaded": loaded,
     "reused": [_kernels.sparsetools is scipy.sparse._sparsetools,
                _kernels.xlogy is scipy.special.xlogy],
-    "positives": plan.positives(ix.labels).tolist(),
+    "positives": plan.positives(ix.outcomes).tolist(),
     "extremes": extremes.tolist(),
     "product": bool(np.array_equal(extremes, np.concatenate([
         reduce.reduceat(matrix @ block.astype(np.int64), starts)

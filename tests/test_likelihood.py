@@ -223,7 +223,7 @@ class TestLlrVector:
             return out
 
         scan = [one_lane(n, p, d.P) for n, p in zip(
-            plan.n, plan.positives(ix.labels))]
+            plan.n, plan.positives(ix.outcomes))]
         block = [[one_lane(s, c, P) for c, P in zip(row, positives)]
                  for s, row in zip(sizes[:, 0], extremes)]
         for lanes in (1, 7, 40, _LLR_LANES):

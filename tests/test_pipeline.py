@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,9 +10,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fairscan import pipeline
+from fairscan.cli import main
+from fairscan.dataset import Dataset, DatasetError, MeasureMode, write_csv
 from fairscan.geometry import Region
 from fairscan.index import build_index
 from fairscan.likelihood import Direction, scan_regions
+from fairscan.meanvar import DEFAULT_TOP_K
 from fairscan.montecarlo import critical_value, global_p_value
 from fairscan.pipeline import (
     AuditConfig,
@@ -357,14 +361,14 @@ class TestExports:
     def test_files_written(self, unfair_report, tmp_path):
         d, report = unfair_report
         paths = export_report(report, str(tmp_path / "out"))
-        doc = json.loads(open(paths["report"]).read())
+        doc = json.loads(Path(paths["report"]).read_text())
         assert doc["schema"] == 1
         assert doc["verdict"]["fair"] is False
         assert doc["verdict"]["num_worlds"] == report.dist.w
         assert len(doc["evidence"]) == len(report.evidence)
         assert [e["rank"] for e in doc["evidence"]] == \
             list(range(1, len(report.evidence) + 1))
-        geo = json.loads(open(paths["regions"]).read())
+        geo = json.loads(Path(paths["regions"]).read_text())
         assert geo["type"] == "FeatureCollection"
         assert len(geo["features"]) == len(report.evidence)
         f0 = geo["features"][0]
@@ -376,9 +380,9 @@ class TestExports:
     def test_fair_report_has_empty_features(self, fair_report, tmp_path):
         d, report = fair_report
         paths = export_report(report, str(tmp_path / "out"))
-        geo = json.loads(open(paths["regions"]).read())
+        geo = json.loads(Path(paths["regions"]).read_text())
         assert geo["features"] == []
-        doc = json.loads(open(paths["report"]).read())
+        doc = json.loads(Path(paths["report"]).read_text())
         assert doc["verdict"]["fair"] is True
         assert doc["evidence"] == []
 
@@ -386,7 +390,7 @@ class TestExports:
         d, report = unfair_report
         paths = export_report(report, str(tmp_path / "out"))
         dist = distribution_from_json(
-            json.loads(open(paths["nulldist"]).read()))
+            json.loads(Path(paths["nulldist"]).read_text()))
         v = report.verdict
         assert global_p_value(v.tau_log, dist) == v.p_value
         assert critical_value(dist, v.alpha) == v.critical_llr
@@ -398,9 +402,9 @@ class TestExports:
             report = run_audit(d, fast_cfg(seed=8))
             out.append(export_report(report, str(tmp_path / run)))
         for key in ("regions", "nulldist"):
-            assert open(out[0][key], "rb").read() == \
-                open(out[1][key], "rb").read()
-        docs = [json.loads(open(p["report"]).read()) for p in out]
+            assert Path(out[0][key]).read_bytes() == \
+                Path(out[1][key]).read_bytes()
+        docs = [json.loads(Path(p["report"]).read_text()) for p in out]
         for doc in docs:
             doc.pop("timings")
         assert docs[0] == docs[1]
@@ -491,7 +495,7 @@ class TestMeanVarPipeline:
         cfg = fast_cfg(seed=10, top_k=4)
         report = run_meanvar(d, cfg)
         path = export_meanvar(report, cfg.echo(), str(tmp_path))
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         assert doc["mean_var"] == report.mean_var
         assert doc["config"]["seed"] == 10
         assert doc["config"]["top_k"] == 4
@@ -506,7 +510,6 @@ class TestMeanVarPipeline:
 
 class TestAuditWrapper:
     def test_loads_csv(self, tmp_path):
-        from fairscan.dataset import write_csv
         d = gen_uniform_split(600, seed=95)
         path = str(tmp_path / "d.csv")
         write_csv(d, path)
@@ -517,3 +520,92 @@ class TestAuditWrapper:
     def test_missing_path_rejected(self):
         with pytest.raises(ValueError, match="dataset path"):
             audit(fast_cfg(seed=12))
+
+
+@pytest.fixture(scope="module")
+def labeled():
+    """3,000 labeled rows: label 1 grows with x, and among label-1 rows
+    the outcome rate is higher in the north."""
+    rng = np.random.default_rng(96)
+    xs, ys = rng.random(3000), rng.random(3000)
+    labels = (rng.random(3000) < 0.3 + 0.4 * xs).astype(np.int8)
+    rates = np.where(labels == 1, 0.3 + 0.4 * (ys > 0.5), 0.4)
+    outcomes = (rng.random(3000) < rates).astype(np.int8)
+    return Dataset.from_arrays(xs, ys, outcomes, labels)
+
+
+@pytest.fixture(scope="module")
+def labeled_csv(labeled, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("labeled") / "d.csv")
+    write_csv(labeled, path)
+    return path
+
+
+MODES = pytest.mark.parametrize("flag, mode", [
+    ("parity", MeasureMode.STATISTICAL_PARITY),
+    ("opportunity", MeasureMode.EQUAL_OPPORTUNITY),
+    ("predictive-equality", MeasureMode.PREDICTIVE_EQUALITY)])
+LABEL_MODES = pytest.mark.parametrize("flag, mode", [
+    ("opportunity", MeasureMode.EQUAL_OPPORTUNITY),
+    ("predictive-equality", MeasureMode.PREDICTIVE_EQUALITY)])
+
+
+class TestMeasureModeMatchesCli:
+    """run_audit and run_meanvar on an in-memory Dataset audit the rows
+    cfg.mode selects, as the CLI does from the same rows in a CSV."""
+
+    @MODES
+    def test_run_audit_writes_the_cli_files(self, labeled, labeled_csv,
+                                            tmp_path, flag, mode):
+        assert main(["audit", "--data", labeled_csv, "--mode", flag,
+                     "--grid", "6x6", "--worlds", "99", "--alpha", "0.05",
+                     "--out", str(tmp_path / "cli")]) == 0
+        cfg = AuditConfig(data=labeled_csv, mode=mode, grid=(6, 6),
+                          num_worlds=100, alpha=0.05)
+        export_report(run_audit(labeled, cfg), str(tmp_path / "api"))
+        docs = []
+        for run in ("cli", "api"):
+            docs.append(json.loads((tmp_path / run / "report.json")
+                                   .read_text()))
+            docs[-1].pop("timings")
+        assert docs[0] == docs[1]
+        kept = {"parity": labeled.N,
+                "opportunity": int((labeled.labels == 1).sum()),
+                "predictive-equality": int((labeled.labels == 0).sum())}
+        assert docs[1]["dataset"]["N"] == kept[flag]
+        assert docs[1]["config"]["mode"] == mode.value
+        for name in ("regions.geojson", "nulldist.json"):
+            assert (tmp_path / "cli" / name).read_bytes() == \
+                (tmp_path / "api" / name).read_bytes()
+
+    @MODES
+    def test_run_meanvar_writes_the_cli_file(self, labeled, labeled_csv,
+                                             tmp_path, flag, mode):
+        assert main(["meanvar", "--data", labeled_csv, "--mode", flag,
+                     "--random-partitionings", "5", "--splits", "2..6",
+                     "--seed", "4", "--out", str(tmp_path / "cli")]) == 0
+        cfg = AuditConfig(data=labeled_csv, mode=mode, random_parts=5,
+                          splits=(2, 6), seed=4, top_k=DEFAULT_TOP_K)
+        echo = {key: value for key, value in cfg.echo().items()
+                if key in ("data", "mode", "family", "seed", "top_k")}
+        path = export_meanvar(run_meanvar(labeled, cfg), echo,
+                              str(tmp_path / "api"))
+        assert Path(path).read_bytes() == \
+            (tmp_path / "cli" / "meanvar.json").read_bytes()
+
+    @LABEL_MODES
+    @pytest.mark.parametrize("run", [run_audit, run_meanvar])
+    def test_unlabeled_dataset_raises_the_cli_error(self, capsys, labeled,
+                                                    tmp_path, flag, mode,
+                                                    run):
+        unlabeled = Dataset.from_arrays(labeled.lons, labeled.lats,
+                                        labeled.outcomes)
+        path = str(tmp_path / "d.csv")
+        write_csv(unlabeled, path)
+        assert main(["audit", "--data", path, "--mode", flag,
+                     "--grid", "6x6"]) == 1
+        err = capsys.readouterr().err
+        with pytest.raises(DatasetError) as exc:
+            run(unlabeled, AuditConfig(data=path, mode=mode, grid=(6, 6)))
+        assert err == f"error: {exc.value}\n"
+        assert str(exc.value).endswith("but row 0 has none")

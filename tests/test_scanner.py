@@ -764,14 +764,14 @@ class TestLazyBucketing:
         scan_regions(ix, plan)
         simulate_worlds(ix, plan, d.rho, 20, seed=0)
         assert plan._point_order is None and plan.width == d.N
-        assert per_point_arrays(ix) == {"xs", "ys", "labels"}
+        assert per_point_arrays(ix) == {"xs", "ys", "outcomes"}
 
     def test_rectangles_bucket(self, data_and_index):
         d, _ = data_and_index
         ix = build_index(d, 12)
         plan = as_scanner(ix, rectangles([Region(0.1, 0.1, 0.8, 0.9)]))
         assert len(plan._point_order) == d.N
-        assert per_point_arrays(ix) == {"xs", "ys", "labels"}
+        assert per_point_arrays(ix) == {"xs", "ys", "outcomes"}
 
 
 class TestLargeN:
