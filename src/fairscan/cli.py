@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from typing import NoReturn
 
@@ -316,11 +318,37 @@ def _choice(key: str, value, table: dict):
     return table[value]
 
 
+# An --out that cannot be written fails before the work, with the error the
+# write would raise, and nothing is created: a failed command leaves no file.
+def _check_out_dir(path: str | None) -> None:
+    """The error os.makedirs(path, exist_ok=True) raises when path, or the
+    nearest of its parents that exists, is not a directory."""
+    missing, head = None, path
+    while head and not os.path.lexists(head):
+        missing, head = head, os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        if missing is None:
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST),
+                                  path)
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                 missing)
+
+
+def _check_parent(path: str) -> None:
+    """The error opening path for writing raises for a missing parent
+    directory, or for a parent that is not a directory."""
+    try:
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+
+
 def cmd_audit(args: argparse.Namespace) -> int:
     cfg = _audit_config(args)
     if cfg.data is None:
         raise ValueError("--data is required (flag or config file)")
     cfg.validate()
+    _check_out_dir(args.out)
     print("CONFIG " + json.dumps(cfg.echo(), sort_keys=True))
     report = audit(cfg)
     v = report.verdict
@@ -340,6 +368,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_meanvar(args: argparse.Namespace) -> int:
     cfg = _audit_config(args)
     check_meanvar(cfg)
+    _check_out_dir(args.out)
     echo = {key: value for key, value in cfg.echo().items()
             if key in ("data", "mode", "family", "seed", "top_k")}
     print("CONFIG " + json.dumps(echo, sort_keys=True))
@@ -403,6 +432,7 @@ def cmd_regions(args: argparse.Namespace) -> int:
     cfg.check_families()
     if cfg.data is None and args.bbox is None:
         raise ValueError("need --data or --bbox")
+    _check_parent(args.out)
     d = load_dataset(cfg.data) if cfg.data is not None else None
     bbox = d.bbox if d is not None else _parse_rect(args.bbox, "--bbox")
     families = build_family(cfg, bbox, d)

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .index import SpatialIndex
-from .regions import Partitioning, rows_json
+from .regions import JsonRows, Partitioning
 from .scanner import as_scanner
 
 # Contributors a report ranks when the caller names no count.
@@ -30,8 +30,8 @@ class MeanVarReport:
     ``top_contributors`` holds the cells as columns, best first: ``bounds``
     (k, 4), ``n``, ``p``, ``rho`` (the cell's positive rate) and
     ``contribution`` (its squared deviation from its partitioning's mean
-    rate). ``to_json_dict`` writes them through ``regions.rows_json``, the
-    row writer the audit's evidence uses.
+    rate). ``to_json_dict`` hands them to the JSON writer as ranked
+    ``regions.JsonRows``, as the audit hands over its evidence.
     """
 
     mean_var: float
@@ -46,7 +46,7 @@ class MeanVarReport:
                 {"provenance": dict(prov), "variance": var}
                 for prov, var in self.per_partitioning
             ],
-            "top_contributors": rows_json(**self.top_contributors),
+            "top_contributors": JsonRows.table(**self.top_contributors),
         }
 
 

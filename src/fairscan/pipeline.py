@@ -32,12 +32,13 @@ from .montecarlo import (
 from .regions import (
     DEFAULT_MAX_SPLITS,
     DEFAULT_MIN_SPLITS,
+    Column,
+    JsonRows,
     dump_json,
     kmeans_centers,
     load_region_families,
     random_partitionings,
     regular_grid,
-    rows_json,
     square_scan_set,
 )
 from .scanner import as_scanner
@@ -176,22 +177,22 @@ class AuditReport:
                 "critical_llr": self.verdict.critical_llr,
                 "num_worlds": self.dist.w,
             },
-            "evidence": _rows_json(self.evidence),
-            "non_overlapping": _rows_json(self.non_overlapping),
+            "evidence": _evidence_json(self.evidence),
+            "non_overlapping": _evidence_json(self.non_overlapping),
             "timings": self.timings,
         }
 
 
-def _rows_json(rows: ScanResult) -> list[dict]:
-    """Each evidence row as plain Python values, ranked from 1 in row order.
+def _evidence_json(rows: ScanResult) -> JsonRows:
+    """Evidence rows ranked from 1 in row order, with each row's rate.
 
     Any empty sequence, such as a plain empty list, gives no rows.
     """
     if len(rows) == 0:
-        return []
-    return rows_json(rows.bounds, center_id=rows.center_ids, n=rows.n,
-                     p=rows.p, rho=rows.p / rows.n, llr=rows.llr,
-                     p_value=rows.p_value)
+        return JsonRows({}, {})
+    return JsonRows.table(rows.bounds, center_id=rows.center_ids, n=rows.n,
+                          p=rows.p, rho=rows.p / rows.n, llr=rows.llr,
+                          p_value=rows.p_value)
 
 
 def derive_seeds(seed: int) -> tuple[int, int]:
@@ -369,18 +370,15 @@ def select_non_overlapping(evidence: ScanResult) -> ScanResult:
     return evidence.take(np.array(chosen, dtype=np.intp))
 
 
-def _geojson_feature(row: dict) -> dict:
-    ring = [
-        [row["xmin"], row["ymin"]], [row["xmax"], row["ymin"]],
-        [row["xmax"], row["ymax"]], [row["xmin"], row["ymax"]],
-        [row["xmin"], row["ymin"]],
-    ]
-    return {
-        "type": "Feature",
-        "geometry": {"type": "Polygon", "coordinates": [ring]},
-        "properties": {key: row[key] for key in
-                       ("n", "p", "rho", "llr", "p_value", "rank")},
-    }
+# A regions.geojson feature: an evidence row's rectangle and statistics.
+_X0, _Y0, _X1, _Y1 = map(Column, ("xmin", "ymin", "xmax", "ymax"))
+_FEATURE = {
+    "type": "Feature",
+    "geometry": {"type": "Polygon", "coordinates": [[
+        [_X0, _Y0], [_X1, _Y0], [_X1, _Y1], [_X0, _Y1], [_X0, _Y0]]]},
+    "properties": {key: Column(key) for key in
+                   ("n", "p", "rho", "llr", "p_value", "rank")},
+}
 
 
 def export_report(report: AuditReport, out_dir: str) -> dict[str, str]:
@@ -397,7 +395,7 @@ def export_report(report: AuditReport, out_dir: str) -> dict[str, str]:
     }
     doc = report.to_json_dict()
     dump_json(doc, paths["report"])
-    features = [_geojson_feature(row) for row in doc["evidence"]]
+    features = JsonRows(doc["evidence"].columns, _FEATURE)
     dump_json({"type": "FeatureCollection", "features": features},
               paths["regions"])
     dump_json(report.dist.to_json_dict(), paths["nulldist"])

@@ -6,7 +6,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -25,21 +26,125 @@ MAX_FLOATS = np.iinfo(np.intp).max // 8
 _KMEANS_BLOCK = 1024
 _KMEANS_ITERS = 100  # Lloyd steps after which k-means stops, stable or not
 _BOUND_KEYS = ("xmin", "ymin", "xmax", "ymax")  # a Rectangles row in a file
+# Rows that dump_json formats and writes at a time, so the text it holds
+# stays near a MB however many rows a file has.
+_JSON_ROWS = 1024
+# Without an indent json encodes in C; a list's values come out split by ",".
+_VALUES = json.JSONEncoder(separators=(",", ":"))
 
 
-def rows_json(bounds: np.ndarray, **columns: np.ndarray) -> list[dict]:
-    """One dict of plain Python values per row, ranked from 1 in row order:
-    ``bounds`` (k, 4) as xmin, ymin, xmax, ymax, and one key per column."""
-    keys = ("rank", *_BOUND_KEYS, *columns)
-    rows = zip(bounds.tolist(), *(c.tolist() for c in columns.values()))
-    return [dict(zip(keys, (rank, *b, *values)))
-            for rank, (b, *values) in enumerate(rows, start=1)]
+@dataclass(frozen=True)
+class Column:
+    """A leaf of a JsonRows layout: the row's value in the named column."""
+
+    name: str
+
+
+@dataclass(frozen=True, eq=False)
+class JsonRows:
+    """A JSON array of rows that dump_json writes straight from columns.
+
+    ``columns`` maps names to arrays of one length; row i is written as
+    ``layout``, a JSON value whose ``Column(name)`` leaves stand for
+    ``columns[name][i]``. Numeric columns are written as json writes
+    their Python values; any other column holds a str or None per row.
+    """
+
+    columns: Mapping[str, np.ndarray]
+    layout: object
+
+    @classmethod
+    def table(cls, bounds: np.ndarray, ranked: bool = True,
+              **columns: np.ndarray) -> JsonRows:
+        """Flat rows: ``bounds`` (k, 4) as xmin, ymin, xmax, ymax, one key
+        per column and, when ranked, a rank from 1 in row order."""
+        cols = {"rank": np.arange(1, len(bounds) + 1)} if ranked else {}
+        cols.update(zip(_BOUND_KEYS, bounds.T))
+        cols.update(columns)
+        return cls(cols, {name: Column(name) for name in cols})
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def _chunks(self, pad: str) -> Iterator[str]:
+        """The array's text at indent ``pad``, _JSON_ROWS rows a piece."""
+        if len(self) == 0:
+            yield "[]"
+            return
+        names = []
+
+        def mark(col: Column) -> str:
+            names.append(col.name)
+            return "\0"
+
+        inner = pad + "  "
+        template = (inner + _indented(self.layout, mark)).replace(
+            "\n", "\n" + inner).replace("%", "%%").replace('"\\u0000"', "%s")
+        sep = "[\n"
+        for start in range(0, len(self), _JSON_ROWS):
+            text = {name: _json_values(self.columns[name][start:start
+                                                          + _JSON_ROWS])
+                    for name in set(names)}
+            yield sep
+            yield ",\n".join(
+                template % row for row in zip(*(text[n] for n in names)))
+            sep = ",\n"
+        yield f"\n{pad}]"
+
+
+def _json_values(column: np.ndarray) -> list[str]:
+    """Each value's JSON text: numbers through one C-encoder call."""
+    values = column.tolist()
+    if column.dtype.kind in "biuf":
+        return _VALUES.encode(values)[1:-1].split(",")
+    return ["null" if v is None else encode_basestring_ascii(v)
+            for v in values]
+
+
+def _indented(value, default=None) -> str:
+    """json's indent-2, sorted-key text of value: the only place the
+    package calls json's pure-Python indent encoder."""
+    return json.dumps(value, indent=2, sort_keys=True, default=default)
+
+
+def _holds_rows(value) -> bool:
+    if isinstance(value, dict):
+        return any(map(_holds_rows, value.values()))
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_rows, value))
+    return isinstance(value, JsonRows)
+
+
+def _json_chunks(value, pad: str) -> Iterator[str]:
+    """value's text at indent ``pad``, as json.dumps(indent=2,
+    sort_keys=True) writes it, with each JsonRows as its array of rows."""
+    if isinstance(value, JsonRows):
+        yield from value._chunks(pad)
+    elif not _holds_rows(value):
+        yield _indented(value).replace("\n", "\n" + pad)
+    elif isinstance(value, dict):
+        inner, sep = pad + "  ", "{\n"
+        for key, item in sorted(value.items()):
+            yield f"{sep}{inner}{encode_basestring_ascii(key)}: "
+            yield from _json_chunks(item, inner)
+            sep = ",\n"
+        yield f"\n{pad}}}"
+    else:
+        inner, sep = pad + "  ", "[\n"
+        for item in value:
+            yield sep + inner
+            yield from _json_chunks(item, inner)
+            sep = ",\n"
+        yield f"\n{pad}]"
 
 
 def dump_json(doc: dict, path: str) -> None:
-    """Write doc to path as JSON: indent 2, sorted keys, a trailing newline."""
+    """Write doc to path as json.dump(doc, fh, indent=2, sort_keys=True)
+    writes it, plus a trailing newline. Each JsonRows in doc is written as
+    its array of rows, a chunk of rows at a time: no row becomes a dict."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        for text in _json_chunks(doc, ""):
+            fh.write(text)
         fh.write("\n")
 
 
@@ -321,9 +426,8 @@ def save_region_families(path: str, families: Iterable) -> None:
                 "ybounds": fam.ybounds.tolist(),
             })
         else:
-            doc_families.append({"kind": "regions", "regions": [
-                dict(zip(_BOUND_KEYS, b), center_id=cid)
-                for b, cid in zip(fam.bounds.tolist(), fam.center_ids)]})
+            doc_families.append({"kind": "regions", "regions": JsonRows.table(
+                fam.bounds, ranked=False, center_id=fam.center_ids)})
     dump_json({"schema": 1, "families": doc_families}, path)
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import settings
 
 from fairscan import CountPlan, Dataset, Rectangles, ScanResult, build_index, synth
 from fairscan.geometry import Region
+from fairscan.pipeline import export_report
+from fairscan.regions import dump_json
 
 # Every Hypothesis test draws the same examples on every run, and none
 # replays examples stored by an earlier run. A test's own settings keep
@@ -65,6 +69,21 @@ def scan_rows(regions, llr, n=10, p=5) -> ScanResult:
         np.broadcast_to(np.asarray(n, dtype=np.int64), (m,)).copy(),
         np.broadcast_to(np.asarray(p, dtype=np.int64), (m,)).copy(),
         np.asarray(llr, dtype=np.float64).reshape(m))
+
+
+def written_json(path, doc) -> str:
+    """The text regions.dump_json writes for doc, at path."""
+    dump_json(doc, path)
+    return path.read_text(encoding="utf-8")
+
+
+def report_doc(report, out_dir) -> dict:
+    """report.json as export_report writes it into out_dir, its timings
+    dropped."""
+    doc = json.loads(Path(export_report(report, str(out_dir))["report"])
+                     .read_text(encoding="utf-8"))
+    del doc["timings"]
+    return doc
 
 
 def plan_counts(ix, region: Region) -> tuple[int, int]:

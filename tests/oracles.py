@@ -11,10 +11,15 @@ wrappers over fairscan's null log-likelihood and its one-region llr_vector,
 the reader of a saved null distribution, the member matrix built from
 (row, column, value) triples, and a clustered location sampler. They are
 not oracles.
+
+The export oracle writes each row set as a list of per-row dicts through
+json's own indent encoder, as the package did before it wrote rows
+straight from their columns.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -303,6 +308,106 @@ def oracle_squares(centers, side_lengths):
             half = s / 2.0
             out.append((cx - half, cy - half, cx + half, cy + half, cid))
     return out
+
+
+# The export oracle: every row as a dict of plain Python values, then json's
+# own indent encoder over the whole document. It reads the reports' fields
+# by name and imports nothing from fairscan.
+_BOUND_KEYS = ("xmin", "ymin", "xmax", "ymax")
+
+
+def oracle_rows_json(bounds, ranked=True, **columns) -> list[dict]:
+    """One dict per row: ``rank`` from 1 (when ranked), the (k, 4)
+    ``bounds`` as xmin, ymin, xmax, ymax, and one key per column."""
+    values = [col.tolist() for col in columns.values()]
+    rows = []
+    for i, b in enumerate(bounds.tolist()):
+        row = {"rank": i + 1} if ranked else {}
+        row.update(zip(_BOUND_KEYS, b))
+        row.update(zip(columns, (col[i] for col in values)))
+        rows.append(row)
+    return rows
+
+
+def oracle_geojson_feature(row: dict) -> dict:
+    ring = [
+        [row["xmin"], row["ymin"]], [row["xmax"], row["ymin"]],
+        [row["xmax"], row["ymax"]], [row["xmin"], row["ymax"]],
+        [row["xmin"], row["ymin"]],
+    ]
+    return {
+        "type": "Feature",
+        "geometry": {"type": "Polygon", "coordinates": [ring]},
+        "properties": {key: row[key] for key in
+                       ("n", "p", "rho", "llr", "p_value", "rank")},
+    }
+
+
+def oracle_json_text(doc) -> str:
+    """json.dump(doc, fh, indent=2, sort_keys=True) plus a newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _oracle_evidence(rows) -> list[dict]:
+    if len(rows) == 0:
+        return []
+    return oracle_rows_json(rows.bounds, center_id=rows.center_ids, n=rows.n,
+                            p=rows.p, rho=rows.p / rows.n, llr=rows.llr,
+                            p_value=rows.p_value)
+
+
+def oracle_export(report) -> dict[str, str]:
+    """The texts of report.json, regions.geojson and nulldist.json for an
+    AuditReport, keyed as export_report keys its paths."""
+    v = report.verdict
+    evidence = _oracle_evidence(report.evidence)
+    doc = {
+        "schema": 1,
+        "dataset": report.dataset_summary,
+        "config": report.config,
+        "verdict": {"fair": v.fair, "p_value": v.p_value,
+                    "tau_log": v.tau_log, "alpha": v.alpha,
+                    "critical_llr": v.critical_llr,
+                    "num_worlds": report.dist.w},
+        "evidence": evidence,
+        "non_overlapping": _oracle_evidence(report.non_overlapping),
+        "timings": report.timings,
+    }
+    features = [oracle_geojson_feature(row) for row in evidence]
+    return {
+        "report": oracle_json_text(doc),
+        "regions": oracle_json_text({"type": "FeatureCollection",
+                                     "features": features}),
+        "nulldist": oracle_json_text(report.dist.to_json_dict()),
+    }
+
+
+def oracle_meanvar_text(report, config: dict) -> str:
+    """meanvar.json's text for a MeanVarReport and its config echo."""
+    return oracle_json_text({
+        "schema": 1,
+        "mean_var": report.mean_var,
+        "per_partitioning": [{"provenance": dict(prov), "variance": var}
+                             for prov, var in report.per_partitioning],
+        "top_contributors": oracle_rows_json(**report.top_contributors),
+        "config": config,
+    })
+
+
+def oracle_region_file_text(families) -> str:
+    """A region file's text: Partitionings (anything with xbounds) by
+    their bounds and provenance, Rectangles row by row."""
+    docs = []
+    for fam in families:
+        if hasattr(fam, "xbounds"):
+            docs.append({"kind": "partitioning",
+                         "provenance": dict(fam.provenance),
+                         "xbounds": fam.xbounds.tolist(),
+                         "ybounds": fam.ybounds.tolist()})
+        else:
+            docs.append({"kind": "regions", "regions": oracle_rows_json(
+                fam.bounds, ranked=False, center_id=fam.center_ids)})
+    return oracle_json_text({"schema": 1, "families": docs})
 
 
 def area(r) -> float:

@@ -602,6 +602,63 @@ class TestValidateBeforeLoad:
         assert err == "error: top_k must be positive, got 0\n"
 
 
+class TestUnusableOutput:
+    """An --out that cannot be written fails before the data is read, with
+    the error that writing it would give."""
+
+    @staticmethod
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    @pytest.mark.parametrize("command", [
+        ["audit", "--grid", "2x2", "--worlds", "19", "--alpha", "0.05"],
+        ["meanvar", "--grid", "2x2"]])
+    @pytest.mark.parametrize("out,error", [
+        ("taken", "[Errno 17] File exists: '{tmp}/taken'"),
+        ("taken/a/b", "[Errno 20] Not a directory: '{tmp}/taken/a'")])
+    def test_out_is_a_file(self, capsys, monkeypatch, tmp_path, unfair_csv,
+                           command, out, error):
+        monkeypatch.setattr("fairscan.cli.load_dataset", self.no_work)
+        monkeypatch.setattr("fairscan.pipeline.load_dataset", self.no_work)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        code, lines, err = run(capsys, *command, "--data", unfair_csv,
+                               "--out", str(tmp_path / out))
+        assert (code, lines) == (1, [])
+        assert err == f"error: {error.format(tmp=tmp_path)}\n"
+        assert taken.read_text() == "keep"
+        # The same error as the write after the work gave.
+        with pytest.raises(OSError) as exc:
+            os.makedirs(tmp_path / out, exist_ok=True)
+        assert err == f"error: {exc.value}\n"
+
+    @pytest.mark.parametrize("parent,error", [
+        ("missing/dir", "[Errno 2] No such file or directory"),
+        ("file", "[Errno 20] Not a directory")])
+    def test_regions_out_without_directory(self, capsys, monkeypatch,
+                                           tmp_path, unfair_csv, parent,
+                                           error):
+        monkeypatch.setattr("fairscan.cli.load_dataset", self.no_work)
+        monkeypatch.setattr("fairscan.cli.build_family", self.no_work)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / parent / "x.json"
+        code, lines, err = run(capsys, "regions", "--data", unfair_csv,
+                               "--squares", "--centers", "3", "--out",
+                               str(out))
+        assert (code, lines) == (1, [])
+        assert err == f"error: {error}: '{out}'\n"
+        with pytest.raises(OSError) as exc:
+            open(out, "w")
+        assert err == f"error: {exc.value}\n"
+
+    def test_regions_out_in_working_directory(self, capsys, monkeypatch,
+                                              tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code, lines, _ = run(capsys, "regions", "--bbox", "0,0,1,1",
+                             "--grid", "2x2", "--out", "x.json")
+        assert (code, lines) == (0, ["wrote x.json families=1 regions=4"])
+
+
 class TestRegions:
     def test_bbox_grid_file(self, capsys, tmp_path):
         out = str(tmp_path / "fam.json")

@@ -47,7 +47,11 @@ def _run(*argv: str) -> None:
 
 
 def _drop_timings(path: Path) -> None:
-    doc = json.loads(path.read_text())
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    # The references hold the file re-dumped without its timings, so check
+    # here that the written bytes are json's own indented dump.
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n", path
     del doc["timings"]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

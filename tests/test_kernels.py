@@ -231,3 +231,41 @@ def test_only_the_world_pool_constructs_threads():
              for path in sorted(SRC.glob("*.py"))}
     assert {name: tops for name, tops in found.items() if tops} == {
         "montecarlo": ["_run_pool"]}
+
+
+def indent_encodings(source: str) -> list[str]:
+    """The function enclosing each call with an ``indent=`` keyword, as
+    json.dump and json.dumps take it, by qualified name."""
+    found = []
+
+    def visit(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = f"{scope}.{child.name}" if scope else child.name
+            if (isinstance(child, ast.Call)
+                    and any(k.arg == "indent" for k in child.keywords)):
+                found.append(name or f"line {child.lineno}")
+            visit(child, name)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_the_writer_encodes_with_indent():
+    # json's indent encoder is pure Python; rows go through the column
+    # writer, and regions._indented is its one call of that encoder.
+    assert indent_encodings(textwrap.dedent("""
+        import json
+        class Doc:
+            def dump(self, fh):
+                json.dump(self, fh, indent=2)
+        text = json.dumps({}, indent=None)
+        def quiet():
+            return json.dumps({})
+    """)) == ["Doc.dump", "line 6"]
+    found = {path.stem: indent_encodings(path.read_text("utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {
+        "regions": ["_indented"]}

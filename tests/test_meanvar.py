@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import statistics
 
 import numpy as np
@@ -10,7 +11,7 @@ from fairscan.geometry import Region
 from fairscan.meanvar import mean_var
 from fairscan.regions import random_partitionings, regular_grid
 
-from conftest import cell_regions, make_dataset, random_dataset
+from conftest import cell_regions, make_dataset, random_dataset, written_json
 from oracles import oracle_region_counts
 
 
@@ -218,12 +219,14 @@ class TestMeanVar:
         with pytest.raises(ValueError, match="top_k must be positive"):
             mean_var(build_index(d), [regular_grid(d.bbox, 2, 2)], top_k=top_k)
 
-    def test_json_report_ranks(self):
+    def test_json_report_ranks(self, tmp_path):
         rng = np.random.default_rng(73)
         d = random_dataset(rng, 220)
         ix = build_index(d)
         parts = random_partitionings(d.bbox, 2, 2, 4, seed=74)
-        doc = mean_var(ix, parts, top_k=5).to_json_dict()
+        doc = json.loads(written_json(
+            tmp_path / "meanvar.json",
+            mean_var(ix, parts, top_k=5).to_json_dict()))
         assert doc["schema"] == 1
         assert [c["rank"] for c in doc["top_contributors"]] == [1, 2, 3, 4, 5]
         for c in doc["top_contributors"]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import sys
 import threading
 import time
@@ -26,7 +27,7 @@ from fairscan.montecarlo import (
     significant_regions,
     simulate_worlds,
 )
-from fairscan.pipeline import _rows_json
+from fairscan.pipeline import _evidence_json
 from fairscan.regions import (
     Rectangles,
     random_partitionings,
@@ -36,7 +37,8 @@ from fairscan.regions import (
 from fairscan.scanner import as_scanner
 from fairscan.synth import gen_fair_bernoulli, gen_uniform_split
 
-from conftest import make_dataset, random_dataset, rectangles, row_regions
+from conftest import (make_dataset, random_dataset, rectangles, row_regions,
+                      written_json)
 from oracles import (distribution_from_json, oracle_audit, oracle_llr,
                      oracle_region_counts)
 
@@ -550,24 +552,28 @@ class TestSignificantRegions:
         out = significant_regions(scored(item(4.5)), 0.0, DIST)
         assert out.p_value.tolist() == [2 / 5]
 
-    def test_no_rows_write_no_json(self):
+    def test_no_rows_write_no_json(self, tmp_path):
         # A fair verdict's cutoff keeps nothing; a plain empty list, which
         # the benchmark passes for a fair verdict, writes the same.
         out = significant_regions(scored(item(4.5)), np.inf, DIST)
         assert len(out) == 0 and out.p_value.tolist() == []
-        assert _rows_json(out) == _rows_json([]) == []
+        path = tmp_path / "rows.json"
+        assert written_json(path, {"rows": _evidence_json(out)}) == \
+            written_json(path, {"rows": _evidence_json([])}) == \
+            '{\n  "rows": []\n}\n'
 
     def test_negative_cutoff_keeps_all_nonempty(self):
         items = scored(item(0.0), item(1.0), item(2.0, n=0, p=0))
         out = significant_regions(items, -1.0, DIST)
         assert len(out) == 2
 
-    def test_evidence_fields(self):
+    def test_evidence_fields(self, tmp_path):
         out = significant_regions(scored(item(3.0, n=8, p=6, cx=2.0)), 0.0,
                                   DIST)
         assert row_regions(out) == [Region(2.0, 0.0, 3.0, 1.0)]
         assert (out.n.tolist(), out.p.tolist()) == ([8], [6])
-        row = _rows_json(out)[0]
+        row = json.loads(written_json(tmp_path / "rows.json", {
+            "rows": _evidence_json(out)}))["rows"][0]
         assert (row["n"], row["p"], row["rho"]) == (8, 6, 0.75)
         assert row["p_value"] == 4 / 5
 

@@ -38,7 +38,7 @@ from fairscan.scanner import as_scanner
 from fairscan.synth import gen_fair_bernoulli, gen_uniform_split
 
 from conftest import (Candidate, cell_regions, make_dataset, rectangles,
-                      row_regions, scan_rows)
+                      report_doc, row_regions, scan_rows)
 from oracles import (distribution_from_json, oracle_non_overlapping,
                      regions_overlap)
 
@@ -191,13 +191,11 @@ class TestRunAudit:
         assert np.all(report.dist.values == 0.0)
         assert len(report.dist.values) == 99
 
-    def test_determinism(self):
+    def test_determinism(self, tmp_path):
         d = gen_uniform_split(1000, seed=86)
         cfg = fast_cfg(seed=3)
-        a = run_audit(d, cfg).to_json_dict()
-        b = run_audit(d, fast_cfg(seed=3)).to_json_dict()
-        for doc in (a, b):
-            doc.pop("timings")
+        a = report_doc(run_audit(d, cfg), tmp_path / "a")
+        b = report_doc(run_audit(d, fast_cfg(seed=3)), tmp_path / "b")
         assert a == b
 
     def test_seed_changes_simulation(self):
@@ -462,14 +460,12 @@ class TestCandidateArrays:
             [[0.25, 0.5], [0.75, 0.5]], (0.2, 0.5))])
         cfg = AuditConfig(regions_file=str(path), alpha=0.05,
                           num_worlds=100, seed=7)
-        reports = [run_audit(d, cfg).to_json_dict()]
+        reports = [report_doc(run_audit(d, cfg), tmp_path / "new")]
         doc = json.loads(path.read_text())
         for fam, part in zip(doc["families"], parts):
             fam["regions"] = part.cell_bounds().tolist()
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        reports.append(run_audit(d, cfg).to_json_dict())
-        for report in reports:
-            report.pop("timings")
+        reports.append(report_doc(run_audit(d, cfg), tmp_path / "old"))
         assert reports[0]["evidence"]
         assert reports[0] == reports[1]
 

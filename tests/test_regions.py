@@ -11,6 +11,7 @@ from fairscan.geometry import Region
 from fairscan import regions as regions_module
 from fairscan.regions import (
     DEFAULT_SIDE_LENGTHS,
+    JsonRows,
     Partitioning,
     Rectangles,
     dump_json,
@@ -18,12 +19,11 @@ from fairscan.regions import (
     load_region_families,
     random_partitionings,
     regular_grid,
-    rows_json,
     save_region_families,
     square_scan_set,
 )
 
-from conftest import cell_regions, random_dataset
+from conftest import cell_regions, random_dataset, written_json
 from oracles import (
     area,
     oracle_kmeans,
@@ -421,18 +421,23 @@ class TestPartitioningBounds:
 
 
 class TestRowsJson:
-    """rows_json writes the rows that the audit's evidence and MeanVar's
-    contributors each used to build by hand; the expected dicts are
-    those writers' output."""
+    """JsonRows writes the rows that the audit's evidence and MeanVar's
+    contributors each used to build by hand as dicts; the expected dicts
+    are those writers' output, read back from the written file."""
 
     BOUNDS = np.array([[-np.inf, 0.0, 1.5, np.inf], [0.25, -1.0, 0.75, 2.0]])
 
-    def test_evidence_rows(self):
-        rows = rows_json(
+    @staticmethod
+    def rows(tmp_path, rows: JsonRows) -> list[dict]:
+        return json.loads(written_json(tmp_path / "rows.json",
+                                       {"rows": rows}))["rows"]
+
+    def test_evidence_rows(self, tmp_path):
+        rows = self.rows(tmp_path, JsonRows.table(
             self.BOUNDS, center_id=np.array([None, "c3"], dtype=object),
             n=np.array([4, 2], dtype=np.int64),
             p=np.array([3, 1], dtype=np.int32), rho=np.array([0.75, 0.5]),
-            llr=np.array([2.5, 0.125]), p_value=np.array([0.01, 0.5]))
+            llr=np.array([2.5, 0.125]), p_value=np.array([0.01, 0.5])))
         assert rows == [
             {"rank": 1, "xmin": -np.inf, "ymin": 0.0, "xmax": 1.5,
              "ymax": np.inf, "center_id": None, "n": 4, "p": 3, "rho": 0.75,
@@ -441,16 +446,17 @@ class TestRowsJson:
              "ymax": 2.0, "center_id": "c3", "n": 2, "p": 1, "rho": 0.5,
              "llr": 0.125, "p_value": 0.5},
         ]
-        # Plain Python values, which json writes without a numpy type.
-        assert [type(v) for v in rows[1].values()] == [
-            int, float, float, float, float, str, int, int, float, float,
-            float]
+        # Counts are written as integers and bounds and rates as floats.
+        assert {key: type(v) for key, v in rows[1].items()} == {
+            "rank": int, "xmin": float, "ymin": float, "xmax": float,
+            "ymax": float, "center_id": str, "n": int, "p": int,
+            "rho": float, "llr": float, "p_value": float}
 
-    def test_meanvar_rows(self):
+    def test_meanvar_rows(self, tmp_path):
         top = {"bounds": self.BOUNDS[::-1], "n": np.array([7, 1]),
                "p": np.array([0, 1]), "rho": np.array([0.0, 1.0]),
                "contribution": np.array([0.25, 0.0625])}
-        assert rows_json(**top) == [
+        assert self.rows(tmp_path, JsonRows.table(**top)) == [
             {"rank": 1, "xmin": 0.25, "ymin": -1.0, "xmax": 0.75,
              "ymax": 2.0, "n": 7, "p": 0, "rho": 0.0, "contribution": 0.25},
             {"rank": 2, "xmin": -np.inf, "ymin": 0.0, "xmax": 1.5,
@@ -458,9 +464,10 @@ class TestRowsJson:
              "contribution": 0.0625},
         ]
 
-    def test_empty(self):
-        assert rows_json(np.empty((0, 4)), n=np.empty(0, np.int64)) == []
-        assert rows_json(np.empty((0, 4))) == []
+    def test_empty(self, tmp_path):
+        assert self.rows(tmp_path, JsonRows.table(
+            np.empty((0, 4)), n=np.empty(0, np.int64))) == []
+        assert self.rows(tmp_path, JsonRows.table(np.empty((0, 4)))) == []
 
     def test_dump_json_layout(self, tmp_path):
         doc = {"b": [1, {"y": 2.5, "x": None}], "a": "s"}
