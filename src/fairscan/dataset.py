@@ -173,15 +173,16 @@ def _checked_chunk(lines: list[str], fh, lineno: int, width: int):
     Returns the rows' columns and the number of lines read, or raises the
     first bad row's message.
     """
-    reader, chunk = csv.reader(chain(lines, fh)), []
+    reader, chunk, starts = csv.reader(chain(lines, fh)), [], []
     try:
         while reader.line_num < len(lines):
+            starts.append(lineno + reader.line_num)  # the record's first line
             chunk.append(next(reader))
     except csv.Error as exc:  # e.g. a field over the csv field limit
-        raise DatasetError(_first_error(chunk, lineno, width)
+        raise DatasetError(_first_error(chunk, starts, width)
                            or f"line {lineno - 1 + reader.line_num}: {exc}"
                            ) from None
-    if error := _first_error(chunk, lineno, width):
+    if error := _first_error(chunk, starts, width):
         raise DatasetError(error)
     return _columns([r for r in chunk if r], width), reader.line_num
 
@@ -214,21 +215,19 @@ def _row_problem(raw: list[str], width: int) -> str | None:
     return None
 
 
-def _first_error(chunk: list[list[str]], lineno: int,
+def _first_error(chunk: list[list[str]], starts: list[int],
                  width: int) -> str | None:
-    """The message for the first bad row of a chunk starting on line lineno."""
-    for raw in chunk:
+    """The message for the first bad row of a chunk whose records start
+    on the lines ``starts``."""
+    for raw, lineno in zip(chunk, starts):
         if raw and (problem := _row_problem(raw, width)):
             return f"line {lineno}: {problem}"
-        # A line break inside a quoted field continues the same record.
-        lineno += 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n")
-                          for f in raw)
     return None
 
 
 def _read_chunks(path: str) -> list[tuple]:
     """The typed columns of each chunk of lines; see read_columns."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -274,8 +273,9 @@ def read_columns(path: str) -> list[np.ndarray]:
     """Parse a CSV into its lons, lats, outcomes and labels columns.
 
     Expected header: ``id,lon,lat,outcome`` with an optional trailing
-    ``label`` column. Errors name the physical line on which the offending
-    record starts (header is line 1, blank lines are skipped but counted).
+    ``label`` column, after an optional UTF-8 byte-order mark. Errors name
+    the physical line on which the offending record starts (header is
+    line 1, blank lines are skipped but counted).
 
     The lines are read in chunks of _CHUNK_ROWS, each parsed by numpy's C
     reader (``np.loadtxt``; text fields are read as objects). Every field

@@ -71,15 +71,12 @@ class JsonRows:
         if len(self) == 0:
             yield "[]"
             return
-        names = []
-
-        def mark(col: Column) -> str:
-            names.append(col.name)
-            return "\0"
-
+        pieces = list(_pieces(self.layout, Column))
+        names = [p.name for p in pieces if isinstance(p, Column)]
         inner = pad + "  "
-        template = (inner + _indented(self.layout, mark)).replace(
-            "\n", "\n" + inner).replace("%", "%%").replace('"\\u0000"', "%s")
+        template = inner + "".join(
+            "%s" if isinstance(p, Column) else p.replace("%", "%%")
+            for p in pieces).replace("\n", "\n" + inner)
         sep = "[\n"
         for start in range(0, len(self), _JSON_ROWS):
             text = {name: _json_values(self.columns[name][start:start
@@ -101,41 +98,22 @@ def _json_values(column: np.ndarray) -> list[str]:
             for v in values]
 
 
-def _indented(value, default=None) -> str:
-    """json's indent-2, sorted-key text of value: the only place the
-    package calls json's pure-Python indent encoder."""
-    return json.dumps(value, indent=2, sort_keys=True, default=default)
+def _pieces(value, hole: type) -> Iterator:
+    """json.dumps(value, indent=2, sort_keys=True) in json's own text
+    pieces, with each object of type ``hole`` yielded in place of its text:
+    the only place the package calls json's (pure-Python) indent encoder.
+    Any other object json cannot encode raises json's TypeError."""
+    held = []
 
+    def default(obj):
+        if not isinstance(obj, hole):
+            return json.JSONEncoder.default(encoder, obj)
+        held.append(obj)
+        return None  # iterencode yields its "null" alone, as the next piece
 
-def _holds_rows(value) -> bool:
-    if isinstance(value, dict):
-        return any(map(_holds_rows, value.values()))
-    if isinstance(value, (list, tuple)):
-        return any(map(_holds_rows, value))
-    return isinstance(value, JsonRows)
-
-
-def _json_chunks(value, pad: str) -> Iterator[str]:
-    """value's text at indent ``pad``, as json.dumps(indent=2,
-    sort_keys=True) writes it, with each JsonRows as its array of rows."""
-    if isinstance(value, JsonRows):
-        yield from value._chunks(pad)
-    elif not _holds_rows(value):
-        yield _indented(value).replace("\n", "\n" + pad)
-    elif isinstance(value, dict):
-        inner, sep = pad + "  ", "{\n"
-        for key, item in sorted(value.items()):
-            yield f"{sep}{inner}{encode_basestring_ascii(key)}: "
-            yield from _json_chunks(item, inner)
-            sep = ",\n"
-        yield f"\n{pad}}}"
-    else:
-        inner, sep = pad + "  ", "[\n"
-        for item in value:
-            yield sep + inner
-            yield from _json_chunks(item, inner)
-            sep = ",\n"
-        yield f"\n{pad}]"
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, default=default)
+    for piece in encoder.iterencode(value):
+        yield held.pop() if held else piece
 
 
 def dump_json(doc: dict, path: str) -> None:
@@ -143,8 +121,14 @@ def dump_json(doc: dict, path: str) -> None:
     writes it, plus a trailing newline. Each JsonRows in doc is written as
     its array of rows, a chunk of rows at a time: no row becomes a dict."""
     with open(path, "w", encoding="utf-8") as fh:
-        for text in _json_chunks(doc, ""):
-            fh.write(text)
+        pad = ""  # json yields each line break with the next line's indent
+        for piece in _pieces(doc, JsonRows):
+            if isinstance(piece, JsonRows):
+                fh.writelines(piece._chunks(pad))
+            else:
+                fh.write(piece)
+                if "\n" in piece:
+                    pad = piece.rpartition("\n")[2]
         fh.write("\n")
 
 

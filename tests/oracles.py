@@ -215,7 +215,7 @@ def oracle_read_csv(path: str):
         return value
 
     columns = ([], [], [], [], [])
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

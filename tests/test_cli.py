@@ -479,6 +479,41 @@ class TestAuditConfigFile:
         assert err.startswith("error: config ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("data", 5, "config data must be a string, got 5"),
+        ("regions_file", 3, "config regions_file must be a string, got 3"),
+        ("squares", "yes", "config squares must be true or false, got 'yes'"),
+        ("alpha", "0.1", "config alpha must be a number, got '0.1'")])
+    def test_mistyped_value_message(self, capsys, unfair_csv, tmp_path, key,
+                                    value, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"data": unfair_csv, "worlds": 99, "alpha": 0.05, key: value}))
+        code, lines, err = run(capsys, "audit", "--config", str(cfg_path))
+        assert (code, lines) == (1, [])
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("key, listed, flags", [
+        ("grid", [2, 2], ["--grid", "2x2"]),
+        ("splits", [2, 6], ["--splits", "2..6"])])
+    def test_pair_list_reads_as_its_text(self, capsys, unfair_csv, tmp_path,
+                                         key, listed, flags):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: listed}))
+        family = [] if key == "grid" else ["--random-partitionings", "3"]
+        runs = []
+        for name, argv in (("config", ["--config", str(cfg_path)]),
+                           ("flags", flags)):
+            out = tmp_path / name
+            code, lines, _ = run(capsys, "audit", "--data", unfair_csv,
+                                 "--worlds", "99", "--alpha", "0.05",
+                                 *family, *argv, "--out", str(out))
+            doc = json.loads((out / "report.json").read_text())
+            del doc["timings"]
+            runs.append((code, lines[0], doc))
+        assert runs[0][1].startswith("CONFIG ")
+        assert runs[0] == runs[1]
+
     def test_resolution_key_is_unknown(self, capsys, unfair_csv, tmp_path):
         # The index's column count is not an option: counts never depend
         # on it.

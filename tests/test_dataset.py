@@ -42,6 +42,27 @@ class TestReadRows:
         assert labels[0] == 1
         assert labels[1] == -1
 
+    @pytest.mark.parametrize("chunk", [1, 65_536])
+    def test_byte_order_mark_is_skipped(self, tmp_path, chunk):
+        # Spreadsheets' "CSV UTF-8" export starts the file with a BOM.
+        text = "id,lon,lat,outcome,label\na,0.5,1.5,1,0\nb,-2.0,3.0,0,\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        with mock.patch.object(dataset_module, "_CHUNK_ROWS", chunk):
+            got = [c.tolist() for c in read_columns(str(marked))]
+            assert got == [c.tolist() for c in read_columns(str(plain))]
+        assert got == [[0.5, -2.0], [1.5, 3.0], [1, 0], [0, -1]]
+        assert got == list(oracle_read_csv(str(marked)))[1:]
+
+    def test_byte_not_utf8_after_a_byte_order_mark(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbfid,lon,lat,outcome\na,0,0,1\nb\xff,1,1,0\n")
+        with pytest.raises(DatasetError) as err:
+            read_columns(str(p))
+        assert str(err.value) == \
+            "line 3: byte 0xff is not UTF-8 (invalid start byte)"
+
     def test_bad_header(self, tmp_path):
         p = write_text(tmp_path / "d.csv", "lon,lat,outcome\n1,2,1\n")
         with pytest.raises(DatasetError, match="line 1"):
@@ -109,6 +130,27 @@ class TestReadRows:
             with pytest.raises(DatasetError) as err:
                 read_columns(str(p))
         assert str(err.value) == "line 4: outcome must be 0 or 1, got '7'"
+        assert str(err.value) == str(_oracle_error(str(p)))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 65_536])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("breaks, lines", [
+        ("\n", 1), ("\r", 1), ("\r\n", 1), ("\n\r", 2), ("\r\n\r\n", 2),
+        ("\r\r\n\n", 3)], ids=repr)
+    def test_bad_row_after_line_breaks_in_fields(self, tmp_path, chunk, eol,
+                                                 breaks, lines):
+        # Quoted breaks of another kind than the file's own, in an id and
+        # in a label: the bad record starts after both records' lines.
+        text = eol.join(['id,lon,lat,outcome,label',
+                         f'"a{breaks}b",0.1,0.2,1,', f'c,0.3,0.4,0,"{breaks}1"',
+                         'd,0.5,0.6,7,', ''])
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(dataset_module, "_CHUNK_ROWS", chunk):
+            with pytest.raises(DatasetError) as err:
+                read_columns(str(p))
+        assert str(err.value) == (f"line {4 + 2 * lines}: outcome must be 0 "
+                                  "or 1, got '7'")
         assert str(err.value) == str(_oracle_error(str(p)))
 
     @pytest.mark.parametrize("row", [
@@ -413,6 +455,21 @@ class TestDatasetInvariants:
     def test_empty_rejected(self):
         with pytest.raises(DatasetError):
             Dataset.from_arrays([], [], [])
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(DatasetError) as err:
+            Dataset.from_arrays([0.0, 1.0], [0.0], [1, 0])
+        assert str(err.value) == \
+            "dataset columns must be 1-D and of equal length"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", ["lons", "lats"])
+    def test_nonfinite_coordinate_rejected(self, column, bad):
+        coords = {"lons": [0.0, 1.0], "lats": [0.0, 1.0]}
+        coords[column][1] = bad
+        with pytest.raises(DatasetError) as err:
+            Dataset.from_arrays(coords["lons"], coords["lats"], [1, 0])
+        assert str(err.value) == "non-finite coordinate in dataset"
 
     def test_overflowing_extent_rejected(self):
         with pytest.raises(DatasetError, match="extent is not finite"):

@@ -138,6 +138,49 @@ def test_import_orders_and_fallback_agree(tmp_path):
             assert run[key] == direct[key], key
 
 
+def test_an_imported_module_is_reused():
+    assert run_python(
+        "import sys, scipy.sparse\n"
+        "from fairscan import _kernels\n"
+        "print(_kernels.sparsetools"
+        " is sys.modules['scipy.sparse._sparsetools'])") == "True\n"
+
+
+# A 2x2 grid scan's LLRs, as hex.
+GRID_SCAN = """
+import numpy as np
+from fairscan import Dataset, build_index, scan_regions
+from fairscan.regions import regular_grid
+
+rng = np.random.default_rng(42)
+d = Dataset.from_arrays(rng.random(300), rng.random(300),
+                        rng.integers(0, 2, 300))
+scores, _ = scan_regions(build_index(d), regular_grid(d.bbox, 2, 2))
+llr = [v.hex() for v in scores.llr.tolist()]
+"""
+
+
+def test_no_scipy_spec_falls_back_to_the_import():
+    # find_spec answers None for scipy while fairscan loads its kernels.
+    got = json.loads(run_python(textwrap.dedent("""
+        import importlib.util, json
+        _find_spec = importlib.util.find_spec
+        importlib.util.find_spec = lambda name, package=None: (
+            None if name == "scipy" else _find_spec(name, package))
+        from fairscan import _kernels
+        importlib.util.find_spec = _find_spec
+        import scipy.sparse._sparsetools, scipy.special
+        """) + GRID_SCAN + textwrap.dedent("""
+        print(json.dumps({
+            "xlogy": _kernels.xlogy is scipy.special.xlogy,
+            "sparsetools": _kernels.sparsetools is scipy.sparse._sparsetools,
+            "llr": llr}))
+        """)))
+    scope = {}
+    exec(GRID_SCAN, scope)  # this process loads the compiled files
+    assert got == {"xlogy": True, "sparsetools": True, "llr": scope["llr"]}
+
+
 def test_only_the_loader_imports_scipy():
     assert scipy_imports(textwrap.dedent("""
         import numpy, scipy.stats as st
@@ -255,7 +298,7 @@ def indent_encodings(source: str) -> list[str]:
 
 def test_only_the_writer_encodes_with_indent():
     # json's indent encoder is pure Python; rows go through the column
-    # writer, and regions._indented is its one call of that encoder.
+    # writer, and regions._pieces is its one call of that encoder.
     assert indent_encodings(textwrap.dedent("""
         import json
         class Doc:
@@ -268,4 +311,4 @@ def test_only_the_writer_encodes_with_indent():
     found = {path.stem: indent_encodings(path.read_text("utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     assert {name: calls for name, calls in found.items() if calls} == {
-        "regions": ["_indented"]}
+        "regions": ["_pieces"]}

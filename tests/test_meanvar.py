@@ -9,7 +9,8 @@ import pytest
 from fairscan import build_index
 from fairscan.geometry import Region
 from fairscan.meanvar import mean_var
-from fairscan.regions import random_partitionings, regular_grid
+from fairscan.regions import (Partitioning, random_partitionings,
+                              regular_grid)
 
 from conftest import cell_regions, make_dataset, random_dataset, written_json
 from oracles import oracle_region_counts
@@ -212,6 +213,13 @@ class TestMeanVar:
         ix = build_index(d)
         with pytest.raises(ValueError):
             mean_var(ix, [])
+
+    def test_partitioning_without_points_rejected(self):
+        # The one cell lies beside every point.
+        d = make_dataset([0.0, 1.0], [0.0, 1.0], [1, 0])
+        with pytest.raises(ValueError) as err:
+            mean_var(build_index(d), [Partitioning([5.0, 6.0], [5.0, 6.0])])
+        assert str(err.value) == "partitioning has no occupied cells"
 
     @pytest.mark.parametrize("top_k", [0, -1])
     def test_nonpositive_top_k_rejected(self, top_k):

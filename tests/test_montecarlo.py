@@ -328,34 +328,43 @@ class TestWorkerPool:
             block[:n, 1:worlds + 1] = 7
             assert (block == 7).all()
 
-    @pytest.mark.parametrize("exc", [MemoryError, KeyboardInterrupt])
+    @pytest.mark.parametrize("exc, side", [
+        (MemoryError, "caller"), (KeyboardInterrupt, "caller"),
+        (MemoryError, "helper"), (KeyboardInterrupt, "helper")],
+        ids=["MemoryError", "KeyboardInterrupt", "MemoryError-helper",
+             "KeyboardInterrupt-helper"])
     def test_failure_stops_the_other_worker(self, small_world, pool,
-                                            monkeypatch, exc):
-        d, ix, parts = small_world
-        rho, seed = 0.4, 12
-        world5 = (np.random.default_rng(np.random.SeedSequence(seed).spawn(
-            6)[5]).random(d.N) < rho).astype(np.int8)
+                                            monkeypatch, exc, side):
+        # The calling thread fails on its second block, once the helper
+        # runs, or the helper fails on the first block it takes.
+        _, ix, parts = small_world
         pool(2, 2)
         plan = as_scanner(ix, parts)
         extremes = plan.extremes
+        main = threading.get_ident()
         failed = threading.Event()
-        after = []
+        calls, raised, after = [], [], []
 
         def failing(block, out):
+            me = threading.get_ident()
             if failed.is_set():
-                after.append(threading.get_ident())
-            if any(np.array_equal(labels, world5)
-                   for labels in block[:d.N].T):
+                after.append(me)
+            calls.append(me)
+            if ((side == "caller" and calls.count(main) == 2 and me == main)
+                    or (side == "helper" and me != main)):
+                raised.append(me)
                 failed.set()
-                raise exc("world 5")
+                raise exc(f"{side} failed")
             time.sleep(0.002)
             extremes(block, out)
 
         monkeypatch.setattr(plan, "extremes", failing)
         running = threading.active_count()
-        with pytest.raises(exc, match="world 5"):
-            simulate_worlds(ix, plan, rho, 200, seed=seed)
+        with pytest.raises(exc, match=f"{side} failed"):
+            simulate_worlds(ix, plan, 0.4, 200, seed=12)
         assert failed.is_set()
+        assert len(raised) == 1
+        assert (raised[0] == main) == (side == "caller")
         assert len(after) <= 1
         assert threading.active_count() == running
 

@@ -11,6 +11,7 @@ from fairscan.geometry import Region
 from fairscan import regions as regions_module
 from fairscan.regions import (
     DEFAULT_SIDE_LENGTHS,
+    Column,
     JsonRows,
     Partitioning,
     Rectangles,
@@ -167,6 +168,19 @@ class TestKMeans:
         got = {tuple(row) for row in np.round(c, 9)}
         want = {tuple(row) for row in pts}
         assert got == want
+
+    def test_nonpositive_k_raises(self):
+        with pytest.raises(ValueError) as err:
+            kmeans_centers(np.zeros((3, 2)), 0)
+        assert str(err.value) == "k must be positive, got 0"
+
+    @pytest.mark.parametrize("build", [
+        lambda pts: kmeans_centers(pts, 1),
+        lambda pts: square_scan_set(pts, [1.0])], ids=["kmeans", "squares"])
+    def test_points_not_n_by_2_raise(self, build):
+        with pytest.raises(ValueError) as err:
+            build(np.zeros(3))
+        assert str(err.value) == "expected an (n, 2) point array, got (3,)"
 
     def test_k_above_distinct_raises(self):
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
@@ -476,6 +490,61 @@ class TestRowsJson:
         assert path.read_text(encoding="utf-8") == (
             json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
+    @staticmethod
+    def as_dicts(value):
+        """value with each JsonRows as its list of rows, built as dicts."""
+        def fill(layout, rows, i):
+            if isinstance(layout, Column):
+                return rows.columns[layout.name][i:i + 1].tolist()[0]
+            if isinstance(layout, dict):
+                return {k: fill(v, rows, i) for k, v in layout.items()}
+            if isinstance(layout, list):
+                return [fill(v, rows, i) for v in layout]
+            return layout
+
+        if isinstance(value, JsonRows):
+            return [fill(value.layout, value, i) for i in range(len(value))]
+        if isinstance(value, dict):
+            return {k: TestRowsJson.as_dicts(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [TestRowsJson.as_dicts(v) for v in value]
+        return value
+
+    def test_rows_fill_the_places_json_leaves(self, tmp_path, monkeypatch):
+        # Two rows a chunk, so the five-row sets span three chunks.
+        monkeypatch.setattr(regions_module, "_JSON_ROWS", 2)
+        ids = np.array(["c0", None, 'q"\\,\n', "é", ""], dtype=object)
+        table = JsonRows.table(
+            np.arange(20.0).reshape(5, 4) - 8.5, center_id=ids,
+            n=np.array([0, 1, 2**40, -3, 7]))
+        nested = JsonRows(
+            {"x": np.array([0.5, -0.0, np.inf]), "k": np.array([1, 2, 3])},
+            {"geometry": {"coordinates": [[Column("x"), Column("x")]],
+                          "type": "Point"},
+             "properties": {"100%": Column("k"), "note": "%s"}})
+        empty = JsonRows.table(np.empty((0, 4)))
+        doc = {
+            "families": [{"kind": "partitioning", "xbounds": [0.0, 1.0]},
+                         {"kind": "regions", "regions": table}],
+            "siblings": {"a": nested, "b": table, "c": empty},
+            "strings": ["", nested, "", empty, ""],
+            "top": table,
+        }
+        got = written_json(tmp_path / "doc.json", doc)
+        assert got == json.dumps(self.as_dicts(doc), indent=2,
+                                 sort_keys=True) + "\n"
+        assert written_json(tmp_path / "rows.json", nested) == json.dumps(
+            self.as_dicts(nested), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("bad", [{1, 2}, Column("n"), np.int64(1)])
+    def test_other_objects_raise_jsons_error(self, tmp_path, bad):
+        with pytest.raises(TypeError) as want:
+            json.dumps({"bad": bad}, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            dump_json({"rows": JsonRows.table(np.zeros((1, 4))), "bad": bad},
+                      tmp_path / "doc.json")
+        assert str(got.value) == str(want.value)
+
 
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
@@ -532,6 +601,16 @@ class TestSaveLoad:
             load_region_families(path)
         assert str(err.value) == ("region family 0 region 1: inverted region "
                                   "bounds: (1.0, 0.0, 0.5, 1.0)")
+
+    def test_provenance_list_message(self, tmp_path):
+        path = tmp_path / "provenance.json"
+        path.write_text(json.dumps({"schema": 1, "families": [
+            {"kind": "partitioning", "provenance": ["random"],
+             "xbounds": [0.0, 1.0], "ybounds": [0.0, 1.0]}]}))
+        with pytest.raises(ValueError) as err:
+            load_region_families(path)
+        assert str(err.value) == \
+            "region family 0: provenance must be an object"
 
     def test_schema_field(self, tmp_path):
         path = tmp_path / "f.json"

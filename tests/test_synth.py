@@ -126,6 +126,11 @@ class TestPlanted:
             gen_planted(100, self.RECT, Region(8.0, 8.0, 12.0, 12.0),
                         0.5, 0.9)
 
+    def test_nonpositive_n_rejected(self):
+        with pytest.raises(ValueError) as err:
+            gen_planted(0, self.RECT, self.PLANT, 0.5, 0.9)
+        assert str(err.value) == "n must be positive, got 0"
+
     def test_invalid_rates(self):
         with pytest.raises(ValueError):
             gen_planted(100, self.RECT, self.PLANT, -0.1, 0.5)
