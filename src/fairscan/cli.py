@@ -8,7 +8,7 @@ import json
 import math
 import os
 import sys
-from typing import NoReturn
+from collections import namedtuple
 
 import numpy as np
 
@@ -90,23 +90,76 @@ def _parse_rect(text: str, flag: str) -> Region:
     return Region(x0, y0, x1, y1)
 
 
-def _add_family_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", metavar="WxH",
-                   help="regular WxH grid partitioning of the bounding box")
-    p.add_argument("--random-partitionings", type=int, metavar="K",
-                   help="K random rectangular partitionings")
-    p.add_argument("--splits", metavar="MIN..MAX",
-                   help="split-count range for random partitionings "
-                        "(default 10..40)")
-    p.add_argument("--squares", action="store_true",
-                   help="square scan set around k-means centers")
-    p.add_argument("--centers", type=int, metavar="K",
-                   help="number of k-means centers for --squares (default 100)")
-    p.add_argument("--sides", metavar="LO:HI:COUNT",
-                   help="square side lengths for --squares "
-                        "(default 0.1:2.0:20)")
-    p.add_argument("--regions-file", metavar="PATH",
-                   help="load candidate regions from a region-family JSON file")
+# One row per option that a config file may set: its key (the flag is --
+# plus the key with - for _), default (which a null config value also
+# reads as), the subcommands that take it, the JSON types a config value may
+# have ([T] is a list of T values) with their wording for the error (None:
+# one of the flag's choices), and the flag's argparse keywords.
+Option = namedtuple("Option", "key default commands types expected flag")
+
+
+def _row(key, default, commands, types, expected, **flag) -> Option:
+    return Option(key, default, commands.split(), types,
+                  expected or "one of " + ", ".join(flag["choices"]), flag)
+
+
+_ALL = "audit meanvar regions"
+_PAIR = "a string or a list of two integers"
+OPTIONS = (
+    _row("data", None, _ALL, (str,), "a string", metavar="PATH",
+         help="observations CSV (id,lon,lat,outcome[,label])"),
+    _row("mode", "parity", "audit meanvar", (str,), None,
+         choices=sorted(_MODES),
+         help="outcome slice to audit (default %(default)s)"),
+    _row("direction", "two-sided", "audit", (str,), None,
+         choices=sorted(_DIRECTIONS),
+         help="which rate deviations count (default %(default)s)"),
+    _row("grid", None, _ALL, (str, [int]), _PAIR, metavar="WxH",
+         help="regular WxH grid partitioning of the bounding box"),
+    _row("random_partitionings", None, _ALL, (int,), "an integer", type=int,
+         metavar="K", help="K random rectangular partitionings"),
+    _row("splits", AuditConfig.splits, _ALL, (str, [int]), _PAIR,
+         metavar="MIN..MAX", help="split-count range for random "
+         "partitionings (default %d..%d)" % AuditConfig.splits),
+    _row("squares", False, "audit regions", (bool,), "true or false",
+         action="store_true", help="square scan set around k-means centers"),
+    _row("centers", 100, "audit regions", (int,), "an integer", type=int,
+         metavar="K",
+         help="number of k-means centers for --squares (default %(default)s)"),
+    _row("sides", None, "audit regions", (str, [int, float]),
+         "LO:HI:COUNT or a list of numbers", metavar="LO:HI:COUNT",
+         help="square side lengths for --squares (default 0.1:2.0:20)"),
+    _row("regions_file", None, "audit regions", (str,), "a string",
+         metavar="PATH",
+         help="load candidate regions from a region-family JSON file"),
+    _row("alpha", AuditConfig.alpha, "audit", (int, float), "a number",
+         type=float, help="significance level (default %(default)s)"),
+    _row("worlds", AuditConfig.num_worlds - 1, "audit", (int,), "an integer",
+         type=int, metavar="W",
+         help="simulated fair worlds; the real world is added on top "
+              "(default %(default)s)"),
+    _row("seed", AuditConfig.seed, _ALL, (int,), "an integer", type=int,
+         help="master PRNG seed (default %(default)s)"),
+    _row("top_k", None, "audit meanvar", (int,), "an integer", type=int,
+         metavar="K", help="keep only the K strongest evidence regions"),
+)
+_ROWS = {option.key: option for option in OPTIONS}
+
+
+def _add_options(parser: argparse.ArgumentParser, command: str,
+                 rows=OPTIONS, **changes: dict) -> None:
+    """Add the flags of the rows that command takes; an absent flag leaves
+    no attribute. changes maps a key to argparse keywords that replace its
+    row's, for the three options that mean something else in one command:
+    meanvar's --data is required (meanvar has no --config), meanvar's
+    --top-k counts contributors, and regions' --data supplies only the box
+    and the k-means sample."""
+    for option in rows:
+        if command in option.commands:
+            flag = dict(option.flag, default=argparse.SUPPRESS,
+                        help=option.flag["help"] % {"default": option.default})
+            flag.update(changes.get(option.key, {}))
+            parser.add_argument("--" + option.key.replace("_", "-"), **flag)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,21 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pa.add_argument("--config", metavar="PATH",
                     help="JSON file of option defaults; explicit flags win")
-    pa.add_argument("--data", metavar="PATH",
-                    help="observations CSV (id,lon,lat,outcome[,label])")
-    pa.add_argument("--mode", choices=sorted(_MODES),
-                    help="outcome slice to audit (default parity)")
-    pa.add_argument("--direction", choices=sorted(_DIRECTIONS),
-                    help="which rate deviations count (default two-sided)")
-    _add_family_flags(pa)
-    pa.add_argument("--alpha", type=float,
-                    help="significance level (default 0.005)")
-    pa.add_argument("--worlds", type=int, metavar="W",
-                    help="simulated fair worlds; the real world is added on "
-                         "top (default 999)")
-    pa.add_argument("--seed", type=int, help="master PRNG seed (default 0)")
-    pa.add_argument("--top-k", type=int, metavar="K",
-                    help="keep only the K strongest evidence regions")
+    _add_options(pa, "audit")
     pa.add_argument("--out", metavar="DIR",
                     help="write report.json, regions.geojson, nulldist.json")
     pa.add_argument("--fail-on-unfair", action="store_true",
@@ -151,19 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compute the MeanVar baseline (mean over partitionings "
                     "of the variance of per-cell positive rates).",
     )
-    pm.add_argument("--data", required=True, metavar="PATH",
-                    help="observations CSV (id,lon,lat,outcome[,label])")
-    pm.add_argument("--mode", choices=sorted(_MODES),
-                    help="outcome slice to audit (default parity)")
-    pm.add_argument("--grid", metavar="WxH",
-                    help="regular WxH grid partitioning")
-    pm.add_argument("--random-partitionings", type=int, metavar="K",
-                    help="K random rectangular partitionings")
-    pm.add_argument("--splits", metavar="MIN..MAX",
-                    help="split-count range (default 10..40)")
-    pm.add_argument("--seed", type=int, help="PRNG seed")
-    pm.add_argument("--top-k", type=int, default=DEFAULT_TOP_K, metavar="K",
-                    help="contributors to report (default %(default)s)")
+    _add_options(pm, "meanvar", data={"required": True}, top_k={
+        "default": DEFAULT_TOP_K,
+        "help": "contributors to report (default %(default)s)"})
     pm.add_argument("--out", metavar="DIR", help="write meanvar.json")
     pm.set_defaults(func=cmd_meanvar)
 
@@ -201,28 +230,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "audits via --regions-file.",
     )
     pr.add_argument("--out", required=True, metavar="PATH", help="output JSON")
-    pr.add_argument("--data", metavar="PATH",
-                    help="dataset CSV supplying the bounding box (and the "
-                         "k-means sample for --squares)")
+    _add_options(pr, "regions", OPTIONS[:1], data={
+        "help": "dataset CSV supplying the bounding box (and the k-means "
+                "sample for --squares)"})
     pr.add_argument("--bbox", metavar="X0,Y0,X1,Y1",
                     help="explicit bounding box (grid/random families only)")
-    _add_family_flags(pr)
-    pr.add_argument("--seed", type=int, help="PRNG seed")
+    _add_options(pr, "regions", OPTIONS[1:])
     pr.set_defaults(func=cmd_regions)
     return parser
 
 
 def _audit_config(args: argparse.Namespace) -> AuditConfig:
-    """Merge built-in defaults, optional config file, and explicit flags;
-    a flag the subcommand lacks counts as absent."""
-    defaults = {
-        "data": None, "mode": "parity", "direction": "two-sided",
-        "grid": None, "random_partitionings": None, "splits": None,
-        "squares": False, "centers": 100, "sides": None,
-        "regions_file": None, "alpha": 0.005, "worlds": 999, "seed": 0,
-        "top_k": None,
-    }
-    merged = dict(defaults)
+    """Merge the table's defaults, an optional config file and the flags
+    given (flags win). Every value given is checked against its row, used
+    or not; a flag the subcommand lacks counts as absent."""
+    given = {}
     config = getattr(args, "config", None)
     if config is not None:
         with open(config, "rb") as fh:
@@ -233,89 +255,62 @@ def _audit_config(args: argparse.Namespace) -> AuditConfig:
             raise ValueError(
                 f"config file {config}: byte 0x{raw[exc.start]:02x} at "
                 f"offset {exc.start} is not UTF-8 ({exc.reason})") from None
-        file_cfg = json.loads(text)
-        if not isinstance(file_cfg, dict):
+        given = json.loads(text)
+        if not isinstance(given, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(defaults)
+        unknown = set(given) - set(_ROWS)
         if unknown:
             raise ValueError(
                 f"unknown keys in config file: {', '.join(sorted(unknown))}"
             )
-        merged.update(file_cfg)
-    for key in defaults:
-        flag_value = getattr(args, key, None)
-        if key == "squares":
-            if flag_value:
-                merged[key] = True
-        elif flag_value is not None:
-            merged[key] = flag_value
-
-    for key in ("data", "regions_file"):
-        if merged[key] is not None and not isinstance(merged[key], str):
-            _config_type_error(key, "a string", merged[key])
-    if not isinstance(merged["squares"], bool):
-        _config_type_error("squares", "true or false", merged["squares"])
-    sides = merged["sides"]
-    if isinstance(sides, str):
-        sides = _parse_sides(sides)
-    elif sides is not None:
-        if not (isinstance(sides, list) and all(map(_is_number, sides))):
-            _config_type_error("sides", "LO:HI:COUNT or a list of numbers",
-                               sides)
-        sides = tuple(float(s) for s in sides)
-    if not _is_number(merged["alpha"]):
-        _config_type_error("alpha", "a number", merged["alpha"])
+    given.update((key, value) for key, value in vars(args).items()
+                 if key in _ROWS)
+    v = {key: _checked(row, given.get(key)) for key, row in _ROWS.items()}
+    sides = v["sides"]
+    if isinstance(sides, list):
+        sides = tuple(map(float, sides))
     return AuditConfig(
-        data=merged["data"],
-        mode=_choice("mode", merged["mode"], _MODES),
-        direction=_choice("direction", merged["direction"], _DIRECTIONS),
-        grid=_pair("grid", merged["grid"], _parse_grid),
-        random_parts=_integer("random_partitionings",
-                              merged["random_partitionings"]),
-        splits=(_pair("splits", merged["splits"], _parse_splits)
-                or AuditConfig.splits),
-        squares_centers=(_integer("centers", merged["centers"])
-                         if merged["squares"] else None),
-        sides=sides,
-        regions_file=merged["regions_file"],
-        alpha=float(merged["alpha"]),
-        num_worlds=_integer("worlds", merged["worlds"]) + 1,
-        seed=_integer("seed", merged["seed"]),
-        top_k=_integer("top_k", merged["top_k"]),
+        data=v["data"],
+        mode=_MODES[v["mode"]],
+        direction=_DIRECTIONS[v["direction"]],
+        grid=_pair("grid", v["grid"], _parse_grid),
+        random_parts=v["random_partitionings"],
+        splits=_pair("splits", v["splits"], _parse_splits),
+        squares_centers=v["centers"] if v["squares"] else None,
+        sides=_parse_sides(sides) if isinstance(sides, str) else sides,
+        regions_file=v["regions_file"],
+        alpha=float(v["alpha"]),
+        num_worlds=v["worlds"] + 1,
+        seed=v["seed"],
+        top_k=v["top_k"],
     )
 
 
-def _config_type_error(key: str, expected: str, value) -> NoReturn:
-    raise ValueError(f"config {key} must be {expected}, got {value!r}")
+def _fits(value, types) -> bool:
+    """Whether a JSON value's type is one of types (so true is no number);
+    [T] is a list of T values."""
+    return type(value) in types or type(value) is list and any(
+        isinstance(t, list) and all(_fits(v, t) for v in value) for t in types)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _integer(key: str, value):
-    """An integer option (not a bool or a float); None stays None."""
-    if value is not None and (isinstance(value, bool)
-                              or not isinstance(value, int)):
-        _config_type_error(key, "an integer", value)
-    return value
+def _checked(row: Option, value):
+    """value, or the row's default for null; refused unless its type is one
+    of the row's and, where the flag has choices, it is one of them."""
+    if value is None:
+        return row.default
+    if _fits(value, row.types) and value in row.flag.get("choices", [value]):
+        return value
+    raise ValueError(
+        f"config {row.key} must be {row.expected}, got {value!r}")
 
 
 def _pair(key: str, value, parse):
     """A WxH or MIN..MAX option, as text or as a list of two integers."""
-    if value is None:
-        return None
     if isinstance(value, str):
         return parse(value)
-    if not (isinstance(value, list) and len(value) == 2):
-        _config_type_error(key, "a string or a list of two integers", value)
-    return tuple(_integer(key, v) for v in value)
-
-
-def _choice(key: str, value, table: dict):
-    if not (isinstance(value, str) and value in table):
-        _config_type_error(key, f"one of {', '.join(sorted(table))}", value)
-    return table[value]
+    if value is not None and len(value) != 2:
+        raise ValueError(f"config {key} must be {_PAIR}, got {value!r}")
+    return value if value is None else tuple(value)
 
 
 # An --out that cannot be written fails before the work, with the error the

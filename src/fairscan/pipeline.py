@@ -114,11 +114,14 @@ class AuditConfig:
         if self.random_parts is not None:
             lo, hi = self.splits
             if self.random_parts < 1:
-                raise ValueError("random_parts must be positive")
+                raise ValueError(
+                    "--random-partitionings (config key random_partitionings)"
+                    f" must be positive, got {self.random_parts}")
             if not 1 <= lo <= hi:
                 raise ValueError(f"bad splits range {lo}..{hi}")
         if self.squares_centers is not None and self.squares_centers < 1:
-            raise ValueError("squares_centers must be positive")
+            raise ValueError("--centers (config key centers) must be "
+                             f"positive, got {self.squares_centers}")
         if self.top_k is not None and self.top_k < 1:
             raise ValueError(f"top_k must be positive, got {self.top_k}")
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fairscan
-from fairscan.cli import build_parser, main
+from fairscan.cli import OPTIONS, build_parser, main
 from fairscan.dataset import load_dataset
 from fairscan.regions import load_region_families
 
@@ -467,7 +467,8 @@ class TestAuditConfigFile:
         {"direction": "up", "grid": "4x4"}, {"mode": ["x"], "grid": "4x4"},
         {"top_k": "5", "grid": "4x4"}, {"random_partitionings": "3"},
         {"seed": 1.5, "grid": "4x4"}, {"seed": True, "grid": "4x4"},
-        {"worlds": 99.0, "grid": "4x4"}], ids=json.dumps)
+        {"worlds": 99.0, "grid": "4x4"}, {"centers": "x", "grid": "4x4"},
+        {"centers": 2.5, "grid": "4x4"}], ids=json.dumps)
     def test_mistyped_config_value(self, capsys, unfair_csv, tmp_path,
                                    values):
         cfg_path = tmp_path / "cfg.json"
@@ -541,6 +542,120 @@ class TestAuditConfigFile:
         assert (code, lines) == (1, [])
         assert err == (f"error: config file {cfg_path}: byte 0xff at offset 0 "
                        "is not UTF-8 (invalid start byte)\n")
+
+
+@pytest.fixture(scope="module")
+def labelled_csv(unfair_csv, tmp_path_factory):
+    """unfair_csv with a label column, so every measure mode can run."""
+    lines = Path(unfair_csv).read_text().splitlines()
+    path = tmp_path_factory.mktemp("data") / "labelled.csv"
+    path.write_text("\n".join([lines[0] + ",label"] + [
+        f"{line},{i % 2}" for i, line in enumerate(lines[1:])]) + "\n")
+    return str(path)
+
+
+# For each config key: a good value as a flag and as a config value, the
+# same out-of-range value both ways (None where argparse refuses a bad flag
+# itself), and the family flags the run needs in place of --grid 2x2 (None:
+# keep the grid). "{data}", "{regions}" and "{missing}" stand for paths.
+OPTION_CASES = {
+    "data": (["{data}"], "{data}", ["{missing}"], "{missing}", None),
+    "mode": (["opportunity"], "opportunity", None, None, None),
+    "direction": (["higher-inside"], "higher-inside", None, None, None),
+    "grid": (["3x2"], [3, 2], ["0x3"], "0x3", []),
+    "random_partitionings": (["3"], 3, ["0"], 0, []),
+    "splits": (["2..5"], [2, 5], ["5..2"], "5..2",
+               ["--random-partitionings", "3"]),
+    "squares": ([], True, None, None, ["--centers", "3"]),
+    "centers": (["3"], 3, ["0"], 0, ["--squares"]),
+    "sides": (["0.25:0.5:2"], [0.25, 0.5], ["nan:1:2"], "nan:1:2",
+              ["--squares", "--centers", "3"]),
+    "regions_file": (["{regions}"], "{regions}", ["{missing}"], "{missing}",
+                     []),
+    "alpha": (["0.2"], 0.2, ["2"], 2, None),
+    "worlds": (["29"], 29, ["0"], 0, None),
+    "seed": (["3"], 3, ["-1"], -1, None),
+    "top_k": (["2"], 2, ["0"], 0, None),
+}
+OPTION_KEYS = [option.key for option in OPTIONS]
+
+
+class TestOptionTable:
+    """Each option of the table reads the same as a flag and as a config
+    key, and each subcommand offers exactly its rows."""
+
+    @pytest.fixture
+    def paths(self, capsys, tmp_path, labelled_csv):
+        regions = str(tmp_path / "regions.json")
+        assert main(["regions", "--bbox", "0,0,1,1", "--grid", "2x2",
+                     "--out", regions]) == 0
+        capsys.readouterr()
+        return {"data": labelled_csv, "regions": regions,
+                "missing": str(tmp_path / "missing.json")}
+
+    @staticmethod
+    def both_ways(capsys, tmp_path, paths, key, flag_values, config_value,
+                  family):
+        """The audit run with key given as a flag and in a config file."""
+        fill = (lambda v: v.format(**paths) if isinstance(v, str) else v)
+        argv = ["audit"]
+        for name, value in (("data", paths["data"]), ("worlds", "19"),
+                            ("alpha", "0.1")):
+            if name != key:
+                argv += [f"--{name}", value]
+        argv += ["--grid", "2x2"] if family is None else family
+        flag = ["--" + key.replace("_", "-"), *map(fill, flag_values)]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: fill(config_value)}))
+        return (run(capsys, *argv, *flag),
+                run(capsys, *argv, "--config", str(config)))
+
+    def test_every_key_has_a_case(self):
+        assert len(set(OPTION_KEYS)) == len(OPTIONS)
+        assert sorted(OPTION_CASES) == sorted(OPTION_KEYS)
+
+    @pytest.mark.parametrize("key", OPTION_KEYS)
+    def test_good_value_same_both_ways(self, capsys, tmp_path, paths, key):
+        good_flag, good_config, _, _, family = OPTION_CASES[key]
+        by_flag, by_config = self.both_ways(capsys, tmp_path, paths, key,
+                                            good_flag, good_config, family)
+        code, lines, err = by_flag
+        assert (code, err) == (0, "")
+        assert lines[0].startswith("CONFIG ")
+        assert by_config == by_flag
+
+    @pytest.mark.parametrize("key", [key for key in OPTION_KEYS
+                                     if OPTION_CASES[key][2] is not None])
+    def test_bad_value_same_error_both_ways(self, capsys, tmp_path, paths,
+                                            key):
+        _, _, bad_flag, bad_config, family = OPTION_CASES[key]
+        by_flag, by_config = self.both_ways(capsys, tmp_path, paths, key,
+                                            bad_flag, bad_config, family)
+        code, _, err = by_flag
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert by_config == by_flag
+
+    @pytest.mark.parametrize("key", OPTION_KEYS)
+    def test_null_reads_as_the_default(self, capsys, tmp_path, paths, key):
+        base = {"data": paths["data"], "grid": "2x2", "worlds": 199}
+        runs = []
+        for doc in ({**base, key: None},
+                    {name: v for name, v in base.items() if name != key}):
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps(doc))
+            runs.append(run(capsys, "audit", "--config", str(config)))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("command", ["audit", "meanvar", "regions"])
+    def test_parser_offers_the_tables_options(self, command):
+        parser = build_parser()._subparsers._group_actions[0].choices[command]
+        flags = {flag for action in parser._actions
+                 for flag in action.option_strings}
+        assert flags - {"-h", "--help", "--config", "--out", "--bbox",
+                        "--fail-on-unfair"} == {
+            "--" + option.key.replace("_", "-") for option in OPTIONS
+            if command in option.commands}
 
 
 class TestMeanVar:
@@ -784,12 +899,14 @@ class TestRegions:
         out = tmp_path / "sq.json"
         code, _, err = run(capsys, "regions", "--data", fair_csv, "--squares",
                            "--centers", centers, "--out", str(out))
-        assert (code, err) == (1, "error: squares_centers must be positive\n")
+        assert (code, err) == (1, "error: --centers (config key centers) "
+                                  f"must be positive, got {centers}\n")
         assert not out.exists()
         code, _, err = run(capsys, "audit", "--data", fair_csv, "--squares",
                            "--centers", centers, "--worlds", "99",
                            "--alpha", "0.05")
-        assert (code, err) == (1, "error: squares_centers must be positive\n")
+        assert (code, err) == (1, "error: --centers (config key centers) "
+                                  f"must be positive, got {centers}\n")
 
     def test_default_centers(self, capsys, fair_csv, tmp_path):
         out = str(tmp_path / "sq.json")
@@ -832,7 +949,9 @@ class TestFamilyFlags:
     @pytest.mark.parametrize("command", ["audit", "meanvar", "regions"])
     @pytest.mark.parametrize("flags, message", [
         (["--grid", "0x3"], "grid dims must be positive, got (0, 3)"),
-        (["--random-partitionings", "0"], "random_parts must be positive"),
+        (["--random-partitionings", "0"],
+         "--random-partitionings (config key random_partitionings) must be "
+         "positive, got 0"),
         (["--random-partitionings", "2", "--splits", "5..2"],
          "bad splits range 5..2"),
         (["--grid", "2x2", "--splits", "3"],
@@ -852,7 +971,9 @@ class TestFamilyFlags:
         code, _, err = run(capsys, "regions", "--bbox", "0,0,1,1", "--grid",
                            "2x2", "--random-partitionings", "0",
                            "--out", str(out))
-        assert (code, err) == (1, "error: random_parts must be positive\n")
+        assert (code, err) == (1, "error: --random-partitionings (config key "
+                                  "random_partitionings) must be positive, "
+                                  "got 0\n")
         assert not out.exists()
 
     @needs_rlimit_as

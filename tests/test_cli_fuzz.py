@@ -15,7 +15,7 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fairscan.cli import main
+from fairscan.cli import OPTIONS, main
 
 _SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -70,9 +70,8 @@ _JSON_VALUES = st.one_of(
                      "two-sided", "higher-inside", "lower-inside", "x"]),
     st.lists(st.one_of(_SMALL_INT, st.floats(-2, 2), st.text(max_size=2)),
              max_size=3))
-_CONFIG_KEYS = ["data", "mode", "direction", "grid", "random_partitionings",
-                "splits", "squares", "centers", "sides", "regions_file",
-                "alpha", "worlds", "seed", "resolution", "top_k", "bogus"]
+# Every key of the option table, and two that no option has.
+_CONFIG_KEYS = [option.key for option in OPTIONS] + ["resolution", "bogus"]
 
 
 @st.composite
